@@ -9,17 +9,7 @@ strongly convex, together with the matching guarantee curves so runs can
 be checked against the theory.
 """
 
-import os as _os
-
-# Best-effort thread cap for the numerical backends. This must happen
-# before numpy loads its BLAS, hence before any submodule import.
-_threads = _os.environ.get("DPD_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-del _os
-
-from .errors import (  # noqa: E402
+from .errors import (
     ConfigurationError,
     ContractViolationError,
     DivergenceError,
@@ -27,7 +17,7 @@ from .errors import (  # noqa: E402
     NumericalFailureError,
     UnsupportedPointError,
 )
-from .linops import (  # noqa: E402
+from .linops import (
     ImageGrid,
     Kernel2D,
     LinearOperator,
@@ -40,9 +30,7 @@ from .linops import (  # noqa: E402
     make_motion_kernel,
     make_stacked_operator,
 )
-from .model import (  # noqa: E402
-    EXACT_PROX_ORACLE,
-    GRADIENT_ORACLE,
+from .model import (
     DualProxOracle,
     IterationSnapshot,
     PrimalOracle,
@@ -51,7 +39,7 @@ from .model import (  # noqa: E402
     kkt_residual,
     lagrangian,
 )
-from .prox import (  # noqa: E402
+from .prox import (
     pair_norms,
     project_ball2_pairs,
     project_box,
@@ -59,27 +47,28 @@ from .prox import (  # noqa: E402
     prox_quadratic_primal,
     prox_smoothed_tv_dual,
 )
-from .ldpd import (  # noqa: E402
+from .solver import (
+    RunResult,
+    SolverState,
+    aggregate_closed_form,
+)
+from .ldpd import (
     LdpdParams,
     LdpdRegime,
-    LdpdState,
-    RunResult,
-    aggregate_closed_form,
     init_ldpd_state,
     ldpd_schedule,
     ldpd_step,
     run_ldpd,
 )
-from .edpd import (  # noqa: E402
+from .edpd import (
     EdpdParams,
     EdpdRegime,
-    EdpdState,
     edpd_schedule,
     edpd_step,
     init_edpd_state,
     run_edpd,
 )
-from .diagnostics import (  # noqa: E402
+from .diagnostics import (
     GapReference,
     HistoryRecord,
     HistoryRecorder,
@@ -92,12 +81,12 @@ from .diagnostics import (  # noqa: E402
     theoretical_bound,
     write_history_csv,
 )
-from .bench import (  # noqa: E402
+from .bench import (
     QuadraticSaddle,
     make_ball_capped_saddle,
     make_quadratic_saddle,
 )
-from .imaging import (  # noqa: E402
+from .imaging import (
     GaussianDeblurSpec,
     SaltPepperDeblurSpec,
     add_gaussian_noise,

@@ -21,13 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, UnsupportedPointError
 from .linops import MatrixOperator
-from .model import (
-    Array,
-    DualProxOracle,
-    GRADIENT_ORACLE,
-    PrimalOracle,
-    SaddleProblem,
-)
+from .model import Array, DualProxOracle, PrimalOracle, SaddleProblem
 
 
 @dataclass
@@ -85,16 +79,16 @@ def _problem_from_data(C, d, A, lam: float, mu_g: float,
         lhs = step * H + np.eye(n_primal)
         return np.linalg.solve(lhs, step * Ctd + z)
 
-    f = PrimalOracle(value=f_value, kind=GRADIENT_ORACLE, grad=f_grad,
-                     prox=f_prox, lipschitz_L_f=L_f, mu_f=mu_f)
+    f = PrimalOracle(value=f_value, grad=f_grad, prox=f_prox,
+                     lipschitz_L_f=L_f, mu_f=mu_f)
 
     def g_value(y):
         if ball_radius is not None and np.linalg.norm(y) > ball_radius * (1.0 + 1e-9):
             return float("inf")
-        return 0.5 * g.mu_g * float(y @ y)
+        return 0.5 * mu_g * float(y @ y)
 
-    def g_prox(z, step):
-        out = z / (1.0 + step * g.mu_g)
+    def g_prox(z, step, mu_g):
+        out = z / (1.0 + step * mu_g)
         if ball_radius is not None:
             nrm = np.linalg.norm(out)
             if nrm > ball_radius:
@@ -104,7 +98,7 @@ def _problem_from_data(C, d, A, lam: float, mu_g: float,
     def g_grad(y):
         if ball_radius is not None and np.linalg.norm(y) >= ball_radius * (1.0 - 1e-12):
             raise UnsupportedPointError("gradient undefined on the ball boundary")
-        return g.mu_g * y
+        return mu_g * y
 
     g = DualProxOracle(prox=g_prox, value=g_value, mu_g=float(mu_g), grad=g_grad)
     return SaddleProblem(f=f, g=g, A=MatrixOperator(A),

@@ -13,6 +13,8 @@ Exit codes: 0 success, 2 bad configuration, 3 file I/O failure,
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import sys
 
@@ -74,9 +76,12 @@ def _parse_motion(text: str):
             f"expected LENGTH,THETA for the motion kernel, got {text!r}"
         )
     try:
-        return float(parts[0]), float(parts[1])
+        length, theta = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigurationError(f"bad motion kernel spec {text!r}") from exc
+    if not (math.isfinite(length) and math.isfinite(theta)):
+        raise ConfigurationError(f"motion kernel spec {text!r} must be finite")
+    return length, theta
 
 
 def _load_scene(args):
@@ -149,16 +154,14 @@ def cmd_deblur_sp(args) -> int:
                                 halve_every=args.halve_every)
     problem = build_saltpepper_problem(spec)
 
-    before_step = None
+    mu_g = None
     label = None
     if spec.mu_g0 > 0.0:
         regime = edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL)
         if spec.halve_every > 0:
             label = CONTINUATION_LABEL
-
-            def before_step(t, prob):
-                prob.g.mu_g = continuation_mu_g(t, spec.mu_g0, spec.halve_every)
-
+            mu_g = functools.partial(continuation_mu_g, mu_g0=spec.mu_g0,
+                                     halve_every=spec.halve_every)
     else:
         tau = args.tau if args.tau is not None else 1.0 / problem.A.norm_bound
         regime = edpd.EdpdRegime(edpd.WEAKLY_CONVEX, tau=tau)
@@ -167,7 +170,7 @@ def cmd_deblur_sp(args) -> int:
     x1 = np.zeros(problem.primal_dim)
     y1 = np.zeros(problem.dual_dim)
     result = edpd.run_edpd(problem, regime, x1, y1, args.iters, recorder,
-                           before_step=before_step)
+                           mu_g=mu_g)
 
     recovered = ImageGrid(observed.m, observed.n, result.x)
     _write_run_outputs(args.out_dir, recovered, recorder.records, label=label,
@@ -403,9 +406,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite_floats(args) -> None:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigurationError(f"{flag} must be finite, got {value!r}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_finite_floats(args)
         return args.func(args)
     except (ConfigurationError, ContractViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

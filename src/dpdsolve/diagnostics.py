@@ -152,7 +152,8 @@ def dual_distance_rate_check(history: Sequence[tuple[int, float]],
     """Check the dual convergence guarantee of the strongly convex dual
     linearized schedule against measured distances.
 
-    `history` holds (k, ||ybar_k - y_star||) pairs. The guarantee says
+    `history` holds (k, ||y_k - y_star||) pairs, y_k the aggregate dual
+    point after k iterations. The guarantee says
     (mu_g / 2) * dist^2 never exceeds the gap bound at k; the first k
     breaking that (beyond float slack) is reported.
     """

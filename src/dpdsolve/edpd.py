@@ -2,7 +2,8 @@
 
 Each iteration solves the primal prox subproblem against the
 extrapolated dual point, applies the dual prox, then extrapolates the
-dual for the next iteration. No smoothness of f is assumed, only that
+dual for the next iteration (see solver.py for the recursion this family
+shares with the linearized one). No smoothness of f is assumed, only that
 its prox is available in closed form. Three step-size regimes are
 provided, mirroring the linearized solver's strongly convex and weakly
 convex cases.
@@ -11,19 +12,13 @@ convex cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-import numpy as np
-
-from .errors import ConfigurationError, ContractViolationError, DivergenceError
-from .ldpd import RunResult, aggregate_closed_form  # noqa: F401  (shared result type)
-from .model import (
-    Array,
-    IterationSnapshot,
-    Observer,
-    SaddleProblem,
-    SolverConsts,
-)
+from .errors import ConfigurationError, ContractViolationError
+from .model import Observer, SaddleProblem, SolverConsts
+from .solver import RunResult, SolverState, dual_step, run
+# The shared init under this family's public name.
+from .solver import init_state as init_edpd_state  # noqa: F401
 
 WEAKLY_CONVEX = "weakly-convex"
 STRONGLY_CONVEX_DUAL = "strongly-convex-dual"
@@ -101,86 +96,26 @@ def edpd_schedule(regime: EdpdRegime, t: int, consts: SolverConsts) -> EdpdParam
     return EdpdParams(alpha=1.0, tau=tau, eta=1.0 / (tau * nA**2))
 
 
-@dataclass
-class EdpdState:
-    """Solver state after `t - 1` completed iterations.
-
-    `yhat` is the extrapolated dual point the next primal prox will see;
-    at initialization it equals the dual start, consistent with seeding
-    the fictitious previous dual iterate at the start point.
-    """
-
-    t: int
-    x: Array
-    y: Array
-    y_prev: Array
-    yhat: Array
-    agg_num_x: Array
-    agg_num_y: Array
-    agg_den: float
-
-    @property
-    def aggregate_x(self) -> Array:
-        if self.agg_den <= 0.0:
-            raise ContractViolationError("no iterations accumulated yet")
-        return self.agg_num_x / self.agg_den
-
-    @property
-    def aggregate_y(self) -> Array:
-        if self.agg_den <= 0.0:
-            raise ContractViolationError("no iterations accumulated yet")
-        return self.agg_num_y / self.agg_den
-
-
-def init_edpd_state(x1, y1) -> EdpdState:
-    x1 = np.asarray(x1, dtype=float).copy()
-    y1 = np.asarray(y1, dtype=float).copy()
-    return EdpdState(
-        t=1,
-        x=x1,
-        y=y1,
-        y_prev=y1.copy(),
-        yhat=y1.copy(),
-        agg_num_x=np.zeros_like(x1),
-        agg_num_y=np.zeros_like(y1),
-        agg_den=0.0,
-    )
-
-
-def edpd_step(state: EdpdState, problem: SaddleProblem, params: EdpdParams,
-              agg_weight: Optional[float] = None) -> EdpdState:
+def edpd_step(state: SolverState, problem: SaddleProblem, params: EdpdParams,
+              alpha: float, mu_g: float, weight: float) -> SolverState:
     """Advance the solver by one iteration and return the new state.
 
-    `agg_weight` is this iterate's weight in the running aggregate and
-    defaults to 1 (a plain average).
+    The primal prox is taken against the extrapolated dual point
+    `state.yhat`; `alpha` extrapolates the new dual for the next
+    iteration, `mu_g` is the dual smoothing weight and `weight` this
+    iterate's weight in the running aggregate.
     """
     if problem.f.prox is None:
         raise ConfigurationError(
             "this solver takes proximal primal steps; the oracle has no prox"
         )
-    t = state.t
-    alpha, tau, eta = params.alpha, params.tau, params.eta
+    eta = params.eta
     x_next = problem.f.prox(state.x - eta * problem.A.adjoint(state.yhat), eta)
-    if not np.all(np.isfinite(x_next)):
-        raise DivergenceError(f"primal iterate {t + 1} is not finite")
-    y_next = problem.g.prox(state.y + tau * problem.A.apply(x_next), tau)
-    if not np.all(np.isfinite(y_next)):
-        raise DivergenceError(f"dual iterate {t + 1} is not finite")
-    yhat_next = y_next + alpha * (y_next - state.y)
-    w = 1.0 if agg_weight is None else float(agg_weight)
-    return EdpdState(
-        t=t + 1,
-        x=x_next,
-        y=y_next,
-        y_prev=state.y,
-        yhat=yhat_next,
-        agg_num_x=state.agg_num_x + w * x_next,
-        agg_num_y=state.agg_num_y + w * y_next,
-        agg_den=state.agg_den + w,
-    )
+    return dual_step(state, problem, x_next, x_next, params.tau, alpha, mu_g,
+                     weight)
 
 
-def _edpd_weight(regime: EdpdRegime, t: int) -> float:
+def _edpd_weight(regime: EdpdRegime, t: int, consts: SolverConsts) -> float:
     if regime.variant == STRONGLY_CONVEX_PRIMAL:
         return float(t + 2)
     if regime.variant == STRONGLY_CONVEX_DUAL:
@@ -190,7 +125,7 @@ def _edpd_weight(regime: EdpdRegime, t: int) -> float:
 
 def run_edpd(problem: SaddleProblem, regime: EdpdRegime, x1, y1, iters: int,
              observer: Optional[Observer] = None,
-             before_step=None) -> RunResult:
+             mu_g: Optional[Callable[[int], float]] = None) -> RunResult:
     """Run the proximal solver for `iters` iterations from (x1, y1).
 
     Parameters
@@ -206,12 +141,12 @@ def run_edpd(problem: SaddleProblem, regime: EdpdRegime, x1, y1, iters: int,
     observer : callable, optional
         Called once per iteration with an IterationSnapshot whose (x, y)
         is the weighted aggregate pair the guarantees refer to.
-    before_step : callable, optional
-        Called as before_step(t, problem) ahead of each iteration, before
-        the schedule reads the problem constants. Continuation schemes
-        use this hook to shrink the dual smoothing weight mid-run; doing
-        so voids the fixed-constant guarantees, so such runs are
-        heuristic.
+    mu_g : callable, optional
+        Continuation schedule: mu_g(t) is the dual smoothing weight that
+        iteration t's step sizes and dual prox use, in place of
+        `problem.g.mu_g`. The problem itself is left unchanged. A
+        shrinking weight voids the fixed-constant guarantees, so such
+        runs are heuristic.
 
     Returns
     -------
@@ -219,26 +154,6 @@ def run_edpd(problem: SaddleProblem, regime: EdpdRegime, x1, y1, iters: int,
         The weighted aggregate pair, the final state, and the step-size
         history.
     """
-    if iters < 1:
-        raise ConfigurationError("iters must be at least 1")
-    x1 = np.asarray(x1, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    if x1.shape != (problem.primal_dim,) or y1.shape != (problem.dual_dim,):
-        raise ContractViolationError("start point shapes do not match the problem")
-    state = init_edpd_state(x1, y1)
-    params_history = []
-    for t in range(1, iters + 1):
-        if before_step is not None:
-            before_step(t, problem)
-        consts = SolverConsts.from_problem(problem)
-        params = edpd_schedule(regime, t, consts)
-        params_history.append(params)
-        state = edpd_step(state, problem, params,
-                          agg_weight=_edpd_weight(regime, t))
-        if observer is not None:
-            observer(IterationSnapshot(
-                t=t, x=state.aggregate_x, y=state.aggregate_y,
-                x_last=state.x, y_last=state.y, params=params, state=state,
-            ))
-    return RunResult(x=state.aggregate_x, y=state.aggregate_y, state=state,
-                     params_history=params_history)
+    return run(problem, regime, x1, y1, iters, observer,
+               schedule=edpd_schedule, step=edpd_step, weight=_edpd_weight,
+               alpha_shift=0, mu_g=mu_g)

@@ -29,13 +29,7 @@ from .linops import (
     make_difference_operator,
     make_stacked_operator,
 )
-from .model import (
-    DualProxOracle,
-    EXACT_PROX_ORACLE,
-    GRADIENT_ORACLE,
-    PrimalOracle,
-    SaddleProblem,
-)
+from .model import DualProxOracle, PrimalOracle, SaddleProblem
 from .prox import (
     pair_norms,
     prox_linear_plus_box,
@@ -128,19 +122,16 @@ def build_gaussian_problem(spec: GaussianDeblurSpec) -> SaddleProblem:
     def f_prox(z, step):
         return prox_quadratic_primal(z, step, K, b, mu)
 
-    f = PrimalOracle(value=f_value, kind=GRADIENT_ORACLE, grad=f_grad,
-                     prox=f_prox, lipschitz_L_f=mu * K.spectral_norm**2,
-                     mu_f=0.0)
+    f = PrimalOracle(value=f_value, grad=f_grad, prox=f_prox,
+                     lipschitz_L_f=mu * K.spectral_norm**2, mu_f=0.0)
+    mu_g = float(spec.mu_g)
 
     def g_value(y):
         if np.max(pair_norms(y)) > 1.0 + FEASIBILITY_TOL:
             return float("inf")
-        return 0.5 * g.mu_g * float(y @ y)
+        return 0.5 * mu_g * float(y @ y)
 
-    def g_prox(z, step):
-        return prox_smoothed_tv_dual(z, step, g.mu_g)
-
-    g = DualProxOracle(prox=g_prox, value=g_value, mu_g=float(spec.mu_g))
+    g = DualProxOracle(prox=prox_smoothed_tv_dual, value=g_value, mu_g=mu_g)
     return SaddleProblem(f=f, g=g, A=D, primal_dim=m * n, dual_dim=2 * m * n)
 
 
@@ -159,10 +150,10 @@ def build_saltpepper_problem(spec: SaltPepperDeblurSpec) -> SaddleProblem:
     D = make_difference_operator(m, n)
     A = make_stacked_operator([(1.0, D), (float(spec.alpha), K)])
     tilt = float(spec.alpha) * spec.observed.data
+    mu_g0 = float(spec.mu_g0)
 
     f = PrimalOracle(
         value=lambda x: 0.0,
-        kind=EXACT_PROX_ORACLE,
         grad=lambda x: np.zeros_like(x),
         prox=lambda z, step: np.asarray(z, dtype=float).copy(),
         lipschitz_L_f=0.0,
@@ -175,14 +166,14 @@ def build_saltpepper_problem(spec: SaltPepperDeblurSpec) -> SaddleProblem:
             return float("inf")
         if np.max(np.abs(u)) > 1.0 + FEASIBILITY_TOL:
             return float("inf")
-        return float(tilt @ u) + 0.5 * g.mu_g * float(y @ y)
+        return float(tilt @ u) + 0.5 * mu_g0 * float(y @ y)
 
-    def g_prox(z, step):
-        v = prox_smoothed_tv_dual(z[: 2 * mn], step, g.mu_g)
-        u = prox_linear_plus_box(z[2 * mn :], step, tilt, mu_g=g.mu_g)
+    def g_prox(z, step, mu_g):
+        v = prox_smoothed_tv_dual(z[: 2 * mn], step, mu_g)
+        u = prox_linear_plus_box(z[2 * mn :], step, tilt, mu_g=mu_g)
         return np.concatenate([v, u])
 
-    g = DualProxOracle(prox=g_prox, value=g_value, mu_g=float(spec.mu_g0))
+    g = DualProxOracle(prox=g_prox, value=g_value, mu_g=mu_g0)
     return SaddleProblem(f=f, g=g, A=A, primal_dim=mn, dual_dim=3 * mn)
 
 

@@ -2,7 +2,8 @@
 
 One iteration blends the primal iterate with a running average, takes a
 gradient step against the extrapolated dual point, re-blends, then
-applies the dual prox and extrapolates the dual. Four published
+applies the dual prox and extrapolates the dual (see solver.py for the
+recursion this family shares with the exact one). Four published
 step-size regimes are provided; they differ in how the blending weight
 theta, the dual extrapolation alpha, and the step sizes tau (dual) and
 eta (primal) evolve with the iteration counter, and each comes with its
@@ -15,16 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from .errors import ConfigurationError, ContractViolationError, DivergenceError
-from .model import (
-    Array,
-    IterationSnapshot,
-    Observer,
-    SaddleProblem,
-    SolverConsts,
-)
+from .errors import ConfigurationError, ContractViolationError
+from .model import Observer, SaddleProblem, SolverConsts
+from .solver import RunResult, SolverState, dual_step, run
+# The shared init and reference aggregate under this family's public names.
+from .solver import aggregate_closed_form, init_state as init_ldpd_state  # noqa: F401
 
 WEAKLY_CONVEX = "weakly-convex"
 STRONGLY_CONVEX_DUAL = "strongly-convex-dual"
@@ -101,10 +97,10 @@ def ldpd_schedule(regime: LdpdRegime, t: int, consts: SolverConsts) -> LdpdParam
     Returns
     -------
     LdpdParams
-        theta, alpha, tau, eta for this iteration. `alpha` is indexed so
-        that iteration t extrapolates the dual with its own alpha against
-        the previous dual iterate; at t = 1 the extrapolation is inert
-        because no previous iterate exists.
+        theta, alpha, tau, eta for this iteration. `alpha` weighs the
+        dual extrapolation that forms the point iteration t's gradient
+        step sees, so it is applied at the end of iteration t - 1; the
+        first iteration sees the dual start itself.
     """
     if t < 1:
         raise ContractViolationError("iteration counter starts at 1")
@@ -153,144 +149,36 @@ def ldpd_schedule(regime: LdpdRegime, t: int, consts: SolverConsts) -> LdpdParam
     )
 
 
-@dataclass
-class LdpdState:
-    """Full solver state after `t - 1` completed iterations.
-
-    `x` and `y` are the current iterates, `xbar` and `ybar` the blended
-    running averages, `y_prev` the previous dual iterate, and `yhat` the
-    extrapolated dual point consumed by the most recent primal step. The
-    `agg_*` fields accumulate the closed-form weighted averages.
-    """
-
-    t: int
-    x: Array
-    xbar: Array
-    y: Array
-    ybar: Array
-    y_prev: Array
-    yhat: Array
-    agg_num_x: Array
-    agg_num_y: Array
-    agg_den: float
-
-    @property
-    def aggregate_x(self) -> Array:
-        if self.agg_den <= 0.0:
-            raise ContractViolationError("no iterations accumulated yet")
-        return self.agg_num_x / self.agg_den
-
-    @property
-    def aggregate_y(self) -> Array:
-        if self.agg_den <= 0.0:
-            raise ContractViolationError("no iterations accumulated yet")
-        return self.agg_num_y / self.agg_den
-
-
-def init_ldpd_state(x1, y1) -> LdpdState:
-    """Fresh state at t = 1 with the averages seeded at the start point."""
-    x1 = np.asarray(x1, dtype=float).copy()
-    y1 = np.asarray(y1, dtype=float).copy()
-    return LdpdState(
-        t=1,
-        x=x1,
-        xbar=x1.copy(),
-        y=y1,
-        ybar=y1.copy(),
-        y_prev=y1.copy(),
-        yhat=y1.copy(),
-        agg_num_x=np.zeros_like(x1),
-        agg_num_y=np.zeros_like(y1),
-        agg_den=0.0,
-    )
-
-
-def ldpd_step(state: LdpdState, problem: SaddleProblem, params: LdpdParams,
-              agg_weight: Optional[float] = None) -> LdpdState:
+def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
+              alpha: float, mu_g: float, weight: float) -> SolverState:
     """Advance the solver by one iteration and return the new state.
 
-    The dual extrapolation point for this iteration is formed first,
-    from the stored pair (y, y_prev); this is the same point the
-    previous iteration would have produced eagerly, so the trajectory
-    matches the published recursion exactly while keeping every use of
-    the schedule inside a single iteration.
-
-    `agg_weight` is this iterate's weight in the closed-form aggregate;
-    it defaults to the iteration counter, which reproduces the blended
-    averages of the theta = 2 / (t + 1) regimes.
+    The gradient step is taken at the blend of `x` and `xbar` against the
+    extrapolated dual point `state.yhat`; `alpha` extrapolates the new
+    dual for the next iteration, `mu_g` is the dual smoothing weight and
+    `weight` this iterate's weight in the running aggregate.
     """
     if problem.f.grad is None:
         raise ConfigurationError(
             "this solver takes gradient steps; the primal oracle has no grad"
         )
-    t = state.t
-    theta, alpha, tau, eta = params.theta, params.alpha, params.tau, params.eta
-    yhat = state.y + alpha * (state.y - state.y_prev)
+    theta, eta = params.theta, params.eta
     xhat = (1.0 - theta) * state.xbar + theta * state.x
-    x_next = state.x - eta * (problem.f.grad(xhat) + problem.A.adjoint(yhat))
-    if not np.all(np.isfinite(x_next)):
-        raise DivergenceError(f"primal iterate {t + 1} is not finite")
+    x_next = state.x - eta * (problem.f.grad(xhat) + problem.A.adjoint(state.yhat))
     xbar_next = (1.0 - theta) * state.xbar + theta * x_next
-    y_next = problem.g.prox(state.y + tau * problem.A.apply(x_next), tau)
-    if not np.all(np.isfinite(y_next)):
-        raise DivergenceError(f"dual iterate {t + 1} is not finite")
-    ybar_next = (1.0 - theta) * state.ybar + theta * y_next
-    w = float(t) if agg_weight is None else float(agg_weight)
-    return LdpdState(
-        t=t + 1,
-        x=x_next,
-        xbar=xbar_next,
-        y=y_next,
-        ybar=ybar_next,
-        y_prev=state.y,
-        yhat=yhat,
-        agg_num_x=state.agg_num_x + w * x_next,
-        agg_num_y=state.agg_num_y + w * y_next,
-        agg_den=state.agg_den + w,
-    )
+    return dual_step(state, problem, x_next, xbar_next, params.tau, alpha,
+                     mu_g, weight)
 
 
-def aggregate_closed_form(iterates, weights) -> Array:
-    """Weighted average of a sequence of iterates.
-
-    Provided as an independent reference for the running accumulators;
-    `weights` must be positive and match `iterates` in length.
-    """
-    iterates = [np.asarray(v, dtype=float) for v in iterates]
-    weights = np.asarray(weights, dtype=float)
-    if len(iterates) != weights.size or weights.size == 0:
-        raise ContractViolationError("need equally many iterates and weights")
-    if not np.all(weights > 0.0):
-        raise ContractViolationError("aggregation weights must be positive")
-    num = np.zeros_like(iterates[0])
-    for w, v in zip(weights, iterates):
-        num += w * v
-    return num / weights.sum()
-
-
-def _ldpd_weight(regime: LdpdRegime, t: int, t0: int) -> float:
+def _ldpd_weight(regime: LdpdRegime, t: int, consts: SolverConsts) -> float:
+    """Aggregation weight of iterate t. The t-weighted average equals the
+    theta = 2 / (t + 1) blend of the weakly convex and strongly convex
+    dual schedules."""
     if regime.variant == STRONGLY_CONVEX_PRIMAL:
-        return float(t + t0 + 1)
+        return float(t + scp_shift(consts) + 1)
     if regime.variant == SINGLE_STEP:
         return 1.0
     return float(t)
-
-
-def _ldpd_output(regime: LdpdRegime, state: LdpdState) -> tuple[Array, Array]:
-    if regime.variant in (WEAKLY_CONVEX, STRONGLY_CONVEX_DUAL):
-        return state.xbar, state.ybar
-    return state.aggregate_x, state.aggregate_y
-
-
-@dataclass
-class RunResult:
-    """Outcome of a solver run: the guaranteed aggregate pair, the final
-    state, and the per-iteration step sizes actually used."""
-
-    x: Array
-    y: Array
-    state: object
-    params_history: list
 
 
 def run_ldpd(problem: SaddleProblem, regime: LdpdRegime, x1, y1, iters: int,
@@ -310,41 +198,19 @@ def run_ldpd(problem: SaddleProblem, regime: LdpdRegime, x1, y1, iters: int,
         Number of iterations to run.
     observer : callable, optional
         Called once per iteration with an IterationSnapshot whose (x, y)
-        is the aggregation point the guarantees refer to.
+        is the weighted aggregate pair the guarantees refer to.
 
     Returns
     -------
     RunResult
-        The aggregate pair for this regime (blended averages for the
-        theta-blended schedules, weighted averages otherwise), the final
-        state, and the step-size history.
+        The weighted aggregate pair, the final state, and the step-size
+        history.
     """
-    if iters < 1:
-        raise ConfigurationError("iters must be at least 1")
     if regime.variant == WEAKLY_CONVEX and iters != regime.horizon:
         raise ConfigurationError(
             f"the weakly convex schedule is tuned for its horizon; "
             f"got iters={iters} but horizon={regime.horizon}"
         )
-    x1 = np.asarray(x1, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    if x1.shape != (problem.primal_dim,) or y1.shape != (problem.dual_dim,):
-        raise ContractViolationError("start point shapes do not match the problem")
-    state = init_ldpd_state(x1, y1)
-    t0 = scp_shift(SolverConsts.from_problem(problem)) \
-        if regime.variant == STRONGLY_CONVEX_PRIMAL else 0
-    params_history = []
-    for t in range(1, iters + 1):
-        consts = SolverConsts.from_problem(problem)
-        params = ldpd_schedule(regime, t, consts)
-        params_history.append(params)
-        state = ldpd_step(state, problem, params,
-                          agg_weight=_ldpd_weight(regime, t, t0))
-        if observer is not None:
-            out_x, out_y = _ldpd_output(regime, state)
-            observer(IterationSnapshot(
-                t=t, x=out_x, y=out_y, x_last=state.x, y_last=state.y,
-                params=params, state=state,
-            ))
-    out_x, out_y = _ldpd_output(regime, state)
-    return RunResult(x=out_x, y=out_y, state=state, params_history=params_history)
+    return run(problem, regime, x1, y1, iters, observer,
+               schedule=ldpd_schedule, step=ldpd_step, weight=_ldpd_weight,
+               alpha_shift=1)

@@ -211,9 +211,8 @@ class StackedOperator:
             )
         self.parts = parts
         self.dims = (in_dims.pop(), sum(op.dims[1] for _, op in parts))
-        self.norm_bound = math.sqrt(
-            sum((s * op.norm_bound) ** 2 for s, op in parts)
-        )
+        # hypot, because squaring a large weight overflows a float
+        self.norm_bound = math.hypot(*(s * op.norm_bound for s, op in parts))
 
     def apply(self, x) -> Array:
         x = _as_vector(x, self.dims[0], "input")

@@ -26,38 +26,29 @@ from .linops import LinearOperator
 
 Array = np.ndarray
 
-GRADIENT_ORACLE = "gradient-oracle"
-EXACT_PROX_ORACLE = "exact-prox-oracle"
-
 
 @dataclass
 class PrimalOracle:
     """Access to the primal component f.
 
-    `kind` names the primary capability: a gradient oracle must carry
-    `grad` (for linearized primal steps), an exact prox oracle must carry
-    `prox` (for proximal primal steps). An oracle may carry both maps, in
-    which case either solver family can run on it. `value` is always
-    required because gap evaluation needs function values.
+    `grad` serves linearized primal steps and `prox` proximal primal
+    steps; an oracle must carry at least one of them, and with both
+    either solver family can run on it. `value` is always required
+    because gap evaluation needs function values.
 
     `lipschitz_L_f` bounds the gradient's Lipschitz constant and `mu_f`
     understates the strong convexity modulus; both may be zero.
     """
 
     value: Callable[[Array], float]
-    kind: str = GRADIENT_ORACLE
     grad: Optional[Callable[[Array], Array]] = None
     prox: Optional[Callable[[Array, float], Array]] = None
     lipschitz_L_f: float = 0.0
     mu_f: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (GRADIENT_ORACLE, EXACT_PROX_ORACLE):
-            raise ConfigurationError(f"unknown primal oracle kind {self.kind!r}")
-        if self.kind == GRADIENT_ORACLE and self.grad is None:
-            raise ConfigurationError("gradient oracle declared without a grad map")
-        if self.kind == EXACT_PROX_ORACLE and self.prox is None:
-            raise ConfigurationError("exact prox oracle declared without a prox map")
+        if self.grad is None and self.prox is None:
+            raise ConfigurationError("a primal oracle needs a grad or a prox map")
         if self.lipschitz_L_f < 0.0:
             raise ConfigurationError("lipschitz_L_f must be nonnegative")
         if self.mu_f < 0.0:
@@ -68,16 +59,16 @@ class PrimalOracle:
 class DualProxOracle:
     """Access to the dual component g through its proximal map.
 
-    prox(z, step) must return the exact minimizer of
-    g(y) + ||y - z||^2 / (2 step). `value` returns the function value and
-    may be +inf outside g's domain. `mu_g` understates g's strong
-    convexity modulus; it is deliberately left mutable because
-    continuation schemes shrink it between iterations, and prox closures
-    are expected to read the current value. `grad` is optional and only
-    needed by stationarity checks.
+    g is a fixed part plus (mu_g / 2) ||y||^2. prox(z, step, mu_g) must
+    return the exact minimizer of g(y) + ||y - z||^2 / (2 step) for the
+    smoothing weight passed in: the solvers pass `mu_g` itself, or, on a
+    continuation run, the weight of the current iteration. `value`
+    returns the function value at the declared `mu_g` and may be +inf
+    outside g's domain. `mu_g` understates g's strong convexity modulus.
+    `grad` is optional and only needed by stationarity checks.
     """
 
-    prox: Callable[[Array, float], Array]
+    prox: Callable[[Array, float, float], Array]
     value: Callable[[Array], float]
     mu_g: float = 0.0
     grad: Optional[Callable[[Array], Array]] = None

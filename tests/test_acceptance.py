@@ -153,7 +153,8 @@ def test_criterion_06_blend_equals_weighted_average(bench):
                       np.zeros(inst.problem.dual_dim), iters,
                       observer=lambda s: (xs.append(s.x_last.copy()),
                                           ys.append(s.y_last.copy()),
-                                          bars.append((s.x.copy(), s.y.copy()))))
+                                          bars.append((s.state.xbar.copy(),
+                                                       s.y.copy()))))
         for k in range(1, iters + 1):
             weights = np.arange(1, k + 1, dtype=float)
             for got, seq in ((bars[k - 1][0], xs), (bars[k - 1][1], ys)):
@@ -196,9 +197,10 @@ def test_criterion_07_operator_and_prox_contracts():
         alpha=4.0, mu_g0=0.03))
     cases = (
         (gauss.f.value, gauss.f.prox, gauss.primal_dim),
-        (gauss.g.value, gauss.g.prox, gauss.dual_dim),
+        (gauss.g.value, lambda z, s: gauss.g.prox(z, s, gauss.g.mu_g),
+         gauss.dual_dim),
         (sp.f.value, sp.f.prox, sp.primal_dim),
-        (sp.g.value, sp.g.prox, sp.dual_dim),
+        (sp.g.value, lambda z, s: sp.g.prox(z, s, sp.g.mu_g), sp.dual_dim),
     )
     worst_prox = 0.0
     for value, prox, dim in cases:
@@ -292,12 +294,12 @@ def test_criterion_09_continuation_reaches_plateau_sooner():
                                     alpha=4.0, mu_g0=mu_g0,
                                     halve_every=halve_every)
         problem = build_saltpepper_problem(spec)
-        before_step = None
+        mu_g = None
         if mu_g0 > 0.0:
             regime = edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL)
 
-            def before_step(t, prob):
-                prob.g.mu_g = continuation_mu_g(t, mu_g0, halve_every)
+            def mu_g(t):
+                return continuation_mu_g(t, mu_g0, halve_every)
 
         else:
             regime = edpd.EdpdRegime(edpd.WEAKLY_CONVEX,
@@ -305,7 +307,7 @@ def test_criterion_09_continuation_reaches_plateau_sooner():
         recorder = HistoryRecorder(x_true=clean)
         edpd.run_edpd(problem, regime, np.zeros(problem.primal_dim),
                       np.zeros(problem.dual_dim), iters, recorder,
-                      before_step=before_step)
+                      mu_g=mu_g)
         series = recorder.series("snr_db")
         final = series[-1][1]
         k_hit = next(t for t, s in series if s >= final - 0.5)

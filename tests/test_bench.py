@@ -57,7 +57,7 @@ def test_inactive_ball_leaves_the_solution_alone():
     assert kkt_residual(balled.problem, balled.x_star, balled.y_star) <= 1e-8
     # prox output stays strictly inside, so the indicator never binds
     z = balled.y_star * 1.5
-    out = balled.problem.g.prox(z, 0.1)
+    out = balled.problem.g.prox(z, 0.1, balled.problem.g.mu_g)
     assert np.linalg.norm(out) <= r
 
 
@@ -103,7 +103,8 @@ def test_ball_capped_dual_is_a_prox_fixed_point():
     inst = make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
     ax = inst.problem.A.apply(inst.x_star)
     for tau in (0.01, 1.0, 100.0):
-        moved = inst.problem.g.prox(inst.y_star + tau * ax, tau)
+        moved = inst.problem.g.prox(inst.y_star + tau * ax, tau,
+                                    inst.problem.g.mu_g)
         gap = float(np.linalg.norm(moved - inst.y_star))
         assert gap <= 1e-10 * max(1.0, float(np.linalg.norm(inst.y_star)))
 

@@ -227,3 +227,29 @@ def test_recovered_images_round_trip_through_both_formats(tmp_path):
     exact = read_dpdf(out / "recovered.dpdf")
     assert exact.m == 16 and exact.n == 16
     assert np.all(np.isfinite(exact.data))
+
+
+@pytest.mark.parametrize("argv", [
+    ["deblur-gauss", "--size", "32", "--kernel", "7,135", "--mu", "inf"],
+    ["deblur-gauss", "--size", "32", "--kernel", "7,135", "--mu-g", "inf"],
+    ["deblur-gauss", "--size", "32", "--kernel", "7,135", "--sigma", "nan"],
+    ["deblur-gauss", "--size", "32", "--kernel", "nan,135"],
+    ["deblur-sp", "--size", "32", "--mu-g0", "nan"],
+], ids=["mu-inf", "mu-g-inf", "sigma-nan", "kernel-nan", "mu-g0-nan"])
+def test_non_finite_float_flags_are_config_errors(tmp_path, argv, capsys):
+    out = tmp_path / "x"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # continuation halves mu_g every step until eta underflows at 1020
+    ["deblur-sp", "--size", "16", "--halve-every", "1", "--iters", "2000"],
+    # the stacked operator norm is finite, its square in the schedule is not
+    ["deblur-sp", "--size", "16", "--alpha", "1e300"],
+], ids=["continuation-underflow", "alpha-1e300"])
+def test_bad_schedules_fail_before_the_first_iteration(tmp_path, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
+    assert not out.exists()

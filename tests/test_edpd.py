@@ -18,8 +18,6 @@ from dpdsolve.ldpd import aggregate_closed_form
 from dpdsolve.linops import MatrixOperator
 from dpdsolve.model import (
     DualProxOracle,
-    EXACT_PROX_ORACLE,
-    GRADIENT_ORACLE,
     PrimalOracle,
     SaddleProblem,
     SolverConsts,
@@ -111,7 +109,8 @@ def _reference_trajectory(problem, regime, x1, y1, iters):
     for t in range(1, iters + 1):
         p = edpd_schedule(regime, t, consts)
         x = problem.f.prox(x - p.eta * problem.A.adjoint(yhat), p.eta)
-        y_new = problem.g.prox(y + p.tau * problem.A.apply(x), p.tau)
+        y_new = problem.g.prox(y + p.tau * problem.A.apply(x), p.tau,
+                               consts.mu_g)
         yhat = y_new + p.alpha * (y_new - y)
         y = y_new
         states.append((x.copy(), y.copy(), yhat.copy()))
@@ -141,9 +140,8 @@ def test_step_matches_reference_transcription_bitwise(variant, kw):
 
 
 def _decoupled_problem():
-    f = PrimalOracle(value=lambda x: 0.0, kind=EXACT_PROX_ORACLE,
-                     prox=lambda z, step: z.copy())
-    g = DualProxOracle(prox=lambda z, step: z / (1.0 + step),
+    f = PrimalOracle(value=lambda x: 0.0, prox=lambda z, step: z.copy())
+    g = DualProxOracle(prox=lambda z, step, mu_g: z / (1.0 + step * mu_g),
                        value=lambda y: 0.5 * float(y @ y), mu_g=1.0)
     return SaddleProblem(f=f, g=g, A=MatrixOperator(np.zeros((3, 2))),
                          primal_dim=2, dual_dim=3)
@@ -154,7 +152,7 @@ def test_step_on_decoupled_problem():
     params = EdpdParams(alpha=1.0, tau=1.0, eta=0.5)
     state = init_edpd_state(np.array([2.0, -1.0]), np.array([8.0, -4.0, 2.0]))
     for _ in range(10):
-        state = edpd_step(state, problem, params)
+        state = edpd_step(state, problem, params, params.alpha, 1.0, 1.0)
     np.testing.assert_array_equal(state.x, [2.0, -1.0])
     np.testing.assert_allclose(state.y, np.array([8.0, -4.0, 2.0]) / 2.0**10)
 
@@ -163,7 +161,7 @@ def test_step_with_zero_alpha_leaves_yhat_at_current_dual():
     problem = _decoupled_problem()
     params = EdpdParams(alpha=0.0, tau=1.0, eta=0.5)
     state = init_edpd_state(np.zeros(2), np.array([4.0, 4.0, 4.0]))
-    new = edpd_step(state, problem, params)
+    new = edpd_step(state, problem, params, params.alpha, 1.0, 1.0)
     np.testing.assert_array_equal(new.yhat, new.y)
     np.testing.assert_array_equal(new.y, [2.0, 2.0, 2.0])
 
@@ -171,7 +169,6 @@ def test_step_with_zero_alpha_leaves_yhat_at_current_dual():
 def test_step_requires_a_prox_capable_primal_oracle():
     inst = make_quadratic_saddle(6, 4, seed=31)
     f_grad_only = PrimalOracle(value=inst.problem.f.value,
-                               kind=GRADIENT_ORACLE,
                                grad=inst.problem.f.grad,
                                lipschitz_L_f=inst.problem.f.lipschitz_L_f)
     problem = SaddleProblem(f=f_grad_only, g=inst.problem.g, A=inst.problem.A,
@@ -214,19 +211,49 @@ def test_run_is_deterministic():
     assert np.array_equal(a.y, b.y)
 
 
-def test_before_step_hook_sees_counter_and_can_mutate():
+def test_continuation_schedule_sets_each_iterations_dual_weight():
     inst = make_quadratic_saddle(6, 4, seed=43, mu_g=0.5, lam=1.0)
-    seen = []
+    problem = inst.problem
+    seen, prox_weights = [], []
 
-    def hook(t, problem):
+    def mu_g(t):
         seen.append(t)
-        problem.g.mu_g = 0.5 / t
+        return 0.5 / t
 
-    result = run_edpd(inst.problem, EdpdRegime(STRONGLY_CONVEX_DUAL),
-                      np.zeros(6), np.zeros(4), 5, before_step=hook)
+    prox = problem.g.prox
+
+    def recording_prox(z, step, weight):
+        prox_weights.append(weight)
+        return prox(z, step, weight)
+
+    problem.g.prox = recording_prox
+    result = run_edpd(problem, EdpdRegime(STRONGLY_CONVEX_DUAL),
+                      np.zeros(6), np.zeros(4), 5, mu_g=mu_g)
     assert seen == [1, 2, 3, 4, 5]
+    assert prox_weights == [0.5 / t for t in range(1, 6)]
     for t, p in enumerate(result.params_history, start=1):
-        assert p.tau == pytest.approx((2.5 / (0.5 / t)) / (t + 1.0), rel=1e-12)
+        assert p.tau == 2.5 / mu_g(t) / (t + 1)
+    assert problem.g.mu_g == 0.5
+
+
+def test_schedule_is_validated_before_the_first_iteration():
+    inst = make_quadratic_saddle(6, 4, seed=43, mu_g=0.5, lam=1.0)
+    steps = []
+    # the halving weight drives eta = (t + 1) mu_g / (2.5 ||A||^2) to zero
+    # at t = 1020; the run must refuse up front, not diverge there
+    with pytest.raises(ConfigurationError, match="eta .* iteration 1020"):
+        run_edpd(inst.problem, EdpdRegime(STRONGLY_CONVEX_DUAL),
+                 np.zeros(6), np.zeros(4), 2000,
+                 observer=lambda s: steps.append(s.t),
+                 mu_g=lambda t: 0.5 * 2.0 ** (1 - t))
+    assert steps == []
+    # a squared operator norm past the float range is a bad configuration
+    huge = SaddleProblem(f=inst.problem.f, g=inst.problem.g,
+                         A=MatrixOperator(np.full((4, 6), 1e300)),
+                         primal_dim=6, dual_dim=4)
+    with pytest.raises(ConfigurationError, match="overflow"):
+        run_edpd(huge, EdpdRegime(STRONGLY_CONVEX_DUAL),
+                 np.zeros(6), np.zeros(4), 3)
 
 
 def test_run_validates_shapes_and_iters():

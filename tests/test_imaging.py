@@ -73,7 +73,7 @@ def test_gaussian_dual_prox_lands_in_the_domain():
     problem = build_gaussian_problem(spec)
     rng = np.random.default_rng(13)
     z = 5.0 * rng.standard_normal(240)
-    out = problem.g.prox(z, 0.5)
+    out = problem.g.prox(z, 0.5, problem.g.mu_g)
     assert np.max(pair_norms(out)) <= 1.0 + FEASIBILITY_TOL
     assert np.isfinite(problem.g.value(out))
     assert problem.g.value(z * 100.0) == float("inf")
@@ -126,7 +126,7 @@ def test_saltpepper_data_block_prox_formula():
     z = np.zeros(3 * mn)
     z[2 * mn :] = 10.0
     step = 2.0
-    out = problem.g.prox(z, step)
+    out = problem.g.prox(z, step, problem.g.mu_g)
     tilt = 4.0 * blurred.data
     expected = np.clip((10.0 - step * tilt) / (step * 0.5 + 1.0), -1.0, 1.0)
     np.testing.assert_allclose(out[2 * mn :], expected, rtol=1e-14)

@@ -24,7 +24,6 @@ from dpdsolve.ldpd import (
 from dpdsolve.linops import MatrixOperator
 from dpdsolve.model import (
     DualProxOracle,
-    GRADIENT_ORACLE,
     PrimalOracle,
     SaddleProblem,
     SolverConsts,
@@ -133,7 +132,6 @@ def _reference_trajectory(problem, regime, x1, y1, iters):
     x = np.asarray(x1, dtype=float).copy()
     y = np.asarray(y1, dtype=float).copy()
     xbar = x.copy()
-    ybar = y.copy()
     yhat = y.copy()
     states = []
     for t in range(1, iters + 1):
@@ -141,12 +139,12 @@ def _reference_trajectory(problem, regime, x1, y1, iters):
         xhat = (1.0 - p.theta) * xbar + p.theta * x
         x = x - p.eta * (problem.f.grad(xhat) + problem.A.adjoint(yhat))
         xbar = (1.0 - p.theta) * xbar + p.theta * x
-        y_new = problem.g.prox(y + p.tau * problem.A.apply(x), p.tau)
+        y_new = problem.g.prox(y + p.tau * problem.A.apply(x), p.tau,
+                               consts.mu_g)
         p_next = ldpd_schedule(regime, t + 1, consts)
         yhat = y_new + p_next.alpha * (y_new - y)
-        ybar = (1.0 - p.theta) * ybar + p.theta * y_new
         y = y_new
-        states.append((x.copy(), xbar.copy(), y.copy(), ybar.copy()))
+        states.append((x.copy(), xbar.copy(), y.copy(), yhat.copy()))
     return states
 
 
@@ -164,52 +162,53 @@ def test_step_matches_reference_transcription_bitwise(variant):
     seen = []
     run_ldpd(inst.problem, regime, x1, y1, 5,
              observer=lambda s: seen.append(
-                 (s.state.x, s.state.xbar, s.state.y, s.state.ybar)))
-    for (x, xbar, y, ybar), (ex, exbar, ey, eybar) in zip(seen, expected):
+                 (s.state.x, s.state.xbar, s.state.y, s.state.yhat)))
+    for (x, xbar, y, yhat), (ex, exbar, ey, eyhat) in zip(seen, expected):
         assert np.array_equal(x, ex)
         assert np.array_equal(xbar, exbar)
         assert np.array_equal(y, ey)
-        assert np.array_equal(ybar, eybar)
+        assert np.array_equal(yhat, eyhat)
 
 
 def test_first_iteration_extrapolation_is_inert():
-    # with y_prev seeded at y1 the first dual extrapolation point is y1
-    # itself, whatever alpha says
-    inst = make_quadratic_saddle(6, 4, seed=3, mu_g=0.5, lam=1.0)
+    # the first gradient step sees the dual start itself, whatever the
+    # schedule's alpha says
+    problem = make_quadratic_saddle(6, 4, seed=3, mu_g=0.5, lam=1.0).problem
     state = init_ldpd_state(np.zeros(6), np.ones(4))
+    np.testing.assert_array_equal(state.yhat, np.ones(4))
     params = LdpdParams(theta=1.0, alpha=0.83, tau=0.1, eta=0.01)
-    new = ldpd_step(state, inst.problem, params)
-    np.testing.assert_array_equal(new.yhat, np.ones(4))
+    new = ldpd_step(state, problem, params, 0.83, problem.g.mu_g, 1.0)
+    expected = -0.01 * (problem.f.grad(np.zeros(6))
+                        + problem.A.adjoint(np.ones(4)))
+    np.testing.assert_array_equal(new.x, expected)
 
 
 def test_step_with_identity_blend_contracts_decoupled_problem():
     # A = 0 and f = 0: the primal never moves and the quadratic dual
     # shrinks by 1/(1+tau) every iteration
-    f = PrimalOracle(value=lambda x: 0.0, kind=GRADIENT_ORACLE,
-                     grad=lambda x: np.zeros_like(x))
-    g = DualProxOracle(prox=lambda z, step: z / (1.0 + step),
+    f = PrimalOracle(value=lambda x: 0.0, grad=lambda x: np.zeros_like(x))
+    g = DualProxOracle(prox=lambda z, step, mu_g: z / (1.0 + step * mu_g),
                        value=lambda y: 0.5 * float(y @ y), mu_g=1.0)
     problem = SaddleProblem(f=f, g=g, A=MatrixOperator(np.zeros((3, 2))),
                             primal_dim=2, dual_dim=3)
     params = LdpdParams(theta=1.0, alpha=1.0, tau=1.0, eta=0.5)
     state = init_ldpd_state(np.array([1.0, -2.0]), np.array([8.0, -4.0, 2.0]))
     for _ in range(20):
-        state = ldpd_step(state, problem, params)
+        state = ldpd_step(state, problem, params, params.alpha, 1.0, 1.0)
     np.testing.assert_array_equal(state.x, [1.0, -2.0])
     np.testing.assert_allclose(state.y, np.array([8.0, -4.0, 2.0]) / 2.0**20)
 
 
 def test_step_reports_divergence_with_iterate_index():
-    f = PrimalOracle(value=lambda x: 0.0, kind=GRADIENT_ORACLE,
-                     grad=lambda x: np.full_like(x, 1e308))
-    g = DualProxOracle(prox=lambda z, step: z, value=lambda y: 0.0)
+    f = PrimalOracle(value=lambda x: 0.0, grad=lambda x: np.full_like(x, 1e308))
+    g = DualProxOracle(prox=lambda z, step, mu_g: z, value=lambda y: 0.0)
     problem = SaddleProblem(f=f, g=g, A=MatrixOperator(np.zeros((2, 2))),
                             primal_dim=2, dual_dim=2)
     state = init_ldpd_state(np.zeros(2), np.zeros(2))
     params = LdpdParams(theta=1.0, alpha=0.0, tau=1.0, eta=1e308)
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError, match="iterate 2"):
-            ldpd_step(state, problem, params)
+            ldpd_step(state, problem, params, params.alpha, 0.0, 1.0)
 
 
 def test_aggregate_closed_form_values():
@@ -232,11 +231,14 @@ def test_blended_averages_match_closed_form_weights(variant):
     iters = 50
     regime = LdpdRegime(variant, horizon=iters) if variant == WEAKLY_CONVEX \
         else LdpdRegime(variant)
+    # the blend anchor xbar is the t-weighted average of the primal
+    # iterates; the dual carries no blend, only its aggregate
     xs, ys, bars = [], [], []
     run_ldpd(inst.problem, regime, np.zeros(10), np.zeros(7), iters,
              observer=lambda s: (xs.append(s.x_last.copy()),
                                  ys.append(s.y_last.copy()),
-                                 bars.append((s.x.copy(), s.y.copy()))))
+                                 bars.append((s.state.xbar.copy(),
+                                              s.y.copy()))))
     for k in range(1, iters + 1):
         weights = np.arange(1, k + 1, dtype=float)
         ref_x = aggregate_closed_form(xs[:k], weights)
@@ -275,8 +277,7 @@ def test_run_validations():
     with pytest.raises(ContractViolationError):
         run_ldpd(inst.problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
                  np.zeros(5), np.zeros(4), 5)
-    f_prox_only = PrimalOracle(value=lambda x: 0.0, kind="exact-prox-oracle",
-                               prox=lambda z, step: z)
+    f_prox_only = PrimalOracle(value=lambda x: 0.0, prox=lambda z, step: z)
     problem = SaddleProblem(f=f_prox_only, g=inst.problem.g, A=inst.problem.A,
                             primal_dim=6, dual_dim=4)
     with pytest.raises(ConfigurationError):
@@ -301,3 +302,17 @@ def test_observer_sees_every_iteration_in_order():
     run_ldpd(inst.problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
              np.zeros(6), np.zeros(4), 12, observer=lambda s: ts.append(s.t))
     assert ts == list(range(1, 13))
+
+
+def test_schedule_is_validated_before_the_first_iteration():
+    inst = make_quadratic_saddle(6, 4, seed=7)
+    f = PrimalOracle(value=inst.problem.f.value, grad=inst.problem.f.grad,
+                     lipschitz_L_f=float("inf"))
+    problem = SaddleProblem(f=f, g=inst.problem.g, A=inst.problem.A,
+                            primal_dim=6, dual_dim=4)
+    steps = []
+    with pytest.raises(ConfigurationError, match="eta = 0.0 at iteration 1 "):
+        run_ldpd(problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+                 np.zeros(6), np.zeros(4), 5,
+                 observer=lambda s: steps.append(s.t))
+    assert steps == []

@@ -10,8 +10,6 @@ from dpdsolve.errors import (
 from dpdsolve.linops import MatrixOperator, identity_operator
 from dpdsolve.model import (
     DualProxOracle,
-    EXACT_PROX_ORACLE,
-    GRADIENT_ORACLE,
     PrimalOracle,
     SaddleProblem,
     SolverConsts,
@@ -21,12 +19,12 @@ from dpdsolve.model import (
 
 
 def _zero_f():
-    return PrimalOracle(value=lambda x: 0.0, kind=GRADIENT_ORACLE,
+    return PrimalOracle(value=lambda x: 0.0,
                         grad=lambda x: np.zeros_like(x))
 
 
 def _zero_g():
-    return DualProxOracle(prox=lambda z, step: z, value=lambda y: 0.0,
+    return DualProxOracle(prox=lambda z, step, mu_g: z, value=lambda y: 0.0,
                           grad=lambda y: np.zeros_like(y))
 
 
@@ -37,9 +35,9 @@ def test_lagrangian_pure_coupling():
 
 
 def test_lagrangian_quadratics_cancel():
-    f = PrimalOracle(value=lambda x: 0.5 * float(x @ x), kind=GRADIENT_ORACLE,
+    f = PrimalOracle(value=lambda x: 0.5 * float(x @ x),
                      grad=lambda x: x)
-    g = DualProxOracle(prox=lambda z, step: z,
+    g = DualProxOracle(prox=lambda z, step, mu_g: z,
                        value=lambda y: 0.5 * float(y @ y),
                        grad=lambda y: y)
     problem = SaddleProblem(f=f, g=g, A=MatrixOperator(np.zeros((2, 2))),
@@ -50,11 +48,11 @@ def test_lagrangian_quadratics_cancel():
 
 def test_lagrangian_is_minus_inf_outside_dual_domain():
     g = DualProxOracle(
-        prox=lambda z, step: np.clip(z, -1.0, 1.0),
+        prox=lambda z, step, mu_g: np.clip(z, -1.0, 1.0),
         value=lambda y: 0.0 if np.max(np.abs(y)) <= 1.0 else float("inf"),
     )
     f = PrimalOracle(value=lambda x: 0.5 * float((x - 1.0) @ (x - 1.0)),
-                     kind=GRADIENT_ORACLE, grad=lambda x: x - 1.0)
+                     grad=lambda x: x - 1.0)
     problem = SaddleProblem(f=f, g=g, A=identity_operator(1),
                             primal_dim=1, dual_dim=1)
     assert lagrangian(problem, [0.0], [2.0]) == -np.inf
@@ -70,9 +68,9 @@ def test_lagrangian_rejects_bad_shapes():
 
 
 def test_kkt_residual_decoupled_quadratics():
-    f = PrimalOracle(value=lambda x: 0.5 * float(x @ x), kind=GRADIENT_ORACLE,
+    f = PrimalOracle(value=lambda x: 0.5 * float(x @ x),
                      grad=lambda x: x)
-    g = DualProxOracle(prox=lambda z, step: z,
+    g = DualProxOracle(prox=lambda z, step, mu_g: z,
                        value=lambda y: 0.5 * float(y @ y),
                        grad=lambda y: y)
     problem = SaddleProblem(f=f, g=g, A=MatrixOperator(np.zeros((1, 1))),
@@ -87,13 +85,12 @@ def test_kkt_residual_vanishes_at_certified_saddle():
 
 
 def test_kkt_residual_requires_gradients():
-    f_prox_only = PrimalOracle(value=lambda x: 0.0, kind=EXACT_PROX_ORACLE,
-                               prox=lambda z, step: z)
+    f_prox_only = PrimalOracle(value=lambda x: 0.0, prox=lambda z, step: z)
     problem = SaddleProblem(f=f_prox_only, g=_zero_g(), A=identity_operator(1),
                             primal_dim=1, dual_dim=1)
     with pytest.raises(ContractViolationError):
         kkt_residual(problem, [0.0], [0.0])
-    g_no_grad = DualProxOracle(prox=lambda z, step: z, value=lambda y: 0.0)
+    g_no_grad = DualProxOracle(prox=lambda z, step, mu_g: z, value=lambda y: 0.0)
     problem2 = SaddleProblem(f=_zero_f(), g=g_no_grad, A=identity_operator(1),
                              primal_dim=1, dual_dim=1)
     with pytest.raises(UnsupportedPointError):
@@ -101,20 +98,18 @@ def test_kkt_residual_requires_gradients():
 
 
 def test_primal_oracle_validation():
+    with pytest.raises(ConfigurationError, match="grad or a prox"):
+        PrimalOracle(value=lambda x: 0.0)
     with pytest.raises(ConfigurationError):
-        PrimalOracle(value=lambda x: 0.0, kind="nonsense")
+        PrimalOracle(value=lambda x: 0.0, grad=lambda x: x, mu_f=-1.0)
     with pytest.raises(ConfigurationError):
-        PrimalOracle(value=lambda x: 0.0, kind=GRADIENT_ORACLE)
-    with pytest.raises(ConfigurationError):
-        PrimalOracle(value=lambda x: 0.0, kind=EXACT_PROX_ORACLE)
-    with pytest.raises(ConfigurationError):
-        PrimalOracle(value=lambda x: 0.0, kind=GRADIENT_ORACLE,
-                     grad=lambda x: x, mu_f=-1.0)
+        PrimalOracle(value=lambda x: 0.0, prox=lambda z, step: z,
+                     lipschitz_L_f=-1.0)
 
 
 def test_dual_oracle_validation():
     with pytest.raises(ConfigurationError):
-        DualProxOracle(prox=lambda z, step: z, value=lambda y: 0.0, mu_g=-0.1)
+        DualProxOracle(prox=lambda z, step, mu_g: z, value=lambda y: 0.0, mu_g=-0.1)
 
 
 def test_problem_dimension_check():

@@ -1,0 +1,59 @@
+"""Properties of the run loop both solver families share."""
+
+import types
+
+import numpy as np
+import pytest
+
+from dpdsolve import edpd
+from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
+from dpdsolve.diagnostics import BOUND_SLACK
+from dpdsolve.imaging import (
+    SaltPepperDeblurSpec,
+    build_saltpepper_problem,
+    continuation_mu_g,
+    make_phantom,
+)
+from dpdsolve.linops import make_average_kernel
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_every_regime_keeps_its_gap_under_the_bound_at_every_iteration(seed):
+    rng = np.random.default_rng(seed)
+    n_primal, n_dual = (int(v) for v in rng.integers(5, 16, size=2))
+    args = types.SimpleNamespace(dims=f"{n_primal},{n_dual}", seed=seed)
+    iters = 60
+    checked = 0
+    for tag, inst, solver, regime, free_tau in _bench_runs(
+            *_bench_instances(args), iters):
+        recorder = _run_bench_case(tag, inst, solver, regime, free_tau, iters)
+        assert len(recorder.records) == iters
+        for rec in recorder.records:
+            if rec.bound is not None:
+                assert rec.gap <= rec.bound + BOUND_SLACK, (tag, rec.t)
+                checked += 1
+    # every iteration of six regimes, the final one of the horizon-tuned one
+    assert checked == 6 * iters + 1
+
+
+def test_back_to_back_runs_on_one_problem_are_identical():
+    problem = build_saltpepper_problem(SaltPepperDeblurSpec(
+        observed=make_phantom(16, 16), kernel=make_average_kernel(3),
+        alpha=4.0, mu_g0=0.03))
+    x1 = np.zeros(problem.primal_dim)
+    y1 = np.zeros(problem.dual_dim)
+    regime = edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL)
+
+    def mu_g(t):
+        return continuation_mu_g(t, 0.03, 2)
+
+    plain = edpd.run_edpd(problem, regime, x1, y1, 8)
+    first = edpd.run_edpd(problem, regime, x1, y1, 8, mu_g=mu_g)
+    second = edpd.run_edpd(problem, regime, x1, y1, 8, mu_g=mu_g)
+    plain_again = edpd.run_edpd(problem, regime, x1, y1, 8)
+    assert np.array_equal(first.x, second.x)
+    assert np.array_equal(first.y, second.y)
+    # a continuation run leaves the problem as it found it
+    assert np.array_equal(plain.x, plain_again.x)
+    assert np.array_equal(plain.y, plain_again.y)
+    assert problem.g.mu_g == 0.03
