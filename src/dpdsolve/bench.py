@@ -61,8 +61,9 @@ def _problem_from_data(C, d, A, lam: float, mu_g: float,
                        ball_radius: Optional[float]) -> SaddleProblem:
     """Assemble oracles and the coupling operator for one dense instance."""
     n_primal = C.shape[1]
-    H = C.T @ C + lam * np.eye(n_primal)
-    eigs = np.linalg.eigvalsh(H)
+    # f's Hessian H = V diag(eigs) V^T, factored once so that every prox
+    # is a diagonal scaling in the eigenbasis.
+    eigs, V = np.linalg.eigh(C.T @ C + lam * np.eye(n_primal))
     L_f = float(eigs[-1])
     # With a genuine null space the smallest modulus is exactly lam.
     mu_f = float(lam) if C.shape[0] < n_primal else float(max(eigs[0], 0.0))
@@ -76,8 +77,8 @@ def _problem_from_data(C, d, A, lam: float, mu_g: float,
         return C.T @ (C @ x - d) + lam * x
 
     def f_prox(z, step):
-        lhs = step * H + np.eye(n_primal)
-        return np.linalg.solve(lhs, step * Ctd + z)
+        # (step H + I)^{-1} (step C^T d + z)
+        return V @ ((V.T @ (step * Ctd + z)) / (step * eigs + 1.0))
 
     f = PrimalOracle(value=f_value, grad=f_grad, prox=f_prox,
                      lipschitz_L_f=L_f, mu_f=mu_f)
@@ -198,6 +199,9 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
     beta = 0.5 * (lo + hi)
     x_star = np.linalg.solve(H + beta * AtA, Ctd)
     y_star = beta * (A @ x_star)
+    # Free two n-by-n arrays before the eigendecomposition in
+    # _problem_from_data allocates its workspace.
+    del H, AtA
 
     problem = _problem_from_data(C, d, A, float(lam), float(mu_g), radius)
     return QuadraticSaddle(problem=problem, x_star=x_star, y_star=y_star,

@@ -84,6 +84,18 @@ def _parse_motion(text: str):
     return length, theta
 
 
+def _check_kernel_fits(rows: float, cols: float, grid: ImageGrid, what: str) -> None:
+    """Refuse a blur kernel at least `rows` high and `cols` wide that
+    cannot fit the grid, before anything kernel-sized is allocated."""
+    # The slack keeps a segment that ends a hair past a pixel edge, whose
+    # kernel drops that sliver, from being refused.
+    if rows > grid.m + 1e-9 or cols > grid.n + 1e-9:
+        raise ConfigurationError(
+            f"{what} spans {rows:.1f}x{cols:.1f} pixels and does not fit "
+            f"the {grid.m}x{grid.n} grid"
+        )
+
+
 def _load_scene(args):
     """Resolve (clean, observed, degraded_here) from the input flags."""
     clean = _read_image(args.input) if args.input else None
@@ -108,8 +120,13 @@ def _write_run_outputs(out_dir, recovered: ImageGrid, records, label=None,
 def cmd_deblur_gauss(args) -> int:
     """Quadratic-fit deblurring run."""
     length, theta = _parse_motion(args.kernel)
-    kernel = make_motion_kernel(length, theta)
     clean, observed, degraded_here = _load_scene(args)
+    # The trimmed kernel spans at least the segment's extent along each axis.
+    rad = math.radians(theta)
+    _check_kernel_fits(abs(length * math.sin(rad)), abs(length * math.cos(rad)),
+                       clean if observed is None else observed,
+                       f"a motion kernel of length {length:g} at {theta:g} degrees")
+    kernel = make_motion_kernel(length, theta)
     if degraded_here:
         K = make_convolution_operator(kernel, clean.m, clean.n)
         blurred = ImageGrid(clean.m, clean.n, K.apply(clean.data))
@@ -143,8 +160,11 @@ def cmd_deblur_gauss(args) -> int:
 
 def cmd_deblur_sp(args) -> int:
     """L1-fit deblurring run with optional smoothing continuation."""
-    kernel = make_average_kernel(args.kernel)
     clean, observed, degraded_here = _load_scene(args)
+    _check_kernel_fits(args.kernel, args.kernel,
+                       clean if observed is None else observed,
+                       f"a {args.kernel}x{args.kernel} averaging kernel")
+    kernel = make_average_kernel(args.kernel)
     if degraded_here:
         K = make_convolution_operator(kernel, clean.m, clean.n)
         blurred = ImageGrid(clean.m, clean.n, K.apply(clean.data))

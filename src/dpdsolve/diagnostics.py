@@ -20,7 +20,14 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
-from .model import Array, IterationSnapshot, SaddleProblem, SolverConsts, lagrangian
+from .model import (
+    Array,
+    IterationSnapshot,
+    SaddleProblem,
+    SolverConsts,
+    _check_point,
+    lagrangian,
+)
 
 BOUND_TAGS = (
     "ldpd-weakly-convex",
@@ -263,11 +270,29 @@ class HistoryRecorder:
         self.timing = timing
         self.records: list[HistoryRecord] = []
         self._t_prev = time.perf_counter() if timing else None
+        if ref is not None:
+            # Everything in the gap that depends on the reference alone,
+            # so that each call applies no operator.
+            x_ref, y_ref = _check_point(problem, ref.x_ref, ref.y_ref)
+            self._At_y_ref = problem.A.adjoint(y_ref)
+            self._A_x_ref = problem.A.apply(x_ref)
+            self._f_ref = float(problem.f.value(x_ref))
+            self._g_ref = float(problem.g.value(y_ref))
+
+    def _gap(self, x: Array, y: Array) -> float:
+        """primal_dual_gap(problem, x, y, ref), with <Ax, y_ref> taken as
+        <x, A* y_ref>."""
+        gy = float(self.problem.g.value(y))
+        if gy == np.inf:
+            return np.inf
+        return ((float(self.problem.f.value(x)) + float(x @ self._At_y_ref)
+                 - self._g_ref)
+                - (self._f_ref + float(self._A_x_ref @ y) - gy))
 
     def __call__(self, snap: IterationSnapshot) -> None:
         rec = HistoryRecord(t=snap.t)
         if self.ref is not None:
-            rec.gap = primal_dual_gap(self.problem, snap.x, snap.y, self.ref)
+            rec.gap = self._gap(snap.x, snap.y)
         if self.bound_fn is not None:
             value = self.bound_fn(snap.t)
             rec.bound = None if value is None else float(value)

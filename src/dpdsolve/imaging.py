@@ -116,8 +116,10 @@ def build_gaussian_problem(spec: GaussianDeblurSpec) -> SaddleProblem:
         r = K.apply(x) - b
         return 0.5 * mu * float(r @ r)
 
+    Ktb = K.adjoint(b)
+
     def f_grad(x):
-        return mu * K.adjoint(K.apply(x) - b)
+        return mu * (K.gram(x) - Ktb)
 
     def f_prox(z, step):
         return prox_quadratic_primal(z, step, K, b, mu)

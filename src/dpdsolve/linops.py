@@ -120,6 +120,10 @@ class MatrixOperator:
     def adjoint(self, y) -> Array:
         return self.matrix.T @ _as_vector(y, self.dims[1], "input")
 
+    def gram(self, x) -> Array:
+        """M^T M x."""
+        return self.matrix.T @ (self.matrix @ _as_vector(x, self.dims[0], "input"))
+
 
 def identity_operator(dim: int) -> MatrixOperator:
     return MatrixOperator(np.eye(dim))
@@ -160,11 +164,15 @@ class DifferenceOperator2D:
 
 
 class ConvolutionOperator2D:
-    """Circular convolution with a centered kernel, applied via the FFT.
+    """Circular convolution with a centered kernel, applied via the real FFT.
 
-    `norm_bound` is the absolute weight sum, which always dominates the
-    true operator norm; `spectral_norm` is the exact norm read off the
-    kernel's transfer function.
+    `spectrum` is the kernel's rfft2 half-spectrum, of shape
+    (m // 2 + 1, n): the real transform runs down the columns, the axis
+    that is contiguous in the column-major pixel layout, and the full
+    transform along the rows. `power` is its squared modulus, the
+    spectrum of K*K. `norm_bound` is the absolute weight sum, which
+    always dominates the true operator norm; `spectral_norm` is the exact
+    norm read off the kernel's transfer function.
     """
 
     def __init__(self, kernel: Kernel2D, m: int, n: int):
@@ -182,19 +190,34 @@ class ConvolutionOperator2D:
         for p in range(kernel.height):
             for q in range(kernel.width):
                 embedded[(p - ch) % m, (q - cw) % n] += kernel.weights[p, q]
-        self.spectrum = np.fft.fft2(embedded)
+        self.spectrum = np.fft.rfft2(embedded, axes=(1, 0))
+        self.power = self.spectrum.real**2 + self.spectrum.imag**2
         self.norm_bound = float(np.abs(kernel.weights).sum())
+        # The half-spectrum holds every modulus of the full one, because
+        # the spectrum of a real kernel is conjugate-symmetric.
         self.spectral_norm = float(np.max(np.abs(self.spectrum)))
 
-    def apply(self, x) -> Array:
+    def _forward(self, x) -> Array:
         X = _to_grid(_as_vector(x, self.dims[0], "input"), self.m, self.n)
-        out = np.fft.ifft2(np.fft.fft2(X) * self.spectrum).real
-        return _to_vector(out)
+        return np.fft.rfft2(X, axes=(1, 0))
+
+    def _inverse(self, S: Array) -> Array:
+        return _to_vector(np.fft.irfft2(S, s=(self.n, self.m), axes=(1, 0)))
+
+    def apply(self, x) -> Array:
+        return self._inverse(self._forward(x) * self.spectrum)
 
     def adjoint(self, y) -> Array:
-        Y = _to_grid(_as_vector(y, self.dims[1], "input"), self.m, self.n)
-        out = np.fft.ifft2(np.fft.fft2(Y) * np.conj(self.spectrum)).real
-        return _to_vector(out)
+        return self._inverse(self._forward(y) * np.conj(self.spectrum))
+
+    def gram(self, x) -> Array:
+        """K*K x, with one transform pair."""
+        return self._inverse(self._forward(x) * self.power)
+
+    def solve_shifted(self, rhs, w: float) -> Array:
+        """The x with (w K*K + I) x = rhs, a division in the transform
+        domain."""
+        return self._inverse(self._forward(rhs) / (w * self.power + 1.0))
 
 
 class StackedOperator:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linops import ConvolutionOperator2D, MatrixOperator, _to_grid, _to_vector
+from .linops import ConvolutionOperator2D, MatrixOperator
 
 Array = np.ndarray
 
@@ -31,12 +31,20 @@ def project_ball2_pairs(y) -> Array:
 
     The two halves of the input hold the first and second coordinates of
     the pairs, matching the block layout of the difference operator.
-    Pairs already inside the disk pass through unchanged.
+    Pairs already inside the disk pass through unchanged. The result is
+    a new array.
     """
     a, b = _pair_split(y)
-    norms = np.hypot(a, b)
-    scale = np.where(norms > 1.0, norms, 1.0)
-    return np.concatenate([a / scale, b / scale])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(a * a + b * b)
+    overflowed = np.isinf(norms)
+    if overflowed.any():
+        norms[overflowed] = np.hypot(a[overflowed], b[overflowed])
+    np.maximum(norms, 1.0, out=norms)
+    out = np.empty(2 * a.size)
+    np.divide(a, norms, out=out[: a.size])
+    np.divide(b, norms, out=out[a.size :])
+    return out
 
 
 def project_box(u, lo: float, hi: float) -> Array:
@@ -75,37 +83,31 @@ def prox_quadratic_primal(z, step: float, K, b, mu: float) -> Array:
     """Exact prox of x -> (mu / 2) ||K x - b||^2 at z with the given step.
 
     Solves (mu step K*K + I) x = mu step K* b + z. Circular convolution
-    operators are inverted in the transform domain; dense matrix
-    operators fall back to a direct solve. The solution is verified
-    against the normal equations and an unacceptable residual raises.
+    operators are diagonal in their transform domain, where the solve is
+    a division; dense matrix operators fall back to a direct solve. The
+    returned x is verified against the normal equations, applied with
+    the operator's own K* and K*K, and an unacceptable residual raises.
     """
     if step < 0.0 or mu < 0.0:
         raise ContractViolationError("step and mu must be nonnegative")
     z = np.asarray(z, dtype=float)
     if mu == 0.0 or step == 0.0:
         return z.copy()
-    b = np.asarray(b, dtype=float)
-    w = mu * step
-    if isinstance(K, ConvolutionOperator2D):
-        if z.shape != (K.dims[0],) or b.shape != (K.dims[1],):
-            raise ContractViolationError("point or data shape does not match K")
-        Z = np.fft.fft2(_to_grid(z, K.m, K.n))
-        B = np.fft.fft2(_to_grid(b, K.m, K.n))
-        H = K.spectrum
-        X = (w * np.conj(H) * B + Z) / (w * np.abs(H) ** 2 + 1.0)
-        x = _to_vector(np.fft.ifft2(X).real)
-    elif isinstance(K, MatrixOperator):
-        M = K.matrix
-        if z.shape != (K.dims[0],) or b.shape != (K.dims[1],):
-            raise ContractViolationError("point or data shape does not match K")
-        lhs = w * (M.T @ M) + np.eye(K.dims[0])
-        x = np.linalg.solve(lhs, w * (M.T @ b) + z)
-    else:
+    if not isinstance(K, (ConvolutionOperator2D, MatrixOperator)):
         raise ContractViolationError(
             "quadratic prox supports circular convolution and dense operators only"
         )
+    b = np.asarray(b, dtype=float)
+    if z.shape != (K.dims[0],) or b.shape != (K.dims[1],):
+        raise ContractViolationError("point or data shape does not match K")
+    w = mu * step
     rhs = w * K.adjoint(b) + z
-    residual = w * K.adjoint(K.apply(x)) + x - rhs
+    if isinstance(K, ConvolutionOperator2D):
+        x = K.solve_shifted(rhs, w)
+    else:
+        M = K.matrix
+        x = np.linalg.solve(w * (M.T @ M) + np.eye(K.dims[0]), rhs)
+    residual = w * K.gram(x) + x - rhs
     if np.linalg.norm(residual) > 1e-10 * (1.0 + np.linalg.norm(rhs)):
         raise NumericalFailureError(
             "quadratic prox residual exceeds tolerance; the system is too "

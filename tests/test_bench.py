@@ -90,6 +90,23 @@ def test_prox_agrees_with_gradient_fixed_point():
                                    rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_quadratic_saddle(20, 15, seed=42, mu_g=0.5, lam=1.0),
+    lambda: make_quadratic_saddle(20, 15, seed=42, mu_g=0.5, lam=0.0, c_rows=12),
+    lambda: make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12),
+], ids=["strong", "weak", "ball-capped"])
+def test_eigenbasis_prox_matches_a_direct_solve(build):
+    inst = build()
+    n = inst.C.shape[1]
+    H = inst.C.T @ inst.C + inst.lam * np.eye(n)
+    rng = np.random.default_rng(5)
+    for step in (1e-3, 0.7, 40.0):
+        z = rng.standard_normal(n)
+        direct = np.linalg.solve(step * H + np.eye(n), step * (inst.C.T @ inst.d) + z)
+        got = inst.problem.f.prox(z, step)
+        assert np.linalg.norm(got - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
 def test_ball_capped_primal_stationarity_is_exact():
     inst = make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
     residual = inst.problem.f.grad(inst.x_star) + inst.problem.A.adjoint(inst.y_star)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from dpdsolve.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VIOLATION,
+    _check_kernel_fits,
     main,
 )
 from dpdsolve.diagnostics import HistoryRecord, read_history_csv, write_history_csv
 from dpdsolve.imaging import make_phantom, read_dpdf, write_dpdf, write_pgm
+from dpdsolve.linops import ImageGrid, make_motion_kernel
 
 
 def test_missing_subcommand_exits_via_argparse():
@@ -253,3 +257,41 @@ def test_bad_schedules_fail_before_the_first_iteration(tmp_path, argv):
     out = tmp_path / "x"
     assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["deblur-gauss", "--kernel", "1e9,0"],
+    ["deblur-gauss", "--kernel", "1e9,45"],
+    ["deblur-gauss", "--kernel", "3000,0", "--size", "64"],
+    ["deblur-gauss", "--kernel", "17,90", "--size", "16"],
+    ["deblur-sp", "--kernel", "1000000001"],
+    ["deblur-sp", "--kernel", "65", "--size", "64"],
+], ids=["motion-1e9", "motion-1e9-diagonal", "motion-3000", "motion-vertical",
+        "average-1e9", "average-65"])
+def test_oversized_kernels_are_refused_before_they_are_built(tmp_path, argv, capsys):
+    out = tmp_path / "x"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "does not fit" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel", ["15,0", "15,90", "21,45"])
+def test_motion_kernels_that_fit_after_trimming_are_accepted(tmp_path, kernel):
+    # the untrimmed stencils (19x19 and 25x25) are larger than the grid
+    out = tmp_path / "x"
+    assert main(["deblur-gauss", "--size", "16", "--iters", "2",
+                 "--kernel", kernel, "--out-dir", str(out)]) == EXIT_OK
+    assert (out / "recovered.dpdf").exists()
+
+
+def test_motion_fit_check_never_refuses_a_kernel_that_fits():
+    # Every built kernel fits a grid of exactly its own size, so the check
+    # that runs before the build must accept that grid.
+    for length in np.arange(1.0, 25.0, 0.75):
+        for theta in np.arange(0.0, 180.0, 7.5):
+            h, w = make_motion_kernel(length, theta).weights.shape
+            rad = math.radians(theta)
+            _check_kernel_fits(abs(length * math.sin(rad)),
+                               abs(length * math.cos(rad)),
+                               ImageGrid(h, w, np.zeros(h * w)), "kernel")

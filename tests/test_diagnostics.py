@@ -1,7 +1,10 @@
+import types
+
 import numpy as np
 import pytest
 
 from dpdsolve.bench import make_quadratic_saddle
+from dpdsolve.cli import _bench_instances, _bench_runs
 from dpdsolve.diagnostics import (
     BOUND_TAGS,
     GapReference,
@@ -16,6 +19,7 @@ from dpdsolve.diagnostics import (
     write_history_csv,
 )
 from dpdsolve.errors import ConfigurationError, ContractViolationError
+from dpdsolve.edpd import run_edpd
 from dpdsolve.ldpd import LdpdRegime, STRONGLY_CONVEX_DUAL, run_ldpd
 from dpdsolve.model import SolverConsts
 
@@ -218,6 +222,43 @@ def test_recorder_fills_requested_fields_only():
     gaps = recorder.series("gap")
     assert [t for t, _ in gaps] == list(range(1, 21))
     assert recorder.series("snr_db") == []
+
+
+def test_recorder_gap_matches_primal_dual_gap_in_every_regime():
+    # 60 iterations keep every gap above 1e-2, so that the two ways of
+    # rounding <Ax, y_ref> stay far below the 1e-12 relative tolerance.
+    args = types.SimpleNamespace(dims="20,15", seed=42)
+    iters = 60
+    for tag, inst, solver, regime, _ in _bench_runs(*_bench_instances(args), iters):
+        problem = inst.problem
+        ref = GapReference(inst.x_star, inst.y_star)
+        recorder = HistoryRecorder(problem=problem, ref=ref)
+        expected = []
+
+        def observer(snap):
+            recorder(snap)
+            expected.append(primal_dual_gap(problem, snap.x, snap.y, ref))
+
+        run = run_ldpd if solver == "ldpd" else run_edpd
+        run(problem, regime, np.zeros(problem.primal_dim),
+            np.zeros(problem.dual_dim), iters, observer)
+        got = [rec.gap for rec in recorder.records]
+        assert len(got) == len(expected) == iters
+        for t, (a, b) in enumerate(zip(got, expected), start=1):
+            assert abs(a - b) <= 1e-12 * abs(b), (tag, t, a, b)
+
+
+def test_recorder_gap_is_infinite_outside_the_dual_domain():
+    inst = make_quadratic_saddle(8, 5, seed=2)
+    r = float(np.linalg.norm(inst.y_star)) * 2.0
+    balled = make_quadratic_saddle(8, 5, seed=2, ball_radius=r)
+    recorder = HistoryRecorder(problem=balled.problem,
+                               ref=GapReference(balled.x_star, balled.y_star))
+    outside = balled.y_star / np.linalg.norm(balled.y_star) * r * 1.5
+    recorder(types.SimpleNamespace(t=1, x=balled.x_star, y=outside, params=None))
+    assert recorder.records[0].gap == np.inf
+    assert primal_dual_gap(balled.problem, balled.x_star, outside,
+                           GapReference(balled.x_star, balled.y_star)) == np.inf
 
 
 def test_recorder_bound_fn_may_return_none():

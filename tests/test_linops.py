@@ -87,6 +87,22 @@ def test_convolution_matches_dense_definition():
     np.testing.assert_allclose(K.adjoint(y), Km.T @ y, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("m, n, kh, kw", [
+    (6, 4, 3, 3), (5, 7, 3, 5), (8, 1, 3, 1), (7, 1, 5, 1), (1, 6, 1, 3),
+    (1, 9, 1, 5),
+])
+def test_convolution_gram_matches_adjoint_of_apply_and_dense_product(m, n, kh, kw):
+    rng = np.random.default_rng(m * 10 + n)
+    w = rng.standard_normal((kh, kw))
+    K = make_convolution_operator(Kernel2D(w), m, n)
+    assert K.spectrum.shape == (m // 2 + 1, n)
+    Km = dense_convolution_matrix(w, m, n)
+    x = rng.standard_normal(m * n)
+    np.testing.assert_allclose(K.gram(x), K.adjoint(K.apply(x)), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(K.gram(x), Km.T @ (Km @ x), rtol=0, atol=1e-12)
+    assert K.spectral_norm == pytest.approx(np.linalg.norm(Km, 2), rel=1e-12)
+
+
 def test_convolution_adjoint_identity_100_pairs():
     K = make_convolution_operator(make_average_kernel(3), 6, 5)
     rng = np.random.default_rng(13)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import dense_convolution_matrix
 
-from dpdsolve.errors import ContractViolationError
+from dpdsolve.errors import ContractViolationError, NumericalFailureError
 from dpdsolve.linops import (
     Kernel2D,
     MatrixOperator,
@@ -39,6 +39,23 @@ def test_project_ball_pairs_normalizes_outside_points():
     out = project_ball2_pairs(y)
     np.testing.assert_allclose(pair_norms(out), [1.0, 1.0])
     np.testing.assert_allclose(out, [0.6, 0.0, 0.8, 1.0])
+
+
+def test_project_ball_pairs_survives_overflowing_squares():
+    # 1e200 squared overflows; the norm must still come out finite
+    y = np.array([1e200, -1e200, 3.0, 0.0, 1e200, 4.0])
+    out = project_ball2_pairs(y)
+    s = np.sqrt(0.5)
+    np.testing.assert_allclose(out, [1.0, -s, 0.6, 0.0, s, 0.8], rtol=1e-15)
+    assert np.array_equal(project_ball2_pairs(np.array([1e200, 0.0])), [1.0, 0.0])
+
+
+def test_project_ball_pairs_returns_a_fresh_array_per_call():
+    y = np.array([3.0, 0.1, 4.0, 0.2])
+    first = project_ball2_pairs(y)
+    second = project_ball2_pairs(y)
+    assert first is not second and not np.shares_memory(first, second)
+    assert not np.shares_memory(first, y)
 
 
 def test_project_ball_pairs_idempotent_and_nonexpansive():
@@ -183,3 +200,44 @@ def test_quadratic_primal_prox_rejects_unsupported_operator():
     D = make_difference_operator(2, 2)
     with pytest.raises(ContractViolationError):
         prox_quadratic_primal(np.zeros(4), 1.0, D, np.zeros(8), 1.0)
+
+
+def _counting_transforms(monkeypatch):
+    calls = []
+    for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn",
+                 "rfftn", "irfftn"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_quadratic_primal_prox_takes_six_real_transforms(monkeypatch):
+    rng = np.random.default_rng(43)
+    K = make_convolution_operator(make_average_kernel(3), 6, 5)
+    z = rng.standard_normal(30)
+    b = rng.standard_normal(30)
+    calls = _counting_transforms(monkeypatch)
+    prox_quadratic_primal(z, 1.3, K, b, 20.0)
+    assert sorted(calls) == ["irfft2"] * 3 + ["rfft2"] * 3
+
+
+def test_quadratic_primal_prox_residual_guard_refuses_ill_conditioned_solves():
+    # M has singular values from 1 down to 1e-12, and the weight 1e20 makes
+    # mu step M^T M + I too ill-conditioned for the direct solve to meet
+    # the 1e-10 relative residual (it misses by a factor of 20 or more).
+    rng = np.random.default_rng(0)
+    n = 12
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    K = MatrixOperator(U @ np.diag(np.logspace(0, -12, n)) @ V.T)
+    z = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    with pytest.raises(NumericalFailureError):
+        prox_quadratic_primal(z, 1.0, K, b, 1e20)
+    # the same system at a moderate weight passes the guard
+    prox_quadratic_primal(z, 1.0, K, b, 1.0)
