@@ -19,7 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, UnsupportedPointError
+from .errors import (
+    ConfigurationError,
+    NumericalFailureError,
+    UnsupportedPointError,
+)
 from .linops import MatrixOperator
 from .model import Array, DualProxOracle, PrimalOracle, SaddleProblem
 
@@ -163,8 +167,17 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
 
     Certification: with the constraint active, x* solves
     (C'C + lam I + beta A'A) x = C'd and y* = beta A x*, where the scalar
-    beta in (0, 1/mu_g) is pinned by ||y*|| = radius; a bisection on that
-    monotone scalar equation gives beta to machine precision.
+    beta in (0, 1/mu_g) is pinned by ||y*|| = radius. The bisection on
+    that monotone scalar equation needs no solve per step: with
+    beta0 = 1/mu_g, M0 = C'C + lam I + beta0 A'A and the eigendecomposition
+    U diag(g) U' of A M0^{-1} A', the Woodbury identity gives
+    A x(beta) = U diag(1 / (1 + (beta - beta0) g)) U' A M0^{-1} C'd, so each
+    step is a diagonal scaling. x* and y* then come from one direct solve
+    at the final beta, and NumericalFailureError is raised unless
+    ||y*|| matches the radius to 1e-10 relative. The one exception is a
+    degenerate instance (lam = 0 and n_dual <= n_primal - c_rows), whose
+    unconstrained dual vanishes, so that its radius is rounding noise
+    and is not checked.
     """
     if not mu_g > 0.0:
         raise ConfigurationError("mu_g must be positive for a certified solution")
@@ -178,30 +191,54 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
     H = C.T @ C + lam * np.eye(n_primal)
     Ctd = C.T @ d
     AtA = A.T @ A
-    y_unconstrained = A @ np.linalg.solve(H + AtA / mu_g, Ctd) / mu_g
+    M0 = H + AtA / mu_g
+    a0 = A @ np.linalg.solve(M0, Ctd)
+    y_unconstrained = a0 / mu_g
     radius = radius_scale * float(np.linalg.norm(y_unconstrained))
     if not radius > 0.0:
         raise ConfigurationError(
             "the unconstrained dual solution is zero; no radius can bind"
         )
+    # A M0^{-1} A', symmetrised; M0 and the M0^{-1} A' block are freed
+    # before eigh allocates its workspace.
+    G = A @ np.linalg.solve(M0, A.T)
+    del M0
+    g, U = np.linalg.eigh(0.5 * (G + G.T))
+    del G
+    c = U.T @ a0
+    del U
+    beta0 = 1.0 / mu_g
 
     def dual_norm(beta: float) -> float:
-        x = np.linalg.solve(H + beta * AtA, Ctd)
-        return beta * float(np.linalg.norm(A @ x))
+        return beta * float(np.linalg.norm(c / (1.0 + (beta - beta0) * g)))
 
-    lo, hi = 0.0, 1.0 / mu_g
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dual_norm(mid) < radius:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = 0.0, beta0
+    # Only a degenerate instance (see below) can make a scaling divide by
+    # zero; its inf or nan norm then just moves the upper end down.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if dual_norm(mid) < radius:
+                lo = mid
+            else:
+                hi = mid
     beta = 0.5 * (lo + hi)
     x_star = np.linalg.solve(H + beta * AtA, Ctd)
     y_star = beta * (A @ x_star)
     # Free two n-by-n arrays before the eigendecomposition in
     # _problem_from_data allocates its workspace.
     del H, AtA
+    # With lam = 0 and n_dual <= n_primal - c_rows, generic data admit an
+    # x with C x = d and A x = 0: the unconstrained dual is zero in exact
+    # arithmetic, the radius is rounding noise and no ball can bind, so
+    # there is nothing to check.
+    degenerate = lam == 0.0 and C.shape[0] + A.shape[0] <= n_primal
+    y_norm = float(np.linalg.norm(y_star))
+    if not degenerate and abs(y_norm - radius) > 1e-10 * radius:
+        raise NumericalFailureError(
+            f"ball-capped certification missed the radius: ||y*|| = "
+            f"{y_norm!r}, radius {radius!r}"
+        )
 
     problem = _problem_from_data(C, d, A, float(lam), float(mu_g), radius)
     return QuadraticSaddle(problem=problem, x_star=x_star, y_star=y_star,

@@ -205,6 +205,24 @@ def fit_loglog_slope(history: Sequence[tuple[int, float]], k_min: int = 1) -> fl
     return float(slope)
 
 
+def _flat(image) -> Array:
+    return np.asarray(getattr(image, "data", image), dtype=float).reshape(-1)
+
+
+def _snr_db_against(x_k, xs: Array, signal: float) -> float:
+    """snr_db(x_k, xs) with the truth flattened and its centred norm
+    `signal` already computed."""
+    xk = _flat(x_k)
+    if xk.shape != xs.shape:
+        raise ContractViolationError("reconstruction and truth shapes differ")
+    noise = float(np.linalg.norm(xs - xk))
+    if noise == 0.0:
+        return float("inf")
+    if signal == 0.0:
+        return float("-inf")
+    return 20.0 * math.log10(signal / noise)
+
+
 def snr_db(x_k, x_star) -> float:
     """Signal-to-noise ratio of a reconstruction against the ground truth,
     in decibels: 20 log10(||x* - mean(x*)|| / ||x* - x_k||).
@@ -212,17 +230,8 @@ def snr_db(x_k, x_star) -> float:
     A perfect reconstruction returns +inf; reconstructing the flat mean
     image returns exactly 0.
     """
-    xk = np.asarray(getattr(x_k, "data", x_k), dtype=float).reshape(-1)
-    xs = np.asarray(getattr(x_star, "data", x_star), dtype=float).reshape(-1)
-    if xk.shape != xs.shape:
-        raise ContractViolationError("reconstruction and truth shapes differ")
-    signal = float(np.linalg.norm(xs - xs.mean()))
-    noise = float(np.linalg.norm(xs - xk))
-    if noise == 0.0:
-        return float("inf")
-    if signal == 0.0:
-        return float("-inf")
-    return 20.0 * math.log10(signal / noise)
+    xs = _flat(x_star)
+    return _snr_db_against(x_k, xs, float(np.linalg.norm(xs - xs.mean())))
 
 
 @dataclass
@@ -264,8 +273,11 @@ class HistoryRecorder:
         self.problem = problem
         self.ref = ref
         self.bound_fn = bound_fn
-        self.x_true = None if x_true is None else \
-            np.asarray(getattr(x_true, "data", x_true), dtype=float).reshape(-1)
+        self.x_true = None
+        if x_true is not None:
+            self.x_true = _flat(x_true)
+            # snr_db's numerator, fixed for the run.
+            self._signal = float(np.linalg.norm(self.x_true - self.x_true.mean()))
         self.y_star = None if y_star is None else np.asarray(y_star, dtype=float)
         self.timing = timing
         self.records: list[HistoryRecord] = []
@@ -297,7 +309,7 @@ class HistoryRecorder:
             value = self.bound_fn(snap.t)
             rec.bound = None if value is None else float(value)
         if self.x_true is not None:
-            rec.snr_db = snr_db(snap.x, self.x_true)
+            rec.snr_db = _snr_db_against(snap.x, self.x_true, self._signal)
         if self.y_star is not None:
             rec.dist_dual = float(np.linalg.norm(snap.y - self.y_star))
         p = snap.params

@@ -122,7 +122,7 @@ def build_gaussian_problem(spec: GaussianDeblurSpec) -> SaddleProblem:
         return mu * (K.gram(x) - Ktb)
 
     def f_prox(z, step):
-        return prox_quadratic_primal(z, step, K, b, mu)
+        return prox_quadratic_primal(z, step, K, Ktb, mu)
 
     f = PrimalOracle(value=f_value, grad=f_grad, prox=f_prox,
                      lipschitz_L_f=mu * K.spectral_norm**2, mu_f=0.0)

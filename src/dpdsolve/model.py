@@ -13,6 +13,7 @@ closures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -122,18 +123,26 @@ class IterationSnapshot:
     """What a run observer sees after each completed iteration.
 
     `x` and `y` are the regime's aggregation point after `t` steps, the
-    pair the convergence guarantees speak about. `x_last` and `y_last`
-    are the newest raw iterates. `state` is the live solver state and
-    must be treated as read-only.
+    pair the convergence guarantees speak about; each is computed from
+    `state` on first read and then cached, so an observer pays only for
+    the aggregates it reads. `x_last` and `y_last` are the newest raw
+    iterates. `state` is the live solver state and must be treated as
+    read-only.
     """
 
     t: int
-    x: Array
-    y: Array
     x_last: Array
     y_last: Array
     params: object
     state: object
+
+    @cached_property
+    def x(self) -> Array:
+        return self.state.aggregate_x
+
+    @cached_property
+    def y(self) -> Array:
+        return self.state.aggregate_y
 
 
 Observer = Callable[[IterationSnapshot], None]

@@ -79,14 +79,15 @@ def prox_linear_plus_box(z, step: float, c, mu_g: float = 0.0) -> Array:
     return project_box((z - step * c) / (step * mu_g + 1.0), -1.0, 1.0)
 
 
-def prox_quadratic_primal(z, step: float, K, b, mu: float) -> Array:
+def prox_quadratic_primal(z, step: float, K, Ktb, mu: float) -> Array:
     """Exact prox of x -> (mu / 2) ||K x - b||^2 at z with the given step.
 
-    Solves (mu step K*K + I) x = mu step K* b + z. Circular convolution
+    Takes `Ktb` = K* b, fixed for a problem, rather than b, and solves
+    (mu step K*K + I) x = mu step K* b + z. Circular convolution
     operators are diagonal in their transform domain, where the solve is
     a division; dense matrix operators fall back to a direct solve. The
     returned x is verified against the normal equations, applied with
-    the operator's own K* and K*K, and an unacceptable residual raises.
+    the operator's own K*K, and an unacceptable residual raises.
     """
     if step < 0.0 or mu < 0.0:
         raise ContractViolationError("step and mu must be nonnegative")
@@ -97,11 +98,11 @@ def prox_quadratic_primal(z, step: float, K, b, mu: float) -> Array:
         raise ContractViolationError(
             "quadratic prox supports circular convolution and dense operators only"
         )
-    b = np.asarray(b, dtype=float)
-    if z.shape != (K.dims[0],) or b.shape != (K.dims[1],):
-        raise ContractViolationError("point or data shape does not match K")
+    Ktb = np.asarray(Ktb, dtype=float)
+    if z.shape != (K.dims[0],) or Ktb.shape != (K.dims[0],):
+        raise ContractViolationError("point or K* b shape does not match K")
     w = mu * step
-    rhs = w * K.adjoint(b) + z
+    rhs = w * Ktb + z
     if isinstance(K, ConvolutionOperator2D):
         x = K.solve_shifted(rhs, w)
     else:

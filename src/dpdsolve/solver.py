@@ -213,8 +213,7 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
                      weights[t - 1])
         if observer is not None:
             observer(IterationSnapshot(
-                t=t, x=state.aggregate_x, y=state.aggregate_y,
-                x_last=state.x, y_last=state.y, params=params[t - 1],
+                t=t, x_last=state.x, y_last=state.y, params=params[t - 1],
                 state=state,
             ))
     return RunResult(x=state.aggregate_x, y=state.aggregate_y, state=state,

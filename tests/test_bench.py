@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dpdsolve.bench import make_ball_capped_saddle, make_quadratic_saddle
-from dpdsolve.errors import ConfigurationError
+from dpdsolve.errors import ConfigurationError, NumericalFailureError
 from dpdsolve.model import SolverConsts, kkt_residual
 
 
@@ -161,3 +163,84 @@ def test_ball_capped_validation_and_determinism():
     b = make_ball_capped_saddle(9, 6, seed=11, c_rows=5)
     assert np.array_equal(a.x_star, b.x_star)
     assert np.array_equal(a.y_star, b.y_star)
+
+
+def _direct_bisection(inst, mu_g, radius_scale=0.5):
+    """The ball-capped certification with one dense solve per bisection
+    step: the reference for the single-factorisation evaluation."""
+    A = inst.problem.A.matrix
+    H = inst.C.T @ inst.C + inst.lam * np.eye(inst.C.shape[1])
+    Ctd = inst.C.T @ inst.d
+    AtA = A.T @ A
+    y_free = A @ np.linalg.solve(H + AtA / mu_g, Ctd) / mu_g
+    radius = radius_scale * float(np.linalg.norm(y_free))
+
+    def dual_norm(beta):
+        return beta * float(np.linalg.norm(A @ np.linalg.solve(H + beta * AtA, Ctd)))
+
+    lo, hi = 0.0, 1.0 / mu_g
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if dual_norm(mid) < radius:
+            lo = mid
+        else:
+            hi = mid
+    beta = 0.5 * (lo + hi)
+    x = np.linalg.solve(H + beta * AtA, Ctd)
+    return beta, x, beta * (A @ x)
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_primal=20, n_dual=15, lam=0.0, c_rows=12),   # wide C, singular H
+    dict(n_primal=20, n_dual=15, lam=0.3),              # square C, ridge
+    dict(n_primal=12, n_dual=25, lam=0.0),              # more duals than primals
+], ids=["wide-singular", "square-ridge", "tall-dual"])
+@pytest.mark.parametrize("seed", range(6))
+def test_ball_capped_certification_matches_the_direct_bisection(shape, seed):
+    mu_g = 0.05
+    inst = make_ball_capped_saddle(seed=seed, mu_g=mu_g, **shape)
+    beta_ref, x_ref, y_ref = _direct_bisection(inst, mu_g)
+    ax = inst.problem.A.apply(inst.x_star)
+    beta = float(inst.y_star @ ax) / float(ax @ ax)
+    assert abs(beta - beta_ref) <= 1e-12 * beta_ref
+    assert np.linalg.norm(inst.x_star - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(inst.y_star - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
+
+
+def test_ball_capped_certification_makes_at_most_three_dense_solves(monkeypatch):
+    calls = []
+    real_solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    make_ball_capped_saddle(40, 30, seed=3, c_rows=24)
+    assert len(calls) <= 3
+
+
+def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeypatch):
+    # Eigenvalues off by 1e-6 relative move the bisection's beta, and the
+    # direct solve at that beta then misses the radius by far more than
+    # the 1e-10 relative the check allows.
+    real_eigh = np.linalg.eigh
+
+    def skewed(M):
+        w, U = real_eigh(M)
+        return w * (1.0 + 1e-6), U
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(NumericalFailureError):
+        make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
+
+
+def test_degenerate_ball_capped_instance_builds_quietly_without_the_check():
+    # lam = 0 and n_dual <= n_primal - c_rows: some x has C x = d and
+    # A x = 0, so the unconstrained dual is zero and the radius is rounding
+    # noise. The build skips the radius check, and the bisection's
+    # divisions by zero on this instance raise no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = make_ball_capped_saddle(10, 3, seed=0, c_rows=6)
+    assert float(np.linalg.norm(inst.y_star)) < 1e-10

@@ -21,6 +21,12 @@ from dpdsolve.diagnostics import (
 from dpdsolve.errors import ConfigurationError, ContractViolationError
 from dpdsolve.edpd import run_edpd
 from dpdsolve.ldpd import LdpdRegime, STRONGLY_CONVEX_DUAL, run_ldpd
+from dpdsolve.imaging import (
+    GaussianDeblurSpec,
+    build_gaussian_problem,
+    make_phantom,
+)
+from dpdsolve.linops import make_average_kernel
 from dpdsolve.model import SolverConsts
 
 
@@ -291,3 +297,22 @@ def test_recorder_timing_is_opt_in():
 def test_recorder_requires_problem_for_gap():
     with pytest.raises(ConfigurationError):
         HistoryRecorder(ref=GapReference(np.zeros(2), np.zeros(2)))
+
+
+def test_recorder_snr_column_equals_snr_db_bitwise():
+    truth = make_phantom(16, 12)
+    problem = build_gaussian_problem(GaussianDeblurSpec(
+        observed=truth, kernel=make_average_kernel(3), mu=300.0, mu_g=0.01))
+    recorder = HistoryRecorder(x_true=truth)
+    expected = []
+
+    def observer(snap):
+        recorder(snap)
+        expected.append(snr_db(snap.x, truth))
+
+    run_ldpd(problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+             np.zeros(problem.primal_dim), np.zeros(problem.dual_dim), 15,
+             observer)
+    got = [rec.snr_db for rec in recorder.records]
+    assert len(got) == 15
+    assert np.array(got).tobytes() == np.array(expected).tobytes()

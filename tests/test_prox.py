@@ -150,14 +150,14 @@ def test_linear_plus_box_prox_decrease_100_competitors():
 def test_quadratic_primal_prox_identity_returns_data():
     K = identity_operator(3)
     z = np.array([0.2, -0.4, 1.1])
-    out = prox_quadratic_primal(z, 5.0, K, z, 2.0)
+    out = prox_quadratic_primal(z, 5.0, K, K.adjoint(z), 2.0)
     np.testing.assert_allclose(out, z, atol=1e-12)
 
 
 def test_quadratic_primal_prox_zero_weight_is_identity():
     K = identity_operator(2)
     z = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(prox_quadratic_primal(z, 3.0, K, z, 0.0), z)
+    np.testing.assert_array_equal(prox_quadratic_primal(z, 3.0, K, K.adjoint(z), 0.0), z)
 
 
 def test_quadratic_primal_prox_matches_dense_solve():
@@ -171,8 +171,8 @@ def test_quadratic_primal_prox_matches_dense_solve():
     b = rng.standard_normal(m * n)
     step, mu = 2.5, 30.0
     np.testing.assert_allclose(
-        prox_quadratic_primal(z, step, K, b, mu),
-        prox_quadratic_primal(z, step, Kd, b, mu),
+        prox_quadratic_primal(z, step, K, K.adjoint(b), mu),
+        prox_quadratic_primal(z, step, Kd, Kd.adjoint(b), mu),
         atol=1e-10,
     )
 
@@ -183,7 +183,7 @@ def test_quadratic_primal_prox_decrease_100_competitors():
     z = rng.standard_normal(16)
     b = rng.standard_normal(16)
     step, mu = 1.7, 8.0
-    out = prox_quadratic_primal(z, step, K, b, mu)
+    out = prox_quadratic_primal(z, step, K, K.adjoint(b), mu)
 
     def objective(pt):
         r = K.apply(pt) - b
@@ -199,7 +199,7 @@ def test_quadratic_primal_prox_decrease_100_competitors():
 def test_quadratic_primal_prox_rejects_unsupported_operator():
     D = make_difference_operator(2, 2)
     with pytest.raises(ContractViolationError):
-        prox_quadratic_primal(np.zeros(4), 1.0, D, np.zeros(8), 1.0)
+        prox_quadratic_primal(np.zeros(4), 1.0, D, np.zeros(4), 1.0)
 
 
 def _counting_transforms(monkeypatch):
@@ -216,14 +216,16 @@ def _counting_transforms(monkeypatch):
     return calls
 
 
-def test_quadratic_primal_prox_takes_six_real_transforms(monkeypatch):
+def test_quadratic_primal_prox_takes_four_real_transforms(monkeypatch):
+    # K* b comes in precomputed, so a call spends one transform pair on
+    # the solve and one on the residual check.
     rng = np.random.default_rng(43)
     K = make_convolution_operator(make_average_kernel(3), 6, 5)
     z = rng.standard_normal(30)
-    b = rng.standard_normal(30)
+    Ktb = K.adjoint(rng.standard_normal(30))
     calls = _counting_transforms(monkeypatch)
-    prox_quadratic_primal(z, 1.3, K, b, 20.0)
-    assert sorted(calls) == ["irfft2"] * 3 + ["rfft2"] * 3
+    prox_quadratic_primal(z, 1.3, K, Ktb, 20.0)
+    assert sorted(calls) == ["irfft2"] * 2 + ["rfft2"] * 2
 
 
 def test_quadratic_primal_prox_residual_guard_refuses_ill_conditioned_solves():
@@ -238,6 +240,6 @@ def test_quadratic_primal_prox_residual_guard_refuses_ill_conditioned_solves():
     z = rng.standard_normal(n)
     b = rng.standard_normal(n)
     with pytest.raises(NumericalFailureError):
-        prox_quadratic_primal(z, 1.0, K, b, 1e20)
+        prox_quadratic_primal(z, 1.0, K, K.adjoint(b), 1e20)
     # the same system at a moderate weight passes the guard
-    prox_quadratic_primal(z, 1.0, K, b, 1.0)
+    prox_quadratic_primal(z, 1.0, K, K.adjoint(b), 1.0)

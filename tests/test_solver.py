@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpdsolve import edpd
+from dpdsolve.bench import make_quadratic_saddle
 from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
 from dpdsolve.diagnostics import BOUND_SLACK
 from dpdsolve.imaging import (
@@ -57,3 +58,26 @@ def test_back_to_back_runs_on_one_problem_are_identical():
     assert np.array_equal(plain.x, plain_again.x)
     assert np.array_equal(plain.y, plain_again.y)
     assert problem.g.mu_g == 0.03
+
+
+def test_snapshot_aggregates_are_computed_on_first_read_and_cached():
+    inst = make_quadratic_saddle(8, 5, seed=2)
+    problem = inst.problem
+    unread = []
+    snaps = []
+
+    def observer(snap):
+        unread.append("x" not in vars(snap) and "y" not in vars(snap))
+        snaps.append(snap)
+
+    result = edpd.run_edpd(problem, edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL),
+                           np.zeros(problem.primal_dim),
+                           np.zeros(problem.dual_dim), 6, observer)
+    assert unread == [True] * 6
+    for snap in snaps:
+        x = snap.x
+        assert snap.x is x
+        assert np.array_equal(x, snap.state.agg_num_x / snap.state.agg_den)
+        assert np.array_equal(snap.y, snap.state.agg_num_y / snap.state.agg_den)
+    assert np.array_equal(snaps[-1].x, result.x)
+    assert np.array_equal(snaps[-1].y, result.y)
