@@ -171,9 +171,10 @@ def build_saltpepper_problem(spec: SaltPepperDeblurSpec) -> SaddleProblem:
         return float(tilt @ u) + 0.5 * mu_g0 * float(y @ y)
 
     def g_prox(z, step, mu_g):
-        v = prox_smoothed_tv_dual(z[: 2 * mn], step, mu_g)
-        u = prox_linear_plus_box(z[2 * mn :], step, tilt, mu_g=mu_g)
-        return np.concatenate([v, u])
+        out = np.empty(3 * mn)
+        prox_smoothed_tv_dual(z[: 2 * mn], step, mu_g, out=out[: 2 * mn])
+        prox_linear_plus_box(z[2 * mn :], step, tilt, mu_g=mu_g, out=out[2 * mn :])
+        return out
 
     g = DualProxOracle(prox=g_prox, value=g_value, mu_g=mu_g0)
     return SaddleProblem(f=f, g=g, A=A, primal_dim=mn, dual_dim=3 * mn)

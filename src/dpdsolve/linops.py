@@ -21,7 +21,11 @@ Array = np.ndarray
 
 
 class LinearOperator(Protocol):
-    """Structural interface every coupling operator satisfies."""
+    """Structural interface every coupling operator satisfies.
+
+    `apply` and `adjoint` return a fresh array, which the caller may
+    overwrite.
+    """
 
     dims: tuple[int, int]
     norm_bound: float
@@ -149,18 +153,32 @@ class DifferenceOperator2D:
         self.norm_bound = math.sqrt(8.0)
 
     def apply(self, x) -> Array:
-        X = _to_grid(_as_vector(x, self.dims[0], "input"), self.m, self.n)
-        dv = np.roll(X, -1, axis=0) - X
-        dh = np.roll(X, -1, axis=1) - X
-        return np.concatenate([_to_vector(dv), _to_vector(dh)])
+        x = _as_vector(x, self.dims[0], "input")
+        m, mn = self.m, self.m * self.n
+        out = np.empty(2 * mn)
+        dv, dh = out[:mn], out[mn:]
+        # Vertical: the neighbour below is the next flat entry, except in
+        # each column's last row, which wraps to the column's first.
+        np.subtract(x[1:], x[:-1], out=dv[:-1])
+        np.subtract(x[::m], x[m - 1 :: m], out=dv[m - 1 :: m])
+        # Horizontal: the neighbour to the right is m entries on, except
+        # in the last column, which wraps to the first.
+        np.subtract(x[m:], x[:-m], out=dh[: mn - m])
+        np.subtract(x[:m], x[mn - m :], out=dh[mn - m :])
+        return out
 
     def adjoint(self, y) -> Array:
         y = _as_vector(y, self.dims[1], "input")
-        mn = self.m * self.n
-        V = _to_grid(y[:mn], self.m, self.n)
-        H = _to_grid(y[mn:], self.m, self.n)
-        out = (np.roll(V, 1, axis=0) - V) + (np.roll(H, 1, axis=1) - H)
-        return _to_vector(out)
+        m, mn = self.m, self.m * self.n
+        v, h = y[:mn], y[mn:]
+        out = np.empty(mn)
+        np.subtract(v[:-1], v[1:], out=out[1:])
+        np.subtract(v[m - 1 :: m], v[::m], out=out[::m])
+        part = np.empty(mn)
+        np.subtract(h[:-m], h[m:], out=part[m:])
+        np.subtract(h[mn - m :], h[:m], out=part[:m])
+        out += part
+        return out
 
 
 class ConvolutionOperator2D:
@@ -185,12 +203,12 @@ class ConvolutionOperator2D:
         self.m = m
         self.n = n
         self.dims = (m * n, m * n)
-        embedded = np.zeros((m, n))
+        embedded = np.zeros((m, n), order="F")
         ch, cw = kernel.height // 2, kernel.width // 2
         for p in range(kernel.height):
             for q in range(kernel.width):
                 embedded[(p - ch) % m, (q - cw) % n] += kernel.weights[p, q]
-        self.spectrum = np.fft.rfft2(embedded, axes=(1, 0))
+        self.spectrum = self._forward(_to_vector(embedded))
         self.power = self.spectrum.real**2 + self.spectrum.imag**2
         self.norm_bound = float(np.abs(kernel.weights).sum())
         # The half-spectrum holds every modulus of the full one, because
@@ -198,26 +216,70 @@ class ConvolutionOperator2D:
         self.spectral_norm = float(np.max(np.abs(self.spectrum)))
 
     def _forward(self, x) -> Array:
+        """The half-spectrum of x: the real transform down the columns,
+        then the full transform along the rows, both into one fresh
+        column-major array."""
         X = _to_grid(_as_vector(x, self.dims[0], "input"), self.m, self.n)
-        return np.fft.rfft2(X, axes=(1, 0))
+        S = np.empty((self.m // 2 + 1, self.n), dtype=complex, order="F")
+        np.fft.rfft(X, axis=0, out=S)
+        return np.fft.fft(S, axis=1, out=S)
 
     def _inverse(self, S: Array) -> Array:
-        return _to_vector(np.fft.irfft2(S, s=(self.n, self.m), axes=(1, 0)))
+        """The real vector whose half-spectrum is S; S is overwritten."""
+        np.fft.ifft(S, axis=1, out=S)
+        out = np.empty((self.m, self.n), order="F")
+        np.fft.irfft(S, n=self.m, axis=0, out=out)
+        return _to_vector(out)
 
     def apply(self, x) -> Array:
-        return self._inverse(self._forward(x) * self.spectrum)
+        S = self._forward(x)
+        S *= self.spectrum
+        return self._inverse(S)
 
     def adjoint(self, y) -> Array:
-        return self._inverse(self._forward(y) * np.conj(self.spectrum))
+        S = self._forward(y)
+        S *= np.conj(self.spectrum)
+        return self._inverse(S)
 
     def gram(self, x) -> Array:
         """K*K x, with one transform pair."""
-        return self._inverse(self._forward(x) * self.power)
+        S = self._forward(x)
+        S *= self.power
+        return self._inverse(S)
 
     def solve_shifted(self, rhs, w: float) -> Array:
         """The x with (w K*K + I) x = rhs, a division in the transform
         domain."""
-        return self._inverse(self._forward(rhs) / (w * self.power + 1.0))
+        S = self._forward(rhs)
+        S /= w * self.power + 1.0
+        return self._inverse(S)
+
+    def solve_shifted_checked(self, rhs, w: float) -> tuple[Array, float]:
+        """`solve_shifted(rhs, w)` and the norm of its residual
+        (w K*K + I) x - rhs, with three transforms: F(rhs) is kept from
+        the solve and reused by the check."""
+        R = self._forward(rhs)
+        shift = w * self.power + 1.0
+        x = self._inverse(R / shift)
+        return x, self._shifted_residual_norm(x, R, shift)
+
+    def _shifted_residual_norm(self, x, R: Array, shift: Array) -> float:
+        """||(w K*K + I) x - rhs|| from R = F(rhs) and shift = w power + 1.
+
+        The residual's half-spectrum is shift F(x) - R. By Parseval its
+        squared moduli give the real-domain norm: each row counts twice,
+        for its conjugate partner, except row 0 and, for even m, row m/2,
+        and the sum is divided by m n.
+        """
+        E = self._forward(x)
+        E *= shift
+        E -= R
+        rows = (E.real * E.real + E.imag * E.imag).sum(axis=1)
+        weights = np.full(rows.size, 2.0)
+        weights[0] = 1.0
+        if self.m % 2 == 0:
+            weights[-1] = 1.0
+        return math.sqrt(float(weights @ rows) / (self.m * self.n))
 
 
 class StackedOperator:
@@ -239,15 +301,32 @@ class StackedOperator:
 
     def apply(self, x) -> Array:
         x = _as_vector(x, self.dims[0], "input")
-        return np.concatenate([s * op.apply(x) for s, op in self.parts])
+        out = np.empty(self.dims[1])
+        offset = 0
+        for s, op in self.parts:
+            block = out[offset : offset + op.dims[1]]
+            if s == 1.0:
+                block[:] = op.apply(x)
+            else:
+                np.multiply(op.apply(x), s, out=block)
+            offset += op.dims[1]
+        return out
 
     def adjoint(self, y) -> Array:
         y = _as_vector(y, self.dims[1], "input")
-        out = np.zeros(self.dims[0])
+        out = None
         offset = 0
         for s, op in self.parts:
-            block = y[offset : offset + op.dims[1]]
-            out += s * op.adjoint(block)
+            part = op.adjoint(y[offset : offset + op.dims[1]])
+            if s != 1.0:
+                part *= s
+            if out is None:
+                # 0.0 + part, as a sum that starts from zeros has it:
+                # a -0.0 entry becomes +0.0.
+                out = part
+                out += 0.0
+            else:
+                out += part
             offset += op.dims[1]
         return out
 

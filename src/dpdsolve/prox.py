@@ -26,57 +26,63 @@ def pair_norms(y) -> Array:
     return np.hypot(a, b)
 
 
-def project_ball2_pairs(y) -> Array:
+def project_ball2_pairs(y, out=None) -> Array:
     """Project each pair (y[i], y[half + i]) onto the unit disk.
 
     The two halves of the input hold the first and second coordinates of
     the pairs, matching the block layout of the difference operator.
     Pairs already inside the disk pass through unchanged. The result is
-    a new array.
+    a new array, or `out` when one is given.
     """
     a, b = _pair_split(y)
     with np.errstate(over="ignore"):
-        norms = np.sqrt(a * a + b * b)
+        norms = a * a
+        norms += b * b
+    np.sqrt(norms, out=norms)
     overflowed = np.isinf(norms)
     if overflowed.any():
         norms[overflowed] = np.hypot(a[overflowed], b[overflowed])
     np.maximum(norms, 1.0, out=norms)
-    out = np.empty(2 * a.size)
+    if out is None:
+        out = np.empty(2 * a.size)
     np.divide(a, norms, out=out[: a.size])
     np.divide(b, norms, out=out[a.size :])
     return out
 
 
-def project_box(u, lo: float, hi: float) -> Array:
-    """Componentwise clamp to [lo, hi]."""
+def project_box(u, lo: float, hi: float, out=None) -> Array:
+    """Componentwise clamp to [lo, hi], into `out` when one is given."""
     if lo > hi:
         raise ContractViolationError(f"empty box: lo={lo} > hi={hi}")
-    return np.clip(np.asarray(u, dtype=float), lo, hi)
+    return np.clip(np.asarray(u, dtype=float), lo, hi, out=out)
 
 
-def prox_smoothed_tv_dual(z, step: float, mu_g: float) -> Array:
+def prox_smoothed_tv_dual(z, step: float, mu_g: float, out=None) -> Array:
     """Prox of the pairwise disk indicator plus (mu_g / 2) ||y||^2.
 
     The quadratic shrinks the point toward the origin by 1 / (1 + step *
     mu_g) and the indicator then projects each pair onto the unit disk;
     the order matters and this composition is the exact minimizer.
+    The result goes into `out` when one is given.
     """
     if step < 0.0 or mu_g < 0.0:
         raise ContractViolationError("step and mu_g must be nonnegative")
     z = np.asarray(z, dtype=float)
-    return project_ball2_pairs(z / (step * mu_g + 1.0))
+    return project_ball2_pairs(z / (step * mu_g + 1.0), out=out)
 
 
-def prox_linear_plus_box(z, step: float, c, mu_g: float = 0.0) -> Array:
+def prox_linear_plus_box(z, step: float, c, mu_g: float = 0.0, out=None) -> Array:
     """Prox of <c, u> plus the [-1, 1] box indicator, optionally plus
-    (mu_g / 2) ||u||^2."""
+    (mu_g / 2) ||u||^2. The result goes into `out` when one is given."""
     if step < 0.0 or mu_g < 0.0:
         raise ContractViolationError("step and mu_g must be nonnegative")
     z = np.asarray(z, dtype=float)
     c = np.asarray(c, dtype=float)
     if c.shape != z.shape:
         raise ContractViolationError("linear coefficient must match the point shape")
-    return project_box((z - step * c) / (step * mu_g + 1.0), -1.0, 1.0)
+    u = z - step * c
+    u /= step * mu_g + 1.0
+    return project_box(u, -1.0, 1.0, out=out)
 
 
 def prox_quadratic_primal(z, step: float, K, Ktb, mu: float) -> Array:
@@ -86,8 +92,10 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float) -> Array:
     (mu step K*K + I) x = mu step K* b + z. Circular convolution
     operators are diagonal in their transform domain, where the solve is
     a division; dense matrix operators fall back to a direct solve. The
-    returned x is verified against the normal equations, applied with
-    the operator's own K*K, and an unacceptable residual raises.
+    returned x is verified against the normal equations, and an
+    unacceptable residual raises. A convolution checks its residual in
+    the transform domain, by Parseval, so the call takes three real
+    transforms; a dense operator applies its own K*K.
     """
     if step < 0.0 or mu < 0.0:
         raise ContractViolationError("step and mu must be nonnegative")
@@ -104,12 +112,12 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float) -> Array:
     w = mu * step
     rhs = w * Ktb + z
     if isinstance(K, ConvolutionOperator2D):
-        x = K.solve_shifted(rhs, w)
+        x, residual = K.solve_shifted_checked(rhs, w)
     else:
         M = K.matrix
         x = np.linalg.solve(w * (M.T @ M) + np.eye(K.dims[0]), rhs)
-    residual = w * K.gram(x) + x - rhs
-    if np.linalg.norm(residual) > 1e-10 * (1.0 + np.linalg.norm(rhs)):
+        residual = np.linalg.norm(w * K.gram(x) + x - rhs)
+    if residual > 1e-10 * (1.0 + np.linalg.norm(rhs)):
         raise NumericalFailureError(
             "quadratic prox residual exceeds tolerance; the system is too "
             "ill-conditioned for a reliable solve"

@@ -1,8 +1,10 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
+import dpdsolve.cli as cli
 from dpdsolve.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -194,6 +196,37 @@ def test_synth_bench_bad_dims_is_a_config_error(tmp_path):
     code = main(["synth-bench", "--dims", "banana", "--iters", "10",
                  "--out-dir", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["synth-bench", "rates"])
+@pytest.mark.parametrize("dims", ["5,1", "13,5"])
+def test_degenerate_bench_dims_are_refused_before_any_instance(tmp_path, monkeypatch,
+                                                                capsys, command, dims):
+    # 3 + 1 <= 5 and 7 + 5 <= 13 constraint-plus-dual rows: 5,1 used to end
+    # in a LinAlgError traceback with rc=1
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "make_quadratic_saddle", refuse)
+    monkeypatch.setattr(cli, "make_ball_capped_saddle", refuse)
+    argv = [command, "--dims", dims, "--iters", "10"]
+    if command == "synth-bench":
+        argv += ["--out-dir", str(tmp_path / "x")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--dims" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("dims", ["400,300", "20,15"])
+def test_default_and_benchmark_dims_pass_the_degeneracy_check(monkeypatch, dims):
+    built = []
+    monkeypatch.setattr(cli, "make_quadratic_saddle",
+                        lambda *a, **k: built.append("quadratic"))
+    monkeypatch.setattr(cli, "make_ball_capped_saddle",
+                        lambda *a, **k: built.append("capped"))
+    cli._bench_instances(argparse.Namespace(dims=dims, seed=42))
+    assert built == ["quadratic", "quadratic", "capped"]
 
 
 def test_rates_from_dir_passes_on_conforming_series(tmp_path):

@@ -204,8 +204,8 @@ def test_quadratic_primal_prox_rejects_unsupported_operator():
 
 def _counting_transforms(monkeypatch):
     calls = []
-    for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn",
-                 "rfftn", "irfftn"):
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2",
+                 "irfft2", "fftn", "ifftn", "rfftn", "irfftn"):
         real = getattr(np.fft, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
@@ -216,16 +216,67 @@ def _counting_transforms(monkeypatch):
     return calls
 
 
-def test_quadratic_primal_prox_takes_four_real_transforms(monkeypatch):
-    # K* b comes in precomputed, so a call spends one transform pair on
-    # the solve and one on the residual check.
+def test_quadratic_primal_prox_takes_three_real_transforms(monkeypatch):
+    # K* b comes in precomputed and F(rhs) is reused by the residual check,
+    # so a call spends F(rhs), its inverse and F(x); each 2-D transform is
+    # two 1-D passes.
     rng = np.random.default_rng(43)
     K = make_convolution_operator(make_average_kernel(3), 6, 5)
     z = rng.standard_normal(30)
     Ktb = K.adjoint(rng.standard_normal(30))
     calls = _counting_transforms(monkeypatch)
     prox_quadratic_primal(z, 1.3, K, Ktb, 20.0)
-    assert sorted(calls) == ["irfft2"] * 2 + ["rfft2"] * 2
+    assert sorted(calls) == ["fft", "fft", "ifft", "irfft", "rfft", "rfft"]
+
+
+GRIDS = [(6, 9), (7, 5), (8, 1), (7, 1), (1, 8), (1, 7)]
+
+
+def _random_blur(rng, m, n):
+    """A random 3x3 kernel, cut to a single row or column on thin grids."""
+    shape = (3 if m >= 3 else 1, 3 if n >= 3 else 1)
+    return make_convolution_operator(Kernel2D(rng.random(shape)), m, n)
+
+
+@pytest.mark.parametrize("m,n", GRIDS)
+def test_spectral_residual_norm_equals_the_real_domain_norm(m, n):
+    # at an arbitrary x, not only at the solve's own
+    rng = np.random.default_rng(m * 10 + n)
+    K = _random_blur(rng, m, n)
+    for w in (0.0, 0.7, 1e3):
+        x = rng.standard_normal(m * n)
+        rhs = rng.standard_normal(m * n)
+        spectral = K._shifted_residual_norm(x, K._forward(rhs), w * K.power + 1.0)
+        real = np.linalg.norm(w * K.gram(x) + x - rhs)
+        assert spectral == pytest.approx(real, rel=1e-6)
+
+
+@pytest.mark.parametrize("m,n", GRIDS)
+def test_checked_solve_matches_the_plain_solve_and_its_real_residual(m, n):
+    rng = np.random.default_rng(m * 10 + n)
+    K = _random_blur(rng, m, n)
+    rhs = rng.standard_normal(m * n)
+    for w in (0.5, 1e12):
+        x, residual = K.solve_shifted_checked(rhs, w)
+        assert np.array_equal(x, K.solve_shifted(rhs, w))
+        real = np.linalg.norm(w * K.gram(x) + x - rhs)
+        assert residual == pytest.approx(real, rel=1e-2, abs=1e-13 * np.linalg.norm(rhs))
+
+
+def test_convolution_prox_refuses_a_residual_past_the_tolerance():
+    # The 3x3 average has a zero in its transfer function on a 6x9 grid, so
+    # at weight 1e12 the rounding of F(x) times 1e12 leaves a residual near
+    # 1e-4 against a tolerance near 1e-9 (K* b = 0 keeps rhs = z small).
+    rng = np.random.default_rng(0)
+    K = make_convolution_operator(make_average_kernel(3), 6, 9)
+    z = rng.standard_normal(54)
+    with pytest.raises(NumericalFailureError):
+        prox_quadratic_primal(z, 1.0, K, np.zeros(54), 1e12)
+    x, residual = K.solve_shifted_checked(z, 1e12)
+    assert residual > 1e4 * 1e-10 * (1.0 + np.linalg.norm(z))
+    assert residual == pytest.approx(np.linalg.norm(1e12 * K.gram(x) + x - z), rel=1e-3)
+    # the same system at a moderate weight passes the guard
+    prox_quadratic_primal(z, 1.0, K, np.zeros(54), 1.0)
 
 
 def test_quadratic_primal_prox_residual_guard_refuses_ill_conditioned_solves():
