@@ -53,6 +53,7 @@ from .imaging import (
 )
 from .linops import ImageGrid, make_average_kernel, make_convolution_operator, make_motion_kernel
 from .model import SolverConsts
+from .solver import dual_base_step
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -96,11 +97,20 @@ def _check_kernel_fits(rows: float, cols: float, grid: ImageGrid, what: str) -> 
         )
 
 
+def _require_finite(image: ImageGrid, what: str) -> ImageGrid:
+    if not np.all(np.isfinite(image.data)):
+        raise ConfigurationError(f"{what} has non-finite pixels")
+    return image
+
+
 def _load_scene(args):
     """Resolve (clean, observed, degraded_here) from the input flags."""
-    clean = _read_image(args.input) if args.input else None
+    clean = None
+    if args.input:
+        clean = _require_finite(_read_image(args.input), args.input)
     if args.degraded_input:
-        return clean, _read_image(args.degraded_input), False
+        return clean, _require_finite(_read_image(args.degraded_input),
+                                      args.degraded_input), False
     if clean is None:
         clean = make_phantom(args.size, args.size)
     return clean, None, True
@@ -130,7 +140,9 @@ def cmd_deblur_gauss(args) -> int:
     if degraded_here:
         K = make_convolution_operator(kernel, clean.m, clean.n)
         blurred = ImageGrid(clean.m, clean.n, K.apply(clean.data))
-        observed = add_gaussian_noise(blurred, args.sigma, args.seed)
+        observed = _require_finite(
+            add_gaussian_noise(blurred, args.sigma, args.seed),
+            f"the image degraded with --sigma {args.sigma:g}")
     problem = build_gaussian_problem(
         GaussianDeblurSpec(observed=observed, kernel=kernel,
                            mu=args.mu, mu_g=args.mu_g))
@@ -212,7 +224,7 @@ def _ldpd_regime(name: str, iters: int, tau, mu_g: float) -> ldpd.LdpdRegime:
                 raise ConfigurationError(
                     "single-step needs --tau when mu_g is zero"
                 )
-            tau = 3.0 / mu_g
+            tau = dual_base_step(ldpd.SCD_STEP_SCALE, mu_g)
         return ldpd.LdpdRegime(name, tau=tau)
     return ldpd.LdpdRegime(name)
 
@@ -252,31 +264,33 @@ def _bench_instances(args):
 
 
 def _bench_runs(strong, weak, capped, iters):
-    """The seven regime runs: (tag, instance, solver, regime, free tau)."""
+    """The seven regime runs as (instance, regime) pairs."""
     tau_w = 1.0 / capped.problem.A.norm_bound
     return [
-        ("ldpd-weakly-convex", weak, "ldpd",
-         ldpd.LdpdRegime(ldpd.WEAKLY_CONVEX, horizon=iters), None),
-        ("ldpd-strongly-convex-dual", weak, "ldpd",
-         ldpd.LdpdRegime(ldpd.STRONGLY_CONVEX_DUAL), None),
-        ("ldpd-strongly-convex-primal", strong, "ldpd",
-         ldpd.LdpdRegime(ldpd.STRONGLY_CONVEX_PRIMAL), None),
-        ("ldpd-single-step", weak, "ldpd",
-         ldpd.LdpdRegime(ldpd.SINGLE_STEP, tau=tau_w), tau_w),
-        ("edpd-strongly-convex-primal", strong, "edpd",
-         edpd.EdpdRegime(edpd.STRONGLY_CONVEX_PRIMAL), None),
-        ("edpd-strongly-convex-dual", weak, "edpd",
-         edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL), None),
-        ("edpd-weakly-convex", capped, "edpd",
-         edpd.EdpdRegime(edpd.WEAKLY_CONVEX, tau=tau_w), tau_w),
+        (weak, ldpd.LdpdRegime(ldpd.WEAKLY_CONVEX, horizon=iters)),
+        (weak, ldpd.LdpdRegime(ldpd.STRONGLY_CONVEX_DUAL)),
+        (strong, ldpd.LdpdRegime(ldpd.STRONGLY_CONVEX_PRIMAL)),
+        (weak, ldpd.LdpdRegime(ldpd.SINGLE_STEP, tau=tau_w)),
+        (strong, edpd.EdpdRegime(edpd.STRONGLY_CONVEX_PRIMAL)),
+        (weak, edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL)),
+        (capped, edpd.EdpdRegime(edpd.WEAKLY_CONVEX, tau=tau_w)),
     ]
 
 
-def _run_bench_case(tag, instance, solver, regime, free_tau, iters):
+def _bench_tag(regime) -> str:
+    """The bound tag of a regime: its solver family, then its variant."""
+    family = "ldpd" if isinstance(regime, ldpd.LdpdRegime) else "edpd"
+    return f"{family}-{regime.variant}"
+
+
+def _run_bench_case(instance, regime, iters):
     problem = instance.problem
     consts = SolverConsts.from_problem(problem)
     dx2, dy2 = instance.initial_distances()
-    horizon = iters if tag == "ldpd-weakly-convex" else None
+    tag = _bench_tag(regime)
+    # The free tau of the constant-step regimes; the others leave it unset.
+    free_tau = regime.tau if regime.tau > 0.0 else None
+    horizon = getattr(regime, "horizon", 0) or None
 
     def bound_fn(k):
         if horizon is not None and k != horizon:
@@ -292,10 +306,8 @@ def _run_bench_case(tag, instance, solver, regime, free_tau, iters):
     )
     x1 = np.zeros(problem.primal_dim)
     y1 = np.zeros(problem.dual_dim)
-    if solver == "ldpd":
-        ldpd.run_ldpd(problem, regime, x1, y1, iters, recorder)
-    else:
-        edpd.run_edpd(problem, regime, x1, y1, iters, recorder)
+    run = ldpd.run_ldpd if isinstance(regime, ldpd.LdpdRegime) else edpd.run_edpd
+    run(problem, regime, x1, y1, iters, recorder)
     return recorder
 
 
@@ -305,9 +317,9 @@ def cmd_synth_bench(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     violations = []
     print(f"{'regime':32s} {'final gap':>13s} {'final bound':>13s} {'slope':>8s}")
-    for tag, inst, solver, regime, free_tau in _bench_runs(strong, weak, capped,
-                                                           args.iters):
-        recorder = _run_bench_case(tag, inst, solver, regime, free_tau, args.iters)
+    for inst, regime in _bench_runs(strong, weak, capped, args.iters):
+        tag = _bench_tag(regime)
+        recorder = _run_bench_case(inst, regime, args.iters)
         write_history_csv(os.path.join(args.out_dir, f"{tag}.csv"),
                           recorder.records)
         for rec in recorder.records:
@@ -344,14 +356,11 @@ def cmd_rates(args) -> int:
             series[tag] = [(r.t, r.gap) for r in records if r.gap is not None]
     else:
         strong, weak, capped = _bench_instances(args)
-        for tag, inst, solver, regime, free_tau in _bench_runs(strong, weak,
-                                                               capped,
-                                                               args.iters):
-            if tag not in RATE_WINDOWS:
-                continue
-            recorder = _run_bench_case(tag, inst, solver, regime, free_tau,
-                                       args.iters)
-            series[tag] = recorder.series("gap")
+        for inst, regime in _bench_runs(strong, weak, capped, args.iters):
+            tag = _bench_tag(regime)
+            if tag in RATE_WINDOWS:
+                recorder = _run_bench_case(inst, regime, args.iters)
+                series[tag] = recorder.series("gap")
     failed = []
     for tag, (lo, hi) in RATE_WINDOWS.items():
         slope = fit_loglog_slope(series[tag], k_min=args.k_min)

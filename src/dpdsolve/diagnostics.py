@@ -11,6 +11,7 @@ exactly what the solvers' non-asymptotic guarantees bound.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import warnings
@@ -19,6 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import edpd, ldpd
 from .errors import ConfigurationError, ContractViolationError
 from .model import (
     Array,
@@ -28,6 +30,7 @@ from .model import (
     _check_point,
     lagrangian,
 )
+from .solver import dual_base_step, primal_base_step
 
 BOUND_TAGS = (
     "ldpd-weakly-convex",
@@ -66,7 +69,6 @@ def _require_positive(name: str, value: Optional[float]) -> float:
 def theoretical_bound(tag: str, k: int, consts: SolverConsts,
                       dx2: float, dy2: float, *,
                       tau: Optional[float] = None,
-                      t0: Optional[int] = None,
                       horizon: Optional[int] = None) -> float:
     """Published gap guarantee after k iterations for the tagged regime.
 
@@ -82,9 +84,9 @@ def theoretical_bound(tag: str, k: int, consts: SolverConsts,
         Problem constants the schedule ran with.
     dx2, dy2 : float
         Squared distances from the start pair to the reference pair.
-    tau, t0, horizon : optional
-        Schedule parameters. Where a regime fixes them from the problem
-        constants they default to those values; free parameters (the
+    tau, horizon : optional
+        Schedule parameters. Where a regime fixes tau from the problem
+        constants it defaults to that value; free parameters (the
         single-step and weakly convex proximal schedules' tau, the
         horizon) must be passed explicitly.
 
@@ -92,7 +94,8 @@ def theoretical_bound(tag: str, k: int, consts: SolverConsts,
     -------
     float
         The guarantee value; measured gaps must not exceed it by more
-        than float slack.
+        than float slack. A constant the regime needs that is zero
+        (mu_g, mu_f, the coupling) raises ConfigurationError.
     """
     if tag not in BOUND_TAGS:
         raise ConfigurationError(f"unknown bound tag {tag!r}")
@@ -112,16 +115,15 @@ def theoretical_bound(tag: str, k: int, consts: SolverConsts,
                 + (nA**2 * dx2 + dy2) / (N + 1.0))
 
     if tag == "ldpd-strongly-convex-dual":
-        t = 3.0 / consts.mu_g if tau is None else tau
+        t = dual_base_step(ldpd.SCD_STEP_SCALE, consts.mu_g) if tau is None else tau
         t = _require_positive("tau", t)
         return ((2.0 * L + t * nA**2) * dx2 / (k * (k + 1.0))
                 + dy2 / (k * (k + 1.0) * t))
 
     if tag == "ldpd-strongly-convex-primal":
-        t = consts.mu_f / (2.0 * nA**2) if tau is None else tau
+        t = primal_base_step(consts) if tau is None else tau
         t = _require_positive("tau", t)
-        if t0 is None:
-            t0 = math.ceil(2.0 * (L - consts.mu_f) / consts.mu_f)
+        t0 = ldpd.scp_shift(consts)
         return ((t0 + 2.0) / (k * (k + 3.0 + 2.0 * t0))
                 * (dx2 * (L - consts.mu_f + 2.0 * t * nA**2)
                    + dy2 / (2.0 * t)))
@@ -131,12 +133,12 @@ def theoretical_bound(tag: str, k: int, consts: SolverConsts,
         return (L + t * nA**2) * dx2 / (2.0 * k) + dy2 / (2.0 * k * t)
 
     if tag == "edpd-strongly-convex-primal":
-        t = consts.mu_f / (2.0 * nA**2) if tau is None else tau
+        t = primal_base_step(consts) if tau is None else tau
         t = _require_positive("tau", t)
         return (6.0 * t * nA**2 * dx2 + 1.5 * dy2 / t) / (k * (k + 5.0))
 
     if tag == "edpd-strongly-convex-dual":
-        t = 2.5 / consts.mu_g if tau is None else tau
+        t = dual_base_step(edpd.SCD_STEP_SCALE, consts.mu_g) if tau is None else tau
         t = _require_positive("tau", t)
         return 2.0 / (k * (k + 3.0)) * (nA**2 * t * dx2 / 2.0 + 2.0 * dy2 / t)
 
@@ -215,12 +217,15 @@ def _snr_db_against(x_k, xs: Array, signal: float) -> float:
     xk = _flat(x_k)
     if xk.shape != xs.shape:
         raise ContractViolationError("reconstruction and truth shapes differ")
-    noise = float(np.linalg.norm(xs - xk))
+    with np.errstate(over="ignore"):
+        noise = float(np.linalg.norm(xs - xk))
     if noise == 0.0:
         return float("inf")
-    if signal == 0.0:
+    ratio = signal / noise
+    # A flat truth, or an error norm that overflows, leaves no signal.
+    if ratio == 0.0:
         return float("-inf")
-    return 20.0 * math.log10(signal / noise)
+    return 20.0 * math.log10(ratio)
 
 
 def snr_db(x_k, x_star) -> float:
@@ -228,7 +233,8 @@ def snr_db(x_k, x_star) -> float:
     in decibels: 20 log10(||x* - mean(x*)|| / ||x* - x_k||).
 
     A perfect reconstruction returns +inf; reconstructing the flat mean
-    image returns exactly 0.
+    image returns exactly 0. A flat truth, or an error whose norm
+    overflows, returns -inf.
     """
     xs = _flat(x_star)
     return _snr_db_against(x_k, xs, float(np.linalg.norm(xs - xs.mean())))
@@ -250,8 +256,7 @@ class HistoryRecord:
     wall_ms: Optional[float] = None
 
 
-CSV_COLUMNS = ("t", "gap", "bound", "snr_db", "dist_dual",
-               "theta", "alpha", "tau", "eta", "wall_ms")
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(HistoryRecord))
 
 
 class HistoryRecorder:

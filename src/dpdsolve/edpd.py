@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 from .errors import ConfigurationError, ContractViolationError
 from .model import Observer, SaddleProblem, SolverConsts
-from .solver import RunResult, SolverState, dual_step, run
+from .solver import (RunResult, SolverState, dual_base_step, dual_step,
+                     primal_base_step, run)
 # The shared init under this family's public name.
 from .solver import init_state as init_edpd_state  # noqa: F401
 
@@ -25,6 +26,7 @@ STRONGLY_CONVEX_DUAL = "strongly-convex-dual"
 STRONGLY_CONVEX_PRIMAL = "strongly-convex-primal"
 
 EDPD_VARIANTS = (WEAKLY_CONVEX, STRONGLY_CONVEX_DUAL, STRONGLY_CONVEX_PRIMAL)
+SCD_STEP_SCALE = 2.5  # c in the strongly convex dual base step c / mu_g
 
 
 @dataclass(frozen=True)
@@ -62,36 +64,23 @@ def edpd_schedule(regime: EdpdRegime, t: int, consts: SolverConsts) -> EdpdParam
     if t < 1:
         raise ContractViolationError("iteration counter starts at 1")
     nA = consts.norm_A
+    if not nA > 0.0:
+        raise ConfigurationError("the coupling operator must be nonzero")
     if regime.variant == STRONGLY_CONVEX_PRIMAL:
-        if not consts.mu_f > 0.0:
-            raise ConfigurationError(
-                "the strongly convex primal regime needs mu_f > 0"
-            )
-        if not nA > 0.0:
-            raise ConfigurationError("the coupling operator must be nonzero")
-        tau = consts.mu_f / (2.0 * nA**2)
-        tau_t = (t + 1.0) * tau
+        tau_t = (t + 1.0) * primal_base_step(consts)
         return EdpdParams(
             alpha=(t + 2.0) / (t + 3.0),
             tau=tau_t,
             eta=1.0 / (tau_t * nA**2),
         )
     if regime.variant == STRONGLY_CONVEX_DUAL:
-        if not consts.mu_g > 0.0:
-            raise ConfigurationError(
-                "the strongly convex dual regime needs mu_g > 0"
-            )
-        if not nA > 0.0:
-            raise ConfigurationError("the coupling operator must be nonzero")
-        tau = 2.5 / consts.mu_g
+        tau = dual_base_step(SCD_STEP_SCALE, consts.mu_g)
         return EdpdParams(
             alpha=(t + 1.0) / (t + 2.0),
             tau=tau / (t + 1.0),
             eta=(t + 1.0) / (tau * nA**2),
         )
     # weakly convex: constant steps on the boundary the analysis permits
-    if not nA > 0.0:
-        raise ConfigurationError("the coupling operator must be nonzero")
     tau = regime.tau
     return EdpdParams(alpha=1.0, tau=tau, eta=1.0 / (tau * nA**2))
 
@@ -111,8 +100,7 @@ def edpd_step(state: SolverState, problem: SaddleProblem, params: EdpdParams,
         )
     eta = params.eta
     x_next = problem.f.prox(state.x - eta * problem.A.adjoint(state.yhat), eta)
-    return dual_step(state, problem, x_next, x_next, params.tau, alpha, mu_g,
-                     weight)
+    return dual_step(state, problem, x_next, params.tau, alpha, mu_g, weight)
 
 
 def _edpd_weight(regime: EdpdRegime, t: int, consts: SolverConsts) -> float:
@@ -147,12 +135,6 @@ def run_edpd(problem: SaddleProblem, regime: EdpdRegime, x1, y1, iters: int,
         `problem.g.mu_g`. The problem itself is left unchanged. A
         shrinking weight voids the fixed-constant guarantees, so such
         runs are heuristic.
-
-    Returns
-    -------
-    RunResult
-        The weighted aggregate pair, the final state, and the step-size
-        history.
     """
     return run(problem, regime, x1, y1, iters, observer,
                schedule=edpd_schedule, step=edpd_step, weight=_edpd_weight,

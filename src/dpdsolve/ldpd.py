@@ -1,13 +1,14 @@
 """Primal-dual solver with a linearized (gradient) primal step.
 
-One iteration blends the primal iterate with a running average, takes a
-gradient step against the extrapolated dual point, re-blends, then
-applies the dual prox and extrapolates the dual (see solver.py for the
-recursion this family shares with the exact one). Four published
-step-size regimes are provided; they differ in how the blending weight
-theta, the dual extrapolation alpha, and the step sizes tau (dual) and
-eta (primal) evolve with the iteration counter, and each comes with its
-own non-asymptotic gap guarantee (see diagnostics.theoretical_bound).
+One iteration takes a gradient step from the primal iterate against the
+extrapolated dual point, with the gradient taken at a blend of the
+iterate and its running weighted average, then applies the dual prox and
+extrapolates the dual (see solver.py for the recursion this family
+shares with the exact one). Four published step-size regimes are
+provided; they differ in how the blending weight theta, the dual
+extrapolation alpha, and the step sizes tau (dual) and eta (primal)
+evolve with the iteration counter, and each comes with its own
+non-asymptotic gap guarantee (see diagnostics.theoretical_bound).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Optional
 
 from .errors import ConfigurationError, ContractViolationError
 from .model import Observer, SaddleProblem, SolverConsts
-from .solver import RunResult, SolverState, dual_step, run
+from .solver import (RunResult, SolverState, dual_base_step, dual_step,
+                     primal_base_step, run)
 # The shared init and reference aggregate under this family's public names.
 from .solver import aggregate_closed_form, init_state as init_ldpd_state  # noqa: F401
 
@@ -33,6 +35,7 @@ LDPD_VARIANTS = (
     STRONGLY_CONVEX_PRIMAL,
     SINGLE_STEP,
 )
+SCD_STEP_SCALE = 3.0  # c in the strongly convex dual base step c / mu_g
 
 
 @dataclass(frozen=True)
@@ -114,11 +117,7 @@ def ldpd_schedule(regime: LdpdRegime, t: int, consts: SolverConsts) -> LdpdParam
             eta=t / (2.0 * L + N * nA**2),
         )
     if regime.variant == STRONGLY_CONVEX_DUAL:
-        if not consts.mu_g > 0.0:
-            raise ConfigurationError(
-                "the strongly convex dual regime needs mu_g > 0"
-            )
-        tau = 3.0 / consts.mu_g
+        tau = dual_base_step(SCD_STEP_SCALE, consts.mu_g)
         return LdpdParams(
             theta=2.0 / (t + 1.0),
             alpha=(t - 1.0) / t,
@@ -126,12 +125,8 @@ def ldpd_schedule(regime: LdpdRegime, t: int, consts: SolverConsts) -> LdpdParam
             eta=t / (2.0 * L + tau * nA**2),
         )
     if regime.variant == STRONGLY_CONVEX_PRIMAL:
-        if not nA > 0.0:
-            raise ConfigurationError(
-                "the strongly convex primal regime needs a nonzero coupling"
-            )
+        tau = primal_base_step(consts)
         t0 = scp_shift(consts)
-        tau = consts.mu_f / (2.0 * nA**2)
         tau_t = (t + 1.0) * tau
         return LdpdParams(
             theta=1.0,
@@ -153,21 +148,25 @@ def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
               alpha: float, mu_g: float, weight: float) -> SolverState:
     """Advance the solver by one iteration and return the new state.
 
-    The gradient step is taken at the blend of `x` and `xbar` against the
-    extrapolated dual point `state.yhat`; `alpha` extrapolates the new
-    dual for the next iteration, `mu_g` is the dual smoothing weight and
-    `weight` this iterate's weight in the running aggregate.
+    The step goes from `x` against the extrapolated dual point
+    `state.yhat`, with the gradient of f taken at the blend
+    (1 - theta) `state.aggregate_x` + theta `x`. The paper's recursion
+    carries this anchor as a blend of its own, which with theta =
+    2 / (t + 1) and weights t is the t-weighted aggregate. With theta = 1,
+    or before anything is aggregated, the blend is `x` itself. `alpha`
+    extrapolates the new dual for the next iteration, `mu_g` is the dual
+    smoothing weight and `weight` this iterate's weight in the aggregate.
     """
     if problem.f.grad is None:
         raise ConfigurationError(
             "this solver takes gradient steps; the primal oracle has no grad"
         )
     theta, eta = params.theta, params.eta
-    xhat = (1.0 - theta) * state.xbar + theta * state.x
+    xhat = state.x
+    if theta != 1.0 and state.agg_den > 0.0:
+        xhat = (1.0 - theta) * state.aggregate_x + theta * state.x
     x_next = state.x - eta * (problem.f.grad(xhat) + problem.A.adjoint(state.yhat))
-    xbar_next = (1.0 - theta) * state.xbar + theta * x_next
-    return dual_step(state, problem, x_next, xbar_next, params.tau, alpha,
-                     mu_g, weight)
+    return dual_step(state, problem, x_next, params.tau, alpha, mu_g, weight)
 
 
 def _ldpd_weight(regime: LdpdRegime, t: int, consts: SolverConsts) -> float:
@@ -199,12 +198,6 @@ def run_ldpd(problem: SaddleProblem, regime: LdpdRegime, x1, y1, iters: int,
     observer : callable, optional
         Called once per iteration with an IterationSnapshot whose (x, y)
         is the weighted aggregate pair the guarantees refer to.
-
-    Returns
-    -------
-    RunResult
-        The weighted aggregate pair, the final state, and the step-size
-        history.
     """
     if regime.variant == WEAKLY_CONVEX and iters != regime.horizon:
         raise ConfigurationError(

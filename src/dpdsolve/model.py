@@ -125,14 +125,12 @@ class IterationSnapshot:
     `x` and `y` are the regime's aggregation point after `t` steps, the
     pair the convergence guarantees speak about; each is computed from
     `state` on first read and then cached, so an observer pays only for
-    the aggregates it reads. `x_last` and `y_last` are the newest raw
-    iterates. `state` is the live solver state and must be treated as
+    the aggregates it reads. `state` is the live solver state, whose
+    `x` and `y` are the newest raw iterates; it must be treated as
     read-only.
     """
 
     t: int
-    x_last: Array
-    y_last: Array
     params: object
     state: object
 

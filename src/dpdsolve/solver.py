@@ -32,16 +32,16 @@ from .model import Array, IterationSnapshot, Observer, SaddleProblem, SolverCons
 class SolverState:
     """Solver state after `t - 1` completed iterations.
 
-    `x` and `y` are the current iterates. `xbar` is the linearized
-    family's blend anchor; the exact family keeps it equal to `x`.
-    `yhat` is the extrapolated dual point the next primal update sees;
-    at initialization it is the dual start. The `agg_*` fields
-    accumulate the weighted averages the guarantees speak about.
+    `x` and `y` are the current iterates. `yhat` is the extrapolated
+    dual point the next primal update sees; at initialization it is the
+    dual start. The `agg_*` fields accumulate the weighted averages the
+    guarantees speak about; the linearized family also takes its
+    gradient at a blend of `x` and the primal aggregate (see
+    `ldpd.ldpd_step`).
     """
 
     t: int
     x: Array
-    xbar: Array
     y: Array
     yhat: Array
     agg_num_x: Array
@@ -62,14 +62,13 @@ class SolverState:
 
 
 def init_state(x1, y1) -> SolverState:
-    """Fresh state at t = 1 with the blend anchor and the extrapolated
-    dual point seeded at the start point."""
+    """Fresh state at t = 1 with the extrapolated dual point seeded at
+    the dual start."""
     x1 = np.asarray(x1, dtype=float).copy()
     y1 = np.asarray(y1, dtype=float).copy()
     return SolverState(
         t=1,
         x=x1,
-        xbar=x1.copy(),
         y=y1,
         yhat=y1.copy(),
         agg_num_x=np.zeros_like(x1),
@@ -79,7 +78,7 @@ def init_state(x1, y1) -> SolverState:
 
 
 def dual_step(state: SolverState, problem: SaddleProblem, x_next: Array,
-              xbar_next: Array, tau: float, alpha: float, mu_g: float,
+              tau: float, alpha: float, mu_g: float,
               weight: float) -> SolverState:
     """Finish an iteration from its new primal point.
 
@@ -96,7 +95,6 @@ def dual_step(state: SolverState, problem: SaddleProblem, x_next: Array,
     return SolverState(
         t=t + 1,
         x=x_next,
-        xbar=xbar_next,
         y=y_next,
         yhat=y_next + alpha * (y_next - state.y),
         agg_num_x=state.agg_num_x + weight * x_next,
@@ -121,6 +119,22 @@ def aggregate_closed_form(iterates, weights) -> Array:
     for w, v in zip(weights, iterates):
         num += w * v
     return num / weights.sum()
+
+
+def dual_base_step(c: float, mu_g: float) -> float:
+    """Base dual step c / mu_g of a strongly convex dual schedule."""
+    if not mu_g > 0.0:
+        raise ConfigurationError("the strongly convex dual regime needs mu_g > 0")
+    return c / mu_g
+
+
+def primal_base_step(consts: SolverConsts) -> float:
+    """Base dual step mu_f / (2 ||A||^2) of a strongly convex primal
+    schedule, shared by both families."""
+    if not (consts.mu_f > 0.0 and consts.norm_A > 0.0):
+        raise ConfigurationError("the strongly convex primal regime needs "
+                                 "mu_f > 0 and a nonzero coupling")
+    return consts.mu_f / (2.0 * consts.norm_A**2)
 
 
 @dataclass
@@ -212,9 +226,6 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
                      params[t - 1 + alpha_shift].alpha, mu_gs[t - 1],
                      weights[t - 1])
         if observer is not None:
-            observer(IterationSnapshot(
-                t=t, x_last=state.x, y_last=state.y, params=params[t - 1],
-                state=state,
-            ))
+            observer(IterationSnapshot(t=t, params=params[t - 1], state=state))
     return RunResult(x=state.aggregate_x, y=state.aggregate_y, state=state,
                      params_history=params[:iters])

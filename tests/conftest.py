@@ -43,3 +43,37 @@ def dense_convolution_matrix(weights, m, n):
                     sj = (j - (q - cw)) % n
                     M[row, si + sj * m] += weights[p, q]
     return M
+
+
+def explicit_anchor_ldpd(problem, regime, x1, y1, iters):
+    """The linearized recursion as the paper states it, with its blend
+    anchor xbar carried from xbar = x1:
+
+        xhat  = (1 - theta) xbar + theta x
+        x+    = x - eta (grad f(xhat) + A* yhat)
+        xbar+ = (1 - theta) xbar + theta x+
+        y+    = prox_{tau g}(y + tau A x+)
+        yhat+ = y+ + alpha_{t+1} (y+ - y)
+
+    Returns one (x, xbar, y, yhat) tuple per iteration.
+    """
+    from dpdsolve.ldpd import ldpd_schedule
+    from dpdsolve.model import SolverConsts
+
+    consts = SolverConsts.from_problem(problem)
+    x = np.asarray(x1, dtype=float).copy()
+    y = np.asarray(y1, dtype=float).copy()
+    xbar = x.copy()
+    yhat = y.copy()
+    states = []
+    for t in range(1, iters + 1):
+        p = ldpd_schedule(regime, t, consts)
+        xhat = (1.0 - p.theta) * xbar + p.theta * x
+        x = x - p.eta * (problem.f.grad(xhat) + problem.A.adjoint(yhat))
+        xbar = (1.0 - p.theta) * xbar + p.theta * x
+        y_new = problem.g.prox(y + p.tau * problem.A.apply(x), p.tau,
+                               consts.mu_g)
+        yhat = y_new + ldpd_schedule(regime, t + 1, consts).alpha * (y_new - y)
+        y = y_new
+        states.append((x.copy(), xbar.copy(), y.copy(), yhat.copy()))
+    return states

@@ -16,9 +16,10 @@ import types
 
 import numpy as np
 import pytest
+from conftest import explicit_anchor_ldpd
 
 from dpdsolve import edpd, ldpd
-from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
+from dpdsolve.cli import _bench_instances, _bench_runs, _bench_tag, _run_bench_case
 from dpdsolve.diagnostics import (
     HistoryRecorder,
     dual_distance_rate_check,
@@ -65,12 +66,10 @@ def bench():
     args = types.SimpleNamespace(dims="20,15", seed=42)
     strong, weak, capped = _bench_instances(args)
     out = {}
-    for tag, inst, solver, regime, free_tau in _bench_runs(strong, weak,
-                                                           capped, BENCH_ITERS):
+    for inst, regime in _bench_runs(strong, weak, capped, BENCH_ITERS):
         start = time.perf_counter()
-        recorder = _run_bench_case(tag, inst, solver, regime, free_tau,
-                                   BENCH_ITERS)
-        out[tag] = (inst, recorder, time.perf_counter() - start)
+        recorder = _run_bench_case(inst, regime, BENCH_ITERS)
+        out[_bench_tag(regime)] = (inst, recorder, time.perf_counter() - start)
     return out
 
 
@@ -141,24 +140,33 @@ def test_criterion_05_dual_distance_guarantee(bench):
 
 
 def test_criterion_06_blend_equals_weighted_average(bench):
+    # The paper's recursion carries its blend anchor xbar explicitly; the
+    # solver anchors at the t-weighted aggregate instead. Both must agree:
+    # the paper's xbar with the closed-form average of its own iterates,
+    # and the solver's iterates and aggregate with the paper's.
     inst = bench["ldpd-weakly-convex"][0]
     iters = 200
     worst = 0.0
     for variant in (ldpd.WEAKLY_CONVEX, ldpd.STRONGLY_CONVEX_DUAL):
         regime = ldpd.LdpdRegime(variant, horizon=iters) \
             if variant == ldpd.WEAKLY_CONVEX else ldpd.LdpdRegime(variant)
-        xs, ys, bars = [], [], []
-        ldpd.run_ldpd(inst.problem, regime,
-                      np.zeros(inst.problem.primal_dim),
-                      np.zeros(inst.problem.dual_dim), iters,
-                      observer=lambda s: (xs.append(s.x_last.copy()),
-                                          ys.append(s.y_last.copy()),
-                                          bars.append((s.state.xbar.copy(),
-                                                       s.y.copy()))))
+        x1 = np.zeros(inst.problem.primal_dim)
+        y1 = np.zeros(inst.problem.dual_dim)
+        paper = explicit_anchor_ldpd(inst.problem, regime, x1, y1, iters)
+        seen = []
+        ldpd.run_ldpd(inst.problem, regime, x1, y1, iters,
+                      observer=lambda s: seen.append((s.state.x.copy(),
+                                                      s.state.y.copy(),
+                                                      s.x.copy(), s.y.copy())))
+        xs = [x for x, _, _, _ in paper]
+        ys = [y for _, _, y, _ in paper]
         for k in range(1, iters + 1):
             weights = np.arange(1, k + 1, dtype=float)
-            for got, seq in ((bars[k - 1][0], xs), (bars[k - 1][1], ys)):
-                ref = aggregate_closed_form(seq[:k], weights)
+            ref_x, ref_xbar, ref_y, _ = paper[k - 1]
+            x, y, agg_x, agg_y = seen[k - 1]
+            for got, ref in ((ref_xbar, aggregate_closed_form(xs[:k], weights)),
+                             (x, ref_x), (y, ref_y), (agg_x, ref_xbar),
+                             (agg_y, aggregate_closed_form(ys[:k], weights))):
                 err = np.linalg.norm(got - ref) / max(1.0, np.linalg.norm(ref))
                 worst = max(worst, float(err))
     ok = worst <= 1e-10

@@ -13,7 +13,12 @@ from dpdsolve.cli import (
     _check_kernel_fits,
     main,
 )
-from dpdsolve.diagnostics import HistoryRecord, read_history_csv, write_history_csv
+from dpdsolve.diagnostics import (
+    BOUND_SLACK,
+    HistoryRecord,
+    read_history_csv,
+    write_history_csv,
+)
 from dpdsolve.imaging import make_phantom, read_dpdf, write_dpdf, write_pgm
 from dpdsolve.linops import ImageGrid, make_motion_kernel
 
@@ -328,3 +333,63 @@ def test_motion_fit_check_never_refuses_a_kernel_that_fits():
             _check_kernel_fits(abs(length * math.sin(rad)),
                                abs(length * math.cos(rad)),
                                ImageGrid(h, w, np.zeros(h * w)), "kernel")
+
+
+@pytest.mark.parametrize("sigma", ["1e155", "1e200"])
+def test_noise_whose_error_norm_overflows_reports_minus_infinite_snr(tmp_path, capsys,
+                                                                    sigma):
+    # the SNR's error norm overflows; this used to end in a math domain
+    # error traceback with rc=1
+    code = main(["deblur-gauss", "--size", "16", "--iters", "2", "--kernel", "3,0",
+                 "--sigma", sigma, "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_OK
+    assert "final snr_db: -inf" in capsys.readouterr().out
+
+
+def test_noise_that_overflows_the_degraded_image_is_refused(tmp_path, capsys):
+    code = main(["deblur-gauss", "--size", "16", "--iters", "2", "--kernel", "3,0",
+                 "--sigma", "1e308", "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["deblur-gauss", "deblur-sp"])
+@pytest.mark.parametrize("flag", ["--input", "--degraded-input"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_image_inputs_are_refused_before_the_run(tmp_path, monkeypatch,
+                                                           capsys, command, flag, bad):
+    # one NaN pixel used to exit 4 after an iteration, one inf pixel exit
+    # 0 in deblur-sp
+    def refuse(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(cli, "build_gaussian_problem", refuse)
+    monkeypatch.setattr(cli, "build_saltpepper_problem", refuse)
+    image = make_phantom(16, 16)
+    image.data[37] = bad
+    path = tmp_path / "bad.dpdf"
+    write_dpdf(path, image)
+    argv = [command, flag, str(path), "--iters", "2", "--kernel",
+            "3,0" if command == "deblur-gauss" else "3",
+            "--out-dir", str(tmp_path / "x")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_benchmark_sized_bench_keeps_every_gap_under_its_bound(tmp_path):
+    # the dims and seed of the synth-dense-400 benchmark workload
+    out = tmp_path / "bench"
+    assert main(["synth-bench", "--dims", "400,300", "--seed", "0",
+                 "--out-dir", str(out)]) == EXIT_OK
+    checked = 0
+    for path in sorted(out.glob("*.csv")):
+        for rec in read_history_csv(path):
+            if rec.bound is not None:
+                assert rec.gap <= rec.bound + BOUND_SLACK, (path.name, rec.t)
+                checked += 1
+    # every iteration of six regimes, the final one of the horizon-tuned one
+    assert checked == 6 * 500 + 1
+    assert main(["rates", "--from-dir", str(out)]) == EXIT_OK

@@ -235,7 +235,7 @@ def test_recorder_gap_matches_primal_dual_gap_in_every_regime():
     # rounding <Ax, y_ref> stay far below the 1e-12 relative tolerance.
     args = types.SimpleNamespace(dims="20,15", seed=42)
     iters = 60
-    for tag, inst, solver, regime, _ in _bench_runs(*_bench_instances(args), iters):
+    for inst, regime in _bench_runs(*_bench_instances(args), iters):
         problem = inst.problem
         ref = GapReference(inst.x_star, inst.y_star)
         recorder = HistoryRecorder(problem=problem, ref=ref)
@@ -245,13 +245,13 @@ def test_recorder_gap_matches_primal_dual_gap_in_every_regime():
             recorder(snap)
             expected.append(primal_dual_gap(problem, snap.x, snap.y, ref))
 
-        run = run_ldpd if solver == "ldpd" else run_edpd
+        run = run_ldpd if isinstance(regime, LdpdRegime) else run_edpd
         run(problem, regime, np.zeros(problem.primal_dim),
             np.zeros(problem.dual_dim), iters, observer)
         got = [rec.gap for rec in recorder.records]
         assert len(got) == len(expected) == iters
         for t, (a, b) in enumerate(zip(got, expected), start=1):
-            assert abs(a - b) <= 1e-12 * abs(b), (tag, t, a, b)
+            assert abs(a - b) <= 1e-12 * abs(b), (regime, t, a, b)
 
 
 def test_recorder_gap_is_infinite_outside_the_dual_domain():
@@ -316,3 +316,26 @@ def test_recorder_snr_column_equals_snr_db_bitwise():
     got = [rec.snr_db for rec in recorder.records]
     assert len(got) == 15
     assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("tag,zero", [
+    ("ldpd-strongly-convex-dual", "mu_g"),
+    ("edpd-strongly-convex-dual", "mu_g"),
+    ("ldpd-strongly-convex-primal", "norm_A"),
+    ("edpd-strongly-convex-primal", "norm_A"),
+    ("ldpd-strongly-convex-primal", "mu_f"),
+    ("edpd-strongly-convex-primal", "mu_f"),
+])
+def test_bound_refuses_a_regime_constant_that_is_zero(tag, zero):
+    # the strongly convex tags used to raise ZeroDivisionError here
+    consts = dict(L_f=1.0, mu_f=0.5, mu_g=0.2, norm_A=1.0)
+    consts[zero] = 0.0
+    with pytest.raises(ConfigurationError):
+        theoretical_bound(tag, 5, SolverConsts(**consts), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_snr_is_minus_infinite_when_the_error_norm_overflows(scale):
+    truth = make_phantom(8, 8)
+    assert snr_db(np.full(64, scale), truth) == -np.inf
+    assert snr_db(np.full(64, -scale), truth) == -np.inf

@@ -188,8 +188,8 @@ def test_aggregates_match_closed_form_weights(variant, kw, weight):
     regime = EdpdRegime(variant, **kw)
     xs, ys, aggs = [], [], []
     run_edpd(inst.problem, regime, np.zeros(10), np.zeros(7), 40,
-             observer=lambda s: (xs.append(s.x_last.copy()),
-                                 ys.append(s.y_last.copy()),
+             observer=lambda s: (xs.append(s.state.x.copy()),
+                                 ys.append(s.state.y.copy()),
                                  aggs.append((s.x.copy(), s.y.copy()))))
     for k in (1, 7, 40):
         weights = [weight(t) for t in range(1, k + 1)]

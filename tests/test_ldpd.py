@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import explicit_anchor_ldpd
 
 from dpdsolve.bench import make_quadratic_saddle
 from dpdsolve.errors import (
@@ -127,24 +128,29 @@ def test_strongly_convex_primal_schedule_admissibility():
 
 def _reference_trajectory(problem, regime, x1, y1, iters):
     """Straight-line transcription of the recursion with the dual
-    extrapolation done eagerly at the end of each iteration."""
+    extrapolation done eagerly at the end of each iteration and the
+    gradient blend anchored at the t-weighted aggregate."""
     consts = SolverConsts.from_problem(problem)
     x = np.asarray(x1, dtype=float).copy()
     y = np.asarray(y1, dtype=float).copy()
-    xbar = x.copy()
     yhat = y.copy()
+    agg_num, agg_den = np.zeros_like(x), 0.0
     states = []
     for t in range(1, iters + 1):
         p = ldpd_schedule(regime, t, consts)
-        xhat = (1.0 - p.theta) * xbar + p.theta * x
+        xhat = x
+        if p.theta != 1.0 and agg_den > 0.0:
+            xhat = (1.0 - p.theta) * (agg_num / agg_den) + p.theta * x
         x = x - p.eta * (problem.f.grad(xhat) + problem.A.adjoint(yhat))
-        xbar = (1.0 - p.theta) * xbar + p.theta * x
+        # weights t; the theta = 1 schedule never reads the anchor
+        agg_num = agg_num + float(t) * x
+        agg_den += float(t)
         y_new = problem.g.prox(y + p.tau * problem.A.apply(x), p.tau,
                                consts.mu_g)
         p_next = ldpd_schedule(regime, t + 1, consts)
         yhat = y_new + p_next.alpha * (y_new - y)
         y = y_new
-        states.append((x.copy(), xbar.copy(), y.copy(), yhat.copy()))
+        states.append((x.copy(), y.copy(), yhat.copy()))
     return states
 
 
@@ -162,10 +168,10 @@ def test_step_matches_reference_transcription_bitwise(variant):
     seen = []
     run_ldpd(inst.problem, regime, x1, y1, 5,
              observer=lambda s: seen.append(
-                 (s.state.x, s.state.xbar, s.state.y, s.state.yhat)))
-    for (x, xbar, y, yhat), (ex, exbar, ey, eyhat) in zip(seen, expected):
+                 (s.state.x, s.state.y, s.state.yhat)))
+    assert len(seen) == len(expected) == 5
+    for (x, y, yhat), (ex, ey, eyhat) in zip(seen, expected):
         assert np.array_equal(x, ex)
-        assert np.array_equal(xbar, exbar)
         assert np.array_equal(y, ey)
         assert np.array_equal(yhat, eyhat)
 
@@ -231,21 +237,31 @@ def test_blended_averages_match_closed_form_weights(variant):
     iters = 50
     regime = LdpdRegime(variant, horizon=iters) if variant == WEAKLY_CONVEX \
         else LdpdRegime(variant)
-    # the blend anchor xbar is the t-weighted average of the primal
-    # iterates; the dual carries no blend, only its aggregate
-    xs, ys, bars = [], [], []
+    # the paper's blend anchor xbar is the t-weighted average of the
+    # primal iterates, so the solver anchors its blend at that aggregate;
+    # the dual carries no blend, only its aggregate
+    paper = explicit_anchor_ldpd(inst.problem, regime, np.zeros(10),
+                                 np.zeros(7), iters)
+    seen = []
     run_ldpd(inst.problem, regime, np.zeros(10), np.zeros(7), iters,
-             observer=lambda s: (xs.append(s.x_last.copy()),
-                                 ys.append(s.y_last.copy()),
-                                 bars.append((s.state.xbar.copy(),
-                                              s.y.copy()))))
+             observer=lambda s: seen.append((s.state.x.copy(),
+                                             s.state.y.copy(),
+                                             s.x.copy(), s.y.copy())))
+    assert len(seen) == len(paper) == iters
+
+    def close(got, ref):
+        return np.linalg.norm(got - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
+
+    xs = [x for x, _, _, _ in paper]
+    ys = [y for _, _, y, _ in paper]
     for k in range(1, iters + 1):
         weights = np.arange(1, k + 1, dtype=float)
-        ref_x = aggregate_closed_form(xs[:k], weights)
-        ref_y = aggregate_closed_form(ys[:k], weights)
-        got_x, got_y = bars[k - 1]
-        assert np.linalg.norm(got_x - ref_x) <= 1e-10 * max(1.0, np.linalg.norm(ref_x))
-        assert np.linalg.norm(got_y - ref_y) <= 1e-10 * max(1.0, np.linalg.norm(ref_y))
+        ref_x, ref_xbar, ref_y, _ = paper[k - 1]
+        x, y, agg_x, agg_y = seen[k - 1]
+        assert close(ref_xbar, aggregate_closed_form(xs[:k], weights))
+        assert close(x, ref_x) and close(y, ref_y)
+        assert close(agg_x, ref_xbar)
+        assert close(agg_y, aggregate_closed_form(ys[:k], weights))
 
 
 def test_strongly_convex_primal_output_uses_shifted_weights():
@@ -254,7 +270,7 @@ def test_strongly_convex_primal_output_uses_shifted_weights():
     xs = []
     result = run_ldpd(inst.problem, LdpdRegime(STRONGLY_CONVEX_PRIMAL),
                       np.zeros(9), np.zeros(6), 30,
-                      observer=lambda s: xs.append(s.x_last.copy()))
+                      observer=lambda s: xs.append(s.state.x.copy()))
     weights = np.array([t + t0 + 1 for t in range(1, 31)], dtype=float)
     np.testing.assert_allclose(result.x, aggregate_closed_form(xs, weights),
                                rtol=1e-12)
@@ -265,7 +281,7 @@ def test_single_step_output_is_plain_average():
     xs = []
     result = run_ldpd(inst.problem, LdpdRegime(SINGLE_STEP, tau=0.2),
                       np.zeros(9), np.zeros(6), 25,
-                      observer=lambda s: xs.append(s.x_last.copy()))
+                      observer=lambda s: xs.append(s.state.x.copy()))
     np.testing.assert_allclose(result.x, np.mean(xs, axis=0), rtol=1e-12)
 
 

@@ -28,13 +28,12 @@ def test_every_regime_keeps_its_gap_under_the_bound_at_every_iteration(seed):
     args = types.SimpleNamespace(dims=f"{n_primal},{n_dual}", seed=seed)
     iters = 60
     checked = 0
-    for tag, inst, solver, regime, free_tau in _bench_runs(
-            *_bench_instances(args), iters):
-        recorder = _run_bench_case(tag, inst, solver, regime, free_tau, iters)
+    for inst, regime in _bench_runs(*_bench_instances(args), iters):
+        recorder = _run_bench_case(inst, regime, iters)
         assert len(recorder.records) == iters
         for rec in recorder.records:
             if rec.bound is not None:
-                assert rec.gap <= rec.bound + BOUND_SLACK, (tag, rec.t)
+                assert rec.gap <= rec.bound + BOUND_SLACK, (regime, rec.t)
                 checked += 1
     # every iteration of six regimes, the final one of the horizon-tuned one
     assert checked == 6 * iters + 1
