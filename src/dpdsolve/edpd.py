@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import ConfigurationError, ContractViolationError
 from .model import Observer, SaddleProblem, SolverConsts
-from .solver import (RunResult, SolverState, dual_base_step, dual_step,
-                     primal_base_step, run)
+from .solver import (RunResult, SolverState, accept_primal, dual_base_step,
+                     dual_step, primal_base_step, run)
 # The shared init under this family's public name.
 from .solver import init_state as init_edpd_state  # noqa: F401
 
@@ -87,20 +89,24 @@ def edpd_schedule(regime: EdpdRegime, t: int, consts: SolverConsts) -> EdpdParam
 
 def edpd_step(state: SolverState, problem: SaddleProblem, params: EdpdParams,
               alpha: float, mu_g: float, weight: float) -> SolverState:
-    """Advance the solver by one iteration and return the new state.
+    """Advance the solver by one iteration, in place, and return the state.
 
     The primal prox is taken against the extrapolated dual point
     `state.yhat`; `alpha` extrapolates the new dual for the next
     iteration, `mu_g` is the dual smoothing weight and `weight` this
-    iterate's weight in the running aggregate.
+    iterate's weight in the running aggregate. The prox's result becomes
+    `state.x`.
     """
     if problem.f.prox is None:
         raise ConfigurationError(
             "this solver takes proximal primal steps; the oracle has no prox"
         )
     eta = params.eta
-    x_next = problem.f.prox(state.x - eta * problem.A.adjoint(state.yhat), eta)
-    return dual_step(state, problem, x_next, params.tau, alpha, mu_g, weight)
+    z = problem.A.adjoint(state.yhat)
+    z *= eta
+    np.subtract(state.x, z, out=z)
+    accept_primal(state, problem.f.prox(z, eta), weight, z)
+    return dual_step(state, problem, params.tau, alpha, mu_g, weight)
 
 
 def _edpd_weight(regime: EdpdRegime, t: int, consts: SolverConsts) -> float:

@@ -119,7 +119,11 @@ def build_gaussian_problem(spec: GaussianDeblurSpec) -> SaddleProblem:
     Ktb = K.adjoint(b)
 
     def f_grad(x):
-        return mu * (K.gram(x) - Ktb)
+        # K.gram returns a fresh array, so the rest happens in it
+        r = K.gram(x)
+        r -= Ktb
+        r *= mu
+        return r
 
     def f_prox(z, step):
         return prox_quadratic_primal(z, step, K, Ktb, mu)

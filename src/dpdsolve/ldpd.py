@@ -17,10 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import ConfigurationError, ContractViolationError
-from .model import Observer, SaddleProblem, SolverConsts
-from .solver import (RunResult, SolverState, dual_base_step, dual_step,
-                     primal_base_step, run)
+from .model import Array, Observer, SaddleProblem, SolverConsts
+from .solver import (RunResult, SolverState, accept_primal, dual_base_step,
+                     dual_step, primal_base_step, run)
 # The shared init and reference aggregate under this family's public names.
 from .solver import aggregate_closed_form, init_state as init_ldpd_state  # noqa: F401
 
@@ -144,29 +146,58 @@ def ldpd_schedule(regime: LdpdRegime, t: int, consts: SolverConsts) -> LdpdParam
     )
 
 
+def gradient_point(state: SolverState, params: LdpdParams, out=None,
+                   scratch=None) -> Array:
+    """Where an iteration with step sizes `params` takes its gradient,
+    given the state's current iterate and primal aggregate.
+
+    That is the blend (1 - theta) `state.aggregate_x` + theta `state.x`.
+    The paper's recursion carries this anchor as a blend of its own,
+    which with theta = 2 / (t + 1) and weights t is the t-weighted
+    aggregate. With theta = 1, or before anything is aggregated, the
+    point is `state.x` itself. The blend goes into `out` and `scratch`
+    when they are given (primal-size arrays the call may overwrite).
+    """
+    theta = params.theta
+    if theta == 1.0 or state.agg_den <= 0.0:
+        return state.x
+    out = np.divide(state.agg_num_x, state.agg_den, out=out)
+    out *= 1.0 - theta
+    out += np.multiply(state.x, theta, out=scratch)
+    return out
+
+
 def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
               alpha: float, mu_g: float, weight: float) -> SolverState:
-    """Advance the solver by one iteration and return the new state.
+    """Advance the solver by one iteration, in place, and return the state.
 
     The step goes from `x` against the extrapolated dual point
-    `state.yhat`, with the gradient of f taken at the blend
-    (1 - theta) `state.aggregate_x` + theta `x`. The paper's recursion
-    carries this anchor as a blend of its own, which with theta =
-    2 / (t + 1) and weights t is the t-weighted aggregate. With theta = 1,
-    or before anything is aggregated, the blend is `x` itself. `alpha`
-    extrapolates the new dual for the next iteration, `mu_g` is the dual
-    smoothing weight and `weight` this iterate's weight in the aggregate.
+    `state.yhat`, with the gradient of f taken at `gradient_point`.
+    `alpha` extrapolates the new dual for the next iteration, `mu_g` is
+    the dual smoothing weight and `weight` this iterate's weight in the
+    aggregate. Inside a run (`state.grad_ahead` set), once the new
+    iterate is accepted the step requests the next iteration's gradient,
+    so that f.grad runs while this dual half does, and the next step
+    takes it instead of calling f.grad. The first step of a run, and a
+    step outside a run, call f.grad themselves. Either way the
+    arithmetic, and so every bit of the result, is the same.
     """
     if problem.f.grad is None:
         raise ConfigurationError(
             "this solver takes gradient steps; the primal oracle has no grad"
         )
-    theta, eta = params.theta, params.eta
-    xhat = state.x
-    if theta != 1.0 and state.agg_den > 0.0:
-        xhat = (1.0 - theta) * state.aggregate_x + theta * state.x
-    x_next = state.x - eta * (problem.f.grad(xhat) + problem.A.adjoint(state.yhat))
-    return dual_step(state, problem, x_next, params.tau, alpha, mu_g, weight)
+    ahead = state.grad_ahead
+    direction = problem.A.adjoint(state.yhat)
+    grad = None if ahead is None else ahead.take()
+    if grad is None:
+        grad = problem.f.grad(gradient_point(state, params))
+    np.add(grad, direction, out=direction)
+    direction *= params.eta
+    state.x -= direction
+    accept_primal(state, state.x, weight, direction)
+    if ahead is not None:
+        ahead.request(state, state.t + 1, direction)
+    return dual_step(state, problem, params.tau, alpha, mu_g, weight)
 
 
 def _ldpd_weight(regime: LdpdRegime, t: int, consts: SolverConsts) -> float:
@@ -206,4 +237,4 @@ def run_ldpd(problem: SaddleProblem, regime: LdpdRegime, x1, y1, iters: int,
         )
     return run(problem, regime, x1, y1, iters, observer,
                schedule=ldpd_schedule, step=ldpd_step, weight=_ldpd_weight,
-               alpha_shift=1)
+               alpha_shift=1, grad_point=gradient_point)

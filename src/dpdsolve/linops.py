@@ -35,6 +35,22 @@ class LinearOperator(Protocol):
     def adjoint(self, y: Array) -> Array: ...
 
 
+def _largest_modulus(v) -> float:
+    """max |v_i| of a real or complex array (0.0 when empty, nan when v
+    holds a nan)."""
+    return float(np.max(np.abs(v), initial=0.0))
+
+
+def scaled_norm(v) -> float:
+    """Euclidean norm of a real or complex array, taken of v divided by
+    its largest modulus, so that no square overflows or underflows. A
+    non-finite entry gives inf or nan."""
+    scale = _largest_modulus(v)
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    return scale * float(np.linalg.norm(v / scale))
+
+
 def _as_vector(x, dim: int, label: str) -> Array:
     v = np.asarray(x, dtype=float)
     if v.shape != (dim,):
@@ -269,17 +285,22 @@ class ConvolutionOperator2D:
         The residual's half-spectrum is shift F(x) - R. By Parseval its
         squared moduli give the real-domain norm: each row counts twice,
         for its conjugate partner, except row 0 and, for even m, row m/2,
-        and the sum is divided by m n.
+        and the sum is divided by m n. The moduli are divided by the
+        largest one before they are squared, as in `scaled_norm`.
         """
         E = self._forward(x)
         E *= shift
         E -= R
+        scale = _largest_modulus(E)
+        if scale == 0.0 or not math.isfinite(scale):
+            return scale
+        E /= scale
         rows = (E.real * E.real + E.imag * E.imag).sum(axis=1)
         weights = np.full(rows.size, 2.0)
         weights[0] = 1.0
         if self.m % 2 == 0:
             weights[-1] = 1.0
-        return math.sqrt(float(weights @ rows) / (self.m * self.n))
+        return scale * math.sqrt(float(weights @ rows) / (self.m * self.n))
 
 
 class StackedOperator:

@@ -125,22 +125,33 @@ class IterationSnapshot:
     `x` and `y` are the regime's aggregation point after `t` steps, the
     pair the convergence guarantees speak about; each is computed from
     `state` on first read and then cached, so an observer pays only for
-    the aggregates it reads. `state` is the live solver state, whose
-    `x` and `y` are the newest raw iterates; it must be treated as
-    read-only.
+    the aggregates it reads. They are fresh arrays, valid after the run,
+    but must first be read during the observer call: a first read once a
+    later iteration has completed raises ContractViolationError. `state` is
+    the run's live solver state, whose `x` and `y` are the newest raw
+    iterates; it must be treated as read-only, and its arrays are
+    updated in place, so they are valid only until the next step begins.
     """
 
     t: int
     params: object
     state: object
 
+    def _current_state(self):
+        if self.state.t != self.t + 1:
+            raise ContractViolationError(
+                f"the aggregates of iteration {self.t} were first read after "
+                f"the run moved on; read them in the observer call"
+            )
+        return self.state
+
     @cached_property
     def x(self) -> Array:
-        return self.state.aggregate_x
+        return self._current_state().aggregate_x
 
     @cached_property
     def y(self) -> Array:
-        return self.state.aggregate_y
+        return self._current_state().aggregate_y
 
 
 Observer = Callable[[IterationSnapshot], None]

@@ -1,13 +1,17 @@
-"""The imaging operators and the salt-and-pepper dual prox against the
-plain array formulas they replace, bitwise, on random grid shapes.
+"""The imaging operators, the dual proxes and the Gaussian gradient
+against the plain array formulas they replace, bitwise, on random grid
+shapes.
 
 The reference formulas below (`np.roll` and `concatenate` differences,
 `rfft2`/`irfft2` transforms, stacks that scale every block and sum from
-`zeros`, a dual prox that concatenates its two blocks) are the obvious
+`zeros`, a dual prox that concatenates its two blocks, a disk projection
+into a fresh array, a gradient `mu * (K*K x - K* b)`) are the obvious
 transcriptions of each operator's definition. The package computes the
-same numbers with one-output, staged code paths; these tests check that
-every entry agrees, signed zeros included.
+same numbers with one-output, staged or in-place code paths; these tests
+check that every entry agrees, signed zeros included.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,14 +19,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dpdsolve.imaging import SaltPepperDeblurSpec, build_saltpepper_problem
+from dpdsolve import prox
+from dpdsolve.imaging import (
+    GaussianDeblurSpec,
+    SaltPepperDeblurSpec,
+    build_gaussian_problem,
+    build_saltpepper_problem,
+)
 from dpdsolve.linops import (
     ImageGrid,
     Kernel2D,
     StackedOperator,
+    make_average_kernel,
     make_convolution_operator,
     make_difference_operator,
 )
+from dpdsolve.prox import project_ball2_pairs, prox_smoothed_tv_dual
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -120,10 +132,11 @@ def grid_and_vectors(draw, out_factor):
 
 
 @st.composite
-def kernels(draw, m, n):
+def kernels(draw, m, n, allow_subnormal=True):
     kh = draw(st.sampled_from([h for h in (1, 3, 5) if h <= m]))
     kw = draw(st.sampled_from([w for w in (1, 3, 5) if w <= n]))
-    return Kernel2D(draw(arrays(np.float64, (kh, kw), elements=st.floats(-2.0, 2.0))))
+    weights = st.floats(-2.0, 2.0, allow_subnormal=allow_subnormal)
+    return Kernel2D(draw(arrays(np.float64, (kh, kw), elements=weights)))
 
 
 @SETTINGS
@@ -223,7 +236,10 @@ def test_saltpepper_dual_prox_matches_concatenated_blocks(data, shape, step, mu_
 def test_adjoint_identities_hold_on_random_grids(data, shape, alpha):
     m, n = shape
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    K = make_convolution_operator(data.draw(kernels(m, n)), m, n)
+    # A kernel of subnormal weights (5e-324, say) makes every product
+    # underflow, where rounding is absolute, so a tolerance relative to
+    # the norm bound cannot hold; the bitwise tests above draw them.
+    K = make_convolution_operator(data.draw(kernels(m, n, allow_subnormal=False)), m, n)
     D = make_difference_operator(m, n)
     for A in (D, K, StackedOperator([(1.0, D), (alpha, K)])):
         x = rng.standard_normal(A.dims[0])
@@ -231,3 +247,39 @@ def test_adjoint_identities_hold_on_random_grids(data, shape, alpha):
         lhs, rhs = A.apply(x) @ y, x @ A.adjoint(y)
         scale = A.norm_bound * np.linalg.norm(x) * np.linalg.norm(y)
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(st.data(), shapes(), st.floats(0.01, 100.0), st.floats(0.0, 1.0),
+       st.booleans(), st.sampled_from([1, 3, prox.SQUARE_BLOCK]))
+def test_tv_dual_prox_and_the_aliased_projection_match_the_parent_formula(
+        data, shape, step, mu_g, overflow, block):
+    m, n = shape
+    mn = m * n
+    z = data.draw(arrays(np.float64, 2 * mn,
+                         elements=st.one_of(ENTRY, st.floats(-50.0, 50.0))))
+    if overflow:
+        # the squares of this pair overflow: the hypot fallback
+        z[0] = 1e200 * (step * mu_g + 1.0)
+        z[mn] = -3e200 * (step * mu_g + 1.0)
+    expected = ref_project_ball2_pairs(z / (step * mu_g + 1.0))
+    # small blocks make the second coordinates' squares span several
+    with mock.patch.object(prox, "SQUARE_BLOCK", block):
+        assert_bitwise(prox_smoothed_tv_dual(z, step, mu_g), expected)
+        out = np.full(2 * mn, np.nan)
+        assert prox_smoothed_tv_dual(z, step, mu_g, out=out) is out
+        assert_bitwise(out, expected)
+        u = z / (step * mu_g + 1.0)
+        assert project_ball2_pairs(u, out=u) is u
+        assert_bitwise(u, expected)
+
+
+@SETTINGS
+@given(grid_and_vectors(1), st.floats(0.1, 1e4))
+def test_gaussian_gradient_matches_the_parent_formula(case, mu):
+    m, n, x, b = case
+    kernel = make_average_kernel(3 if min(m, n) >= 3 else 1)
+    problem = build_gaussian_problem(
+        GaussianDeblurSpec(ImageGrid(m, n, b), kernel, mu=mu, mu_g=0.01))
+    K = make_convolution_operator(kernel, m, n)
+    assert_bitwise(problem.f.grad(x), mu * (K.gram(x) - K.adjoint(b)))

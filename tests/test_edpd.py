@@ -132,7 +132,7 @@ def test_step_matches_reference_transcription_bitwise(variant, kw):
     seen = []
     run_edpd(inst.problem, regime, x1, y1, 5,
              observer=lambda s: seen.append(
-                 (s.state.x, s.state.y, s.state.yhat)))
+                 (s.state.x.copy(), s.state.y.copy(), s.state.yhat.copy())))
     for (x, y, yhat), (ex, ey, eyhat) in zip(seen, expected):
         assert np.array_equal(x, ex)
         assert np.array_equal(y, ey)

@@ -1,7 +1,12 @@
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
 from conftest import explicit_anchor_ldpd
 
+from dpdsolve import ldpd, solver
 from dpdsolve.bench import make_quadratic_saddle
 from dpdsolve.errors import (
     ConfigurationError,
@@ -22,7 +27,8 @@ from dpdsolve.ldpd import (
     run_ldpd,
     scp_shift,
 )
-from dpdsolve.linops import MatrixOperator
+from dpdsolve.imaging import GaussianDeblurSpec, build_gaussian_problem, make_phantom
+from dpdsolve.linops import MatrixOperator, make_motion_kernel
 from dpdsolve.model import (
     DualProxOracle,
     PrimalOracle,
@@ -168,7 +174,7 @@ def test_step_matches_reference_transcription_bitwise(variant):
     seen = []
     run_ldpd(inst.problem, regime, x1, y1, 5,
              observer=lambda s: seen.append(
-                 (s.state.x, s.state.y, s.state.yhat)))
+                 (s.state.x.copy(), s.state.y.copy(), s.state.yhat.copy())))
     assert len(seen) == len(expected) == 5
     for (x, y, yhat), (ex, ey, eyhat) in zip(seen, expected):
         assert np.array_equal(x, ex)
@@ -332,3 +338,205 @@ def test_schedule_is_validated_before_the_first_iteration():
                  np.zeros(6), np.zeros(4), 5,
                  observer=lambda s: steps.append(s.t))
     assert steps == []
+
+
+# The overlapped path: with the gate at 0 every problem takes its next
+# gradient on the worker thread, so these small instances exercise it.
+ALL_VARIANTS = [WEAKLY_CONVEX, STRONGLY_CONVEX_DUAL, STRONGLY_CONVEX_PRIMAL,
+                SINGLE_STEP]
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
+
+
+def _regime(variant, iters):
+    if variant == WEAKLY_CONVEX:
+        return LdpdRegime(WEAKLY_CONVEX, horizon=iters)
+    if variant == SINGLE_STEP:
+        return LdpdRegime(SINGLE_STEP, tau=0.25)
+    return LdpdRegime(variant)
+
+
+def _counting_grad(problem, fail_at=None):
+    """Replace problem.f.grad by a wrapper that counts its calls and, at
+    call `fail_at`, raises."""
+    grad, calls = problem.f.grad, []
+
+    def counted(x):
+        calls.append(threading.current_thread().name)
+        if len(calls) == fail_at:
+            raise FloatingPointError(f"gradient call {fail_at}")
+        return grad(x)
+
+    problem.f.grad = counted
+    return calls
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_threaded_run_matches_reference_transcription_bitwise(threaded, variant):
+    inst = make_quadratic_saddle(8, 5, seed=21, mu_g=0.4, lam=1.0)
+    iters = 12
+    regime = _regime(variant, iters)
+    rng = np.random.default_rng(2)
+    x1 = rng.standard_normal(8)
+    y1 = rng.standard_normal(5)
+    expected = _reference_trajectory(inst.problem, regime, x1, y1, iters)
+    calls = _counting_grad(inst.problem)
+    start = threading.active_count()
+    seen, running = [], []
+
+    def observer(s):
+        seen.append((s.state.x.copy(), s.state.y.copy(), s.state.yhat.copy()))
+        running.append(threading.active_count())
+
+    run_ldpd(inst.problem, regime, x1, y1, iters, observer=observer)
+    assert len(seen) == iters
+    for (x, y, yhat), (ex, ey, eyhat) in zip(seen, expected):
+        assert np.array_equal(x, ex)
+        assert np.array_equal(y, ey)
+        assert np.array_equal(yhat, eyhat)
+    # the first gradient is taken on the spot, every later one on the
+    # worker, which is joined when the run returns
+    assert len(calls) == iters
+    assert calls[0] == threading.current_thread().name
+    assert all(name != calls[0] for name in calls[1:])
+    assert running == [start + 1] * iters
+    assert threading.active_count() == start
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_grad_is_called_exactly_iters_times(monkeypatch, gated):
+    if gated:
+        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
+    inst = make_quadratic_saddle(8, 5, seed=23, mu_g=0.4, lam=1.0)
+    calls = _counting_grad(inst.problem)
+    steps = []
+    step = ldpd.ldpd_step
+    monkeypatch.setattr(ldpd, "ldpd_step", lambda *a: steps.append(1) or step(*a))
+    result = run_ldpd(inst.problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+                      np.zeros(8), np.zeros(5), 17)
+    assert len(calls) == 17
+    # the step is still looked up by its module name once per iteration
+    assert len(steps) == 17
+    assert result.state.grad_ahead is None
+
+
+def _serial_and_threaded(monkeypatch, make_problem, iters):
+    """Run the same failing problem in line and threaded; return each
+    run's exception and observer call count."""
+    outcomes = []
+    start = threading.active_count()
+    for gate in (solver.GRAD_AHEAD_MIN_PRIMAL_DIM, 0):
+        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", gate)
+        problem = make_problem()
+        observed = []
+        with pytest.raises(Exception) as info:
+            run_ldpd(problem, LdpdRegime(STRONGLY_CONVEX_DUAL), np.zeros(8),
+                     np.zeros(5), iters, observer=lambda s: observed.append(s.t))
+        assert threading.active_count() == start
+        outcomes.append((type(info.value), str(info.value), observed))
+    return outcomes
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_grad_error_surfaces_at_the_serial_iteration(monkeypatch, k):
+    def make_problem():
+        problem = make_quadratic_saddle(8, 5, seed=25, mu_g=0.4, lam=1.0).problem
+        _counting_grad(problem, fail_at=k)
+        return problem
+
+    serial, threaded_run = _serial_and_threaded(monkeypatch, make_problem, 10)
+    assert serial == threaded_run
+    assert serial == (FloatingPointError, f"gradient call {k}",
+                      list(range(1, k)))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_dual_divergence_with_a_gradient_pending_surfaces_unchanged(monkeypatch, k):
+    def make_problem():
+        problem = make_quadratic_saddle(8, 5, seed=27, mu_g=0.4, lam=1.0).problem
+        prox, calls = problem.g.prox, []
+
+        def failing(z, step, mu_g):
+            calls.append(1)
+            y = prox(z, step, mu_g)
+            return np.full_like(y, np.nan) if len(calls) == k else y
+
+        problem.g.prox = failing
+        return problem
+
+    serial, threaded_run = _serial_and_threaded(monkeypatch, make_problem, 10)
+    assert serial == threaded_run
+    assert serial == (DivergenceError, f"dual iterate {k + 1} is not finite",
+                      list(range(1, k)))
+
+
+def test_problem_below_the_gate_starts_no_thread(monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a run below the gate started a worker")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_threads)
+    inst = make_quadratic_saddle(8, 5, seed=29, mu_g=0.4, lam=1.0)
+    assert inst.problem.primal_dim < solver.GRAD_AHEAD_MIN_PRIMAL_DIM
+    calls = _counting_grad(inst.problem)
+    start = threading.active_count()
+    running = []
+    run_ldpd(inst.problem, LdpdRegime(STRONGLY_CONVEX_DUAL), np.zeros(8),
+             np.zeros(5), 9, observer=lambda s: running.append(threading.active_count()))
+    assert running == [start] * 9
+    assert calls == [threading.current_thread().name] * 9
+
+
+def test_threaded_imaging_run_is_bitwise_the_inline_run(monkeypatch):
+    spec = GaussianDeblurSpec(observed=make_phantom(16, 12),
+                              kernel=make_motion_kernel(5, 30.0), mu=300.0,
+                              mu_g=0.01)
+    results = []
+    for gate in (solver.GRAD_AHEAD_MIN_PRIMAL_DIM, 0):
+        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", gate)
+        problem = build_gaussian_problem(spec)
+        aggregates = []
+        result = run_ldpd(problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+                          np.zeros(problem.primal_dim), np.zeros(problem.dual_dim),
+                          25, observer=lambda s: aggregates.append(s.x))
+        results.append((result.x, result.y, aggregates))
+    (x0, y0, agg0), (x1, y1, agg1) = results
+    assert np.array_equal(x0, x1) and np.array_equal(y0, y1)
+    assert all(np.array_equal(a, b) for a, b in zip(agg0, agg1, strict=True))
+
+
+def test_concurrent_threaded_runs_on_one_problem_agree(monkeypatch):
+    # Three runs share one imaging problem, each with its own gradient
+    # worker: six threads on a two-core host, switching every 10 us. Any
+    # scratch shared between the oracle closures, or between a run and
+    # its worker, would show as a result that differs from the lone run.
+    monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
+    problem = build_gaussian_problem(GaussianDeblurSpec(
+        observed=make_phantom(16, 12), kernel=make_motion_kernel(5, 30.0),
+        mu=300.0, mu_g=0.01))
+
+    def solve():
+        return run_ldpd(problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+                        np.zeros(problem.primal_dim),
+                        np.zeros(problem.dual_dim), 30).x
+
+    expected = solve()
+    results = [None] * 3
+
+    def worker(i):
+        results[i] = solve()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is not None and np.array_equal(r, expected) for r in results)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import dense_convolution_matrix
@@ -10,6 +12,7 @@ from dpdsolve.linops import (
     make_average_kernel,
     make_convolution_operator,
     make_difference_operator,
+    scaled_norm,
 )
 from dpdsolve.prox import (
     pair_norms,
@@ -294,3 +297,53 @@ def test_quadratic_primal_prox_residual_guard_refuses_ill_conditioned_solves():
         prox_quadratic_primal(z, 1.0, K, K.adjoint(b), 1e20)
     # the same system at a moderate weight passes the guard
     prox_quadratic_primal(z, 1.0, K, K.adjoint(b), 1.0)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_quadratic_prox_checks_its_residual_at_pixel_scale_1e200(dense, monkeypatch):
+    # Squares of 1e200 overflow. Both norms of the residual check are
+    # scaled, so a correct solve passes and a perturbed one is refused,
+    # where unscaled norms made residual and tolerance both inf and the
+    # check passed whatever x was.
+    rng = np.random.default_rng(5)
+    m, n = 6, 8
+    kernel = make_average_kernel(3)
+    K = make_convolution_operator(kernel, m, n)
+    if dense:
+        K = MatrixOperator(dense_convolution_matrix(kernel.weights, m, n))
+    z = 1e200 * rng.standard_normal(m * n)
+    Ktb = K.adjoint(1e200 * rng.standard_normal(m * n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = prox_quadratic_primal(z, 0.5, K, Ktb, 2.0)
+        assert np.all(np.isfinite(x))
+        if dense:
+            solve = np.linalg.solve
+            monkeypatch.setattr(np.linalg, "solve",
+                                lambda a, b: solve(a, b) * (1.0 + 1e-6))
+        else:
+            def perturbed(rhs, w):
+                x = K.solve_shifted(rhs, w) * (1.0 + 1e-6)
+                return x, K._shifted_residual_norm(x, K._forward(rhs),
+                                                   w * K.power + 1.0)
+
+            monkeypatch.setattr(K, "solve_shifted_checked", perturbed)
+        with pytest.raises(NumericalFailureError):
+            prox_quadratic_primal(z, 0.5, K, Ktb, 2.0)
+
+
+def test_spectral_residual_norm_scales_with_its_input():
+    rng = np.random.default_rng(7)
+    K = _random_blur(rng, 6, 8)
+    x, rhs = rng.standard_normal(48), rng.standard_normal(48)
+    shift = 0.7 * K.power + 1.0
+    unit = K._shifted_residual_norm(x, K._forward(rhs), shift)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1e200, 1e-200):
+            big = K._shifted_residual_norm(scale * x, K._forward(scale * rhs), shift)
+            assert big == pytest.approx(scale * unit, rel=1e-12)
+    assert scaled_norm(np.zeros(3)) == 0.0
+    assert scaled_norm(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
+    assert scaled_norm(np.array([1.0, np.inf])) == np.inf
+    assert np.isnan(scaled_norm(np.array([1.0, np.nan])))

@@ -5,10 +5,11 @@ import types
 import numpy as np
 import pytest
 
-from dpdsolve import edpd
+from dpdsolve import edpd, ldpd
 from dpdsolve.bench import make_quadratic_saddle
 from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
 from dpdsolve.diagnostics import BOUND_SLACK
+from dpdsolve.errors import ContractViolationError
 from dpdsolve.imaging import (
     SaltPepperDeblurSpec,
     build_saltpepper_problem,
@@ -70,16 +71,44 @@ def test_snapshot_aggregates_are_computed_on_first_read_and_cached():
 
     def observer(snap):
         unread.append("x" not in vars(snap) and "y" not in vars(snap))
+        x = snap.x
+        assert snap.x is x
+        assert np.array_equal(x, snap.state.agg_num_x / snap.state.agg_den)
+        assert np.array_equal(snap.y, snap.state.agg_num_y / snap.state.agg_den)
         snaps.append(snap)
 
     result = edpd.run_edpd(problem, edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL),
                            np.zeros(problem.primal_dim),
                            np.zeros(problem.dual_dim), 6, observer)
     assert unread == [True] * 6
-    for snap in snaps:
-        x = snap.x
-        assert snap.x is x
-        assert np.array_equal(x, snap.state.agg_num_x / snap.state.agg_den)
-        assert np.array_equal(snap.y, snap.state.agg_num_y / snap.state.agg_den)
     assert np.array_equal(snaps[-1].x, result.x)
     assert np.array_equal(snaps[-1].y, result.y)
+
+
+@pytest.mark.parametrize("family", ["ldpd", "edpd"])
+def test_snapshot_aggregates_read_in_the_observer_stay_valid_after_the_run(family):
+    inst = make_quadratic_saddle(8, 5, seed=2, mu_g=0.4, lam=1.0)
+    problem = inst.problem
+    kept, expected, unread = [], [], []
+
+    def observer(snap):
+        if snap.t % 2:
+            kept.append((snap.x, snap.y))
+            expected.append((snap.state.agg_num_x / snap.state.agg_den,
+                             snap.state.agg_num_y / snap.state.agg_den))
+        else:
+            unread.append(snap)
+
+    if family == "ldpd":
+        ldpd.run_ldpd(problem, ldpd.LdpdRegime(ldpd.STRONGLY_CONVEX_DUAL),
+                      np.zeros(8), np.zeros(5), 6, observer)
+    else:
+        edpd.run_edpd(problem, edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL),
+                      np.zeros(8), np.zeros(5), 6, observer)
+    for (x, y), (ex, ey) in zip(kept, expected, strict=True):
+        assert np.array_equal(x, ex) and np.array_equal(y, ey)
+    # the run updates one state in place, so an aggregate first read
+    # after the run moved on would be another iteration's; it raises
+    with pytest.raises(ContractViolationError, match="iteration 2"):
+        unread[0].x
+    assert np.array_equal(unread[-1].x, unread[-1].state.aggregate_x)
