@@ -175,12 +175,14 @@ def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
     `state.yhat`, with the gradient of f taken at `gradient_point`.
     `alpha` extrapolates the new dual for the next iteration, `mu_g` is
     the dual smoothing weight and `weight` this iterate's weight in the
-    aggregate. Inside a run (`state.grad_ahead` set), once the new
-    iterate is accepted the step requests the next iteration's gradient,
-    so that f.grad runs while this dual half does, and the next step
-    takes it instead of calling f.grad. The first step of a run, and a
-    step outside a run, call f.grad themselves. Either way the
-    arithmetic, and so every bit of the result, is the same.
+    aggregate. In a run on a problem at or above the thread gate
+    (`state.grad_ahead` set), once the new iterate is accepted the step
+    requests the next iteration's gradient, so that f.grad runs on the
+    run's worker while this dual half does, and the next step takes it
+    instead of calling f.grad. The first step of such a run, every step
+    below the gate, and a step outside a run call f.grad themselves.
+    Either way the arithmetic, and so every bit of the result, is the
+    same.
     """
     if problem.f.grad is None:
         raise ConfigurationError(
@@ -196,7 +198,7 @@ def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
     state.x -= direction
     accept_primal(state, state.x, weight, direction)
     if ahead is not None:
-        ahead.request(state, state.t + 1, direction)
+        ahead.request(state, state.t, direction)
     return dual_step(state, problem, params.tau, alpha, mu_g, weight)
 
 

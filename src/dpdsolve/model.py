@@ -126,11 +126,13 @@ class IterationSnapshot:
     pair the convergence guarantees speak about; each is computed from
     `state` on first read and then cached, so an observer pays only for
     the aggregates it reads. They are fresh arrays, valid after the run,
-    but must first be read during the observer call: a first read once a
-    later iteration has completed raises ContractViolationError. `state` is
-    the run's live solver state, whose `x` and `y` are the newest raw
-    iterates; it must be treated as read-only, and its arrays are
-    updated in place, so they are valid only until the next step begins.
+    but must first be read during the observer call: a first read once
+    the next step has accepted its primal iterate (and so changed the
+    aggregates) raises ContractViolationError, also when that step then
+    failed. `state` is the run's live solver state, whose `x` and `y` are
+    the newest raw iterates; it must be treated as read-only, and its
+    arrays are updated in place, so they are valid only until the next
+    step begins.
     """
 
     t: int

@@ -20,10 +20,9 @@ gradient while the current dual half runs.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,9 +33,13 @@ from .model import Array, IterationSnapshot, Observer, SaddleProblem, SolverCons
 
 @dataclass
 class SolverState:
-    """Solver state after `t - 1` completed iterations.
+    """Solver state whose newest primal iterate `x` is iterate t.
 
-    `x` and `y` are the current iterates. `yhat` is the extrapolated
+    Between steps, `t - 1` iterations have completed and `x` and `y` are
+    the current iterates. A step advances `t` as soon as it accepts its
+    primal iterate, so after a step fails in its dual half `t` already
+    counts the new primal iterate (and the primal aggregate holds it),
+    while `y` is still the old one. `yhat` is the extrapolated
     dual point the next primal update sees; at initialization it is the
     dual start. The `agg_*` fields accumulate the weighted averages the
     guarantees speak about; the linearized family also takes its
@@ -48,8 +51,8 @@ class SolverState:
     prox step, `x`) is replaced by the step's new iterate. A run owns
     one state for all its iterations, so an array read from it is valid
     only until the next step begins; copy what must outlive that.
-    `grad_ahead` is set only inside a linearized run (see
-    `GradientAhead`).
+    `grad_ahead` is internal to a run: it is set only while a linearized
+    run at or above the thread gate is in progress (see `GradientAhead`).
     """
 
     t: int
@@ -59,7 +62,8 @@ class SolverState:
     agg_num_x: Array
     agg_num_y: Array
     agg_den: float
-    grad_ahead: Optional["GradientAhead"] = None
+    grad_ahead: Optional["GradientAhead"] = field(default=None, init=False,
+                                                  repr=False)
 
     @property
     def aggregate_x(self) -> Array:
@@ -100,14 +104,15 @@ def _add_weighted(acc: Array, v: Array, weight: float, scratch) -> None:
 
 def accept_primal(state: SolverState, x_next: Array, weight: float,
                   scratch: Optional[Array] = None) -> None:
-    """Make `x_next` the primal iterate t + 1 and add it to the primal
-    aggregate with weight `weight`. `scratch` is an optional primal-size
-    array the call may overwrite."""
+    """Make `x_next` the primal iterate t + 1, add it to the primal
+    aggregate with weight `weight`, and advance `t`. `scratch` is an
+    optional primal-size array the call may overwrite."""
     if not np.all(np.isfinite(x_next)):
         raise DivergenceError(f"primal iterate {state.t + 1} is not finite")
     state.x = x_next
     _add_weighted(state.agg_num_x, x_next, weight, scratch)
     state.agg_den += weight
+    state.t += 1
 
 
 def dual_step(state: SolverState, problem: SaddleProblem, tau: float,
@@ -116,21 +121,20 @@ def dual_step(state: SolverState, problem: SaddleProblem, tau: float,
 
     Applies the dual prox with step `tau` and smoothing weight `mu_g`,
     extrapolates the dual by `alpha`, adds the new dual iterate to the
-    running aggregate with weight `weight`, and advances `t`. The
-    operator's output serves as the prox input and then as scratch.
+    running aggregate with weight `weight`. The operator's output serves
+    as the prox input and then as scratch.
     """
     z = problem.A.apply(state.x)
     z *= tau
     z += state.y
     y_next = problem.g.prox(z, tau, mu_g)
     if not np.all(np.isfinite(y_next)):
-        raise DivergenceError(f"dual iterate {state.t + 1} is not finite")
+        raise DivergenceError(f"dual iterate {state.t} is not finite")
     np.subtract(y_next, state.y, out=state.yhat)
     state.yhat *= alpha
     state.yhat += y_next
     _add_weighted(state.agg_num_y, y_next, weight, z)
     state.y = y_next
-    state.t += 1
     return state
 
 
@@ -169,39 +173,23 @@ def primal_base_step(consts: SolverConsts) -> float:
 
 
 # A linearized run takes each next gradient on a second thread when the
-# problem has at least this many primal unknowns, and when its step asks
-# for it below. Handing a call over costs GIL switches, and the short
+# problem has at least this many primal unknowns; below, each step calls
+# f.grad itself. Handing a call over costs GIL switches, and the short
 # numpy calls of a small problem hold the GIL, so every hand-off waits.
 # deblur-gauss, ldpd, 200 iterations, medians of 6 runs on a 2-vCPU
 # Xeon VM, threaded against in line: 0.51 s against 0.24 s at 128 x 128,
 # 0.68 against 0.58 s at 192 x 192, 0.97 against 1.15 s at 256 x 256.
 # From there up, the FFT pair of an imaging gradient, which releases the
-# GIL, runs while the dual half does.
+# GIL, runs while the dual half does. The gate does not ask for a second
+# CPU: pinned to one (taskset -c 0), the threaded run was no slower,
+# medians of 6 alternating runs in process, 1.30 against 1.32 s at
+# 256 x 256 and 5.48 against 5.94 s at 512 x 512.
 GRAD_AHEAD_MIN_PRIMAL_DIM = 256 * 256
-
-
-@contextmanager
-def _gradient_worker(threaded: bool):
-    """Yield submit(fn, *args) -> a callable that returns fn(*args).
-
-    Threaded, the call starts at once on the one worker thread, which is
-    joined when the context exits, also on an error; otherwise it runs
-    when its result is asked for.
-    """
-    if not threaded:
-        yield functools.partial
-        return
-    # imported here: concurrent.futures adds about 10 ms to every import
-    # of the package, and only a threaded run needs it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield lambda fn, *args: pool.submit(fn, *args).result
 
 
 class GradientAhead:
     """The gradients of a linearized run, each requested one dual half
-    before the step that uses it.
+    before the step that uses it and taken on the run's worker thread.
 
     The gradient of iteration t + 1 is taken at a point (`point(state,
     params, out, scratch)`) that depends only on x_{t+1} and the primal
@@ -212,11 +200,11 @@ class GradientAhead:
     in the step that uses the gradient, as in the serial order.
     """
 
-    def __init__(self, problem: SaddleProblem, point, params: list, submit):
+    def __init__(self, problem: SaddleProblem, point, params: list, pool):
         self._problem = problem
         self._point = point
         self._params = params
-        self._submit = submit
+        self._pool = pool
         self._buf = np.empty(problem.primal_dim)
         self._pending = None
 
@@ -229,12 +217,37 @@ class GradientAhead:
         if t > len(self._params):
             return
         point = self._point(state, self._params[t - 1], self._buf, scratch)
-        self._pending = self._submit(self._problem.f.grad, point)
+        self._pending = self._pool.submit(self._problem.f.grad, point)
 
     def take(self) -> Optional[Array]:
         """The gradient requested last, or None when none is pending."""
         pending, self._pending = self._pending, None
-        return None if pending is None else pending()
+        return None if pending is None else pending.result()
+
+
+@contextmanager
+def _gradients_ahead(state: SolverState, problem: SaddleProblem, grad_point,
+                     params: list):
+    """Give `state` a GradientAhead for the body of the block when the run
+    takes gradient steps (`grad_point` given) on a problem with at least
+    GRAD_AHEAD_MIN_PRIMAL_DIM primal unknowns. On exit, also on an error,
+    the state drops it and the worker thread is joined. Otherwise the
+    block runs as it is: each step calls f.grad itself and no thread
+    starts.
+    """
+    if grad_point is None or problem.primal_dim < GRAD_AHEAD_MIN_PRIMAL_DIM:
+        yield
+        return
+    # imported here: concurrent.futures adds about 10 ms to every import
+    # of the package, and only a threaded run needs it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        state.grad_ahead = GradientAhead(problem, grad_point, params, pool)
+        try:
+            yield
+        finally:
+            state.grad_ahead = None
 
 
 @dataclass
@@ -310,9 +323,10 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
     grad_point : callable, optional
         For a family that takes gradient steps: grad_point(state, params,
         out, scratch) -> the point iteration t's gradient is taken at,
-        given its step sizes. The run then requests each gradient ahead
-        (see `GradientAhead`), on a worker thread when the problem has at
-        least GRAD_AHEAD_MIN_PRIMAL_DIM primal unknowns; f.grad is called
+        given its step sizes. When the problem has at least
+        GRAD_AHEAD_MIN_PRIMAL_DIM primal unknowns, the run requests each
+        gradient ahead on a worker thread (see `GradientAhead`); below
+        that, each step takes its own. Either way f.grad is called
         exactly `iters` times.
 
     The problem constants are read once; the whole schedule is built and
@@ -332,12 +346,7 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
                                     alpha_shift, mu_g)
     weights = [weight(regime, t, consts) for t in range(1, iters + 1)]
     state = init_state(x1, y1)
-    threaded = (grad_point is not None
-                and problem.primal_dim >= GRAD_AHEAD_MIN_PRIMAL_DIM)
-    with _gradient_worker(threaded) as submit:
-        if grad_point is not None:
-            state.grad_ahead = GradientAhead(problem, grad_point,
-                                             params[:iters], submit)
+    with _gradients_ahead(state, problem, grad_point, params[:iters]):
         for t in range(1, iters + 1):
             step(state, problem, params[t - 1],
                  params[t - 1 + alpha_shift].alpha, mu_gs[t - 1],
@@ -345,6 +354,5 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
             if observer is not None:
                 observer(IterationSnapshot(t=t, params=params[t - 1],
                                            state=state))
-    state.grad_ahead = None
     return RunResult(x=state.aggregate_x, y=state.aggregate_y, state=state,
                      params_history=params[:iters])

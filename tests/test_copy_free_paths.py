@@ -132,11 +132,10 @@ def grid_and_vectors(draw, out_factor):
 
 
 @st.composite
-def kernels(draw, m, n, allow_subnormal=True):
+def kernels(draw, m, n):
     kh = draw(st.sampled_from([h for h in (1, 3, 5) if h <= m]))
     kw = draw(st.sampled_from([w for w in (1, 3, 5) if w <= n]))
-    weights = st.floats(-2.0, 2.0, allow_subnormal=allow_subnormal)
-    return Kernel2D(draw(arrays(np.float64, (kh, kw), elements=weights)))
+    return Kernel2D(draw(arrays(np.float64, (kh, kw), elements=st.floats(-2.0, 2.0))))
 
 
 @SETTINGS
@@ -231,22 +230,38 @@ def test_saltpepper_dual_prox_matches_concatenated_blocks(data, shape, step, mu_
     assert_bitwise(g.prox(z, step, mu_g), expected)
 
 
-@SETTINGS
-@given(st.data(), shapes(), st.floats(0.1, 10.0))
-def test_adjoint_identities_hold_on_random_grids(data, shape, alpha):
-    m, n = shape
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    # A kernel of subnormal weights (5e-324, say) makes every product
-    # underflow, where rounding is absolute, so a tolerance relative to
-    # the norm bound cannot hold; the bitwise tests above draw them.
-    K = make_convolution_operator(data.draw(kernels(m, n, allow_subnormal=False)), m, n)
+def assert_adjoint_identities(kernel, m, n, alpha, rng):
+    K = make_convolution_operator(kernel, m, n)
     D = make_difference_operator(m, n)
     for A in (D, K, StackedOperator([(1.0, D), (alpha, K)])):
         x = rng.standard_normal(A.dims[0])
         y = rng.standard_normal(A.dims[1])
         lhs, rhs = A.apply(x) @ y, x @ A.adjoint(y)
         scale = A.norm_bound * np.linalg.norm(x) * np.linalg.norm(y)
-        assert abs(lhs - rhs) <= 1e-12 * scale
+        # Products of subnormal kernel weights round in absolute terms, so
+        # the relative tolerance can underflow to 0; the floor allows one
+        # smallest subnormal per product of the dense <Ax, y>.
+        floor = (A.dims[0] * A.dims[1] * np.finfo(float).smallest_subnormal
+                 * np.abs(x).max() * np.abs(y).max())
+        assert abs(lhs - rhs) <= max(1e-12 * scale, floor)
+
+
+@SETTINGS
+@given(st.data(), shapes(), st.floats(0.1, 10.0))
+def test_adjoint_identities_hold_on_random_grids(data, shape, alpha):
+    m, n = shape
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    assert_adjoint_identities(data.draw(kernels(m, n)), m, n, alpha, rng)
+
+
+@pytest.mark.parametrize("weights", [[[5e-324]], [[5e-324, -1e-323, 0.0]],
+                                     [[1e-310, 5e-324, 1.0]]])
+@pytest.mark.parametrize("shape", [(1, 1), (4, 3), (9, 12)])
+def test_adjoint_identities_hold_for_subnormal_kernels(weights, shape):
+    m, n = shape
+    weights = np.array(weights)[:, :n]
+    assert_adjoint_identities(Kernel2D(weights), m, n, 0.5,
+                              np.random.default_rng(5))
 
 
 @SETTINGS

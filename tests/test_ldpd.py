@@ -473,6 +473,44 @@ def test_dual_divergence_with_a_gradient_pending_surfaces_unchanged(monkeypatch,
                       list(range(1, k)))
 
 
+@pytest.mark.parametrize("gated", [True, False])
+@pytest.mark.parametrize("half", ["primal", "dual"])
+def test_a_stored_snapshot_after_a_divergence(monkeypatch, gated, half):
+    # Iteration 4 fails. A primal failure leaves the aggregates of
+    # iteration 3 as they were, so its snapshot still reads them; a dual
+    # failure has already added x_5 to the primal aggregate, so a first
+    # read then raises instead of mixing two iterations.
+    if gated:
+        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
+    inst = make_quadratic_saddle(8, 5, seed=27, mu_g=0.4, lam=1.0)
+    problem, regime = inst.problem, LdpdRegime(STRONGLY_CONVEX_DUAL)
+    expected = run_ldpd(problem, regime, np.zeros(8), np.zeros(5), 3)
+    oracle = problem.f if half == "primal" else problem.g
+    name = "grad" if half == "primal" else "prox"
+    inner, calls = getattr(oracle, name), []
+
+    def failing(*args):
+        calls.append(1)
+        out = inner(*args)
+        return np.full_like(out, np.nan) if len(calls) == 4 else out
+
+    setattr(oracle, name, failing)
+    snaps = []
+    with pytest.raises(DivergenceError, match=f"{half} iterate 5 is not finite"):
+        run_ldpd(problem, regime, np.zeros(8), np.zeros(5), 10,
+                 observer=snaps.append)
+    assert [s.t for s in snaps] == [1, 2, 3]
+    assert snaps[-1].state.grad_ahead is None
+    if half == "primal":
+        assert np.array_equal(snaps[-1].x, expected.x)
+        assert np.array_equal(snaps[-1].y, expected.y)
+    else:
+        with pytest.raises(ContractViolationError, match="iteration 3"):
+            snaps[-1].x
+        with pytest.raises(ContractViolationError, match="iteration 3"):
+            snaps[-1].y
+
+
 def test_problem_below_the_gate_starts_no_thread(monkeypatch):
     def no_threads(*args, **kwargs):
         raise AssertionError("a run below the gate started a worker")
