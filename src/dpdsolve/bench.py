@@ -77,12 +77,17 @@ def _problem_from_data(C, d, A, lam: float, mu_g: float,
         r = C @ x - d
         return 0.5 * float(r @ r) + 0.5 * lam * float(x @ x)
 
-    def f_grad(x):
-        return C.T @ (C @ x - d) + lam * x
+    # The oracles write into `out` when one is given, which may be their
+    # input: each reads it whole before the output is written.
+    def f_grad(x, out=None):
+        ridge = lam * x
+        out = np.matmul(C.T, C @ x - d, out=out)
+        out += ridge
+        return out
 
-    def f_prox(z, step):
+    def f_prox(z, step, out=None):
         # (step H + I)^{-1} (step C^T d + z)
-        return V @ ((V.T @ (step * Ctd + z)) / (step * eigs + 1.0))
+        return np.matmul(V, (V.T @ (step * Ctd + z)) / (step * eigs + 1.0), out=out)
 
     f = PrimalOracle(value=f_value, grad=f_grad, prox=f_prox,
                      lipschitz_L_f=L_f, mu_f=mu_f)
@@ -92,12 +97,12 @@ def _problem_from_data(C, d, A, lam: float, mu_g: float,
             return float("inf")
         return 0.5 * mu_g * float(y @ y)
 
-    def g_prox(z, step, mu_g):
-        out = z / (1.0 + step * mu_g)
+    def g_prox(z, step, mu_g, out=None):
+        out = np.divide(z, 1.0 + step * mu_g, out=out)
         if ball_radius is not None:
             nrm = np.linalg.norm(out)
             if nrm > ball_radius:
-                out = out * (ball_radius / nrm)
+                out *= ball_radius / nrm
         return out
 
     def g_grad(y):

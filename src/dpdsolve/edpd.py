@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
 from .model import Observer, SaddleProblem, SolverConsts
-from .solver import (RunResult, SolverState, accept_primal, dual_base_step,
-                     dual_step, primal_base_step, run)
+from .solver import (RunResult, SolverState, Workspace, accept_primal,
+                     dual_base_step, dual_step, primal_base_step, run)
 # The shared init under this family's public name.
 from .solver import init_state as init_edpd_state  # noqa: F401
 
@@ -94,19 +94,25 @@ def edpd_step(state: SolverState, problem: SaddleProblem, params: EdpdParams,
     The primal prox is taken against the extrapolated dual point
     `state.yhat`; `alpha` extrapolates the new dual for the next
     iteration, `mu_g` is the dual smoothing weight and `weight` this
-    iterate's weight in the running aggregate. The prox's result becomes
-    `state.x`.
+    iterate's weight in the running aggregate. The prox input is formed
+    in the run's spare primal buffer and the prox writes its result, the
+    new `state.x`, over it; the old iterate's buffer becomes the spare
+    (see `solver.Workspace`). A step outside a run makes a workspace of
+    its own.
     """
     if problem.f.prox is None:
         raise ConfigurationError(
             "this solver takes proximal primal steps; the oracle has no prox"
         )
+    work = state.work if state.work is not None else Workspace(problem)
     eta = params.eta
-    z = problem.A.adjoint(state.yhat)
+    z = work.adjoint(state.yhat, out=work.x)
     z *= eta
     np.subtract(state.x, z, out=z)
-    accept_primal(state, problem.f.prox(z, eta), weight, z)
-    return dual_step(state, problem, params.tau, alpha, mu_g, weight)
+    x_old = state.x
+    accept_primal(state, work.f_prox(z, eta, out=z), weight, x_old)
+    work.x = x_old
+    return dual_step(state, work, params.tau, alpha, mu_g, weight)
 
 
 def _edpd_weight(regime: EdpdRegime, t: int, consts: SolverConsts) -> float:

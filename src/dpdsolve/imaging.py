@@ -113,20 +113,22 @@ def build_gaussian_problem(spec: GaussianDeblurSpec) -> SaddleProblem:
     mu = float(spec.mu)
 
     def f_value(x):
-        r = K.apply(x) - b
+        r = K.apply(x)
+        r -= b
         return 0.5 * mu * float(r @ r)
 
     Ktb = K.adjoint(b)
 
-    def f_grad(x):
-        # K.gram returns a fresh array, so the rest happens in it
-        r = K.gram(x)
+    # The oracles write into `out` when one is given, which may be their
+    # input (K reads its input whole before it writes).
+    def f_grad(x, out=None):
+        r = K.gram(x, out=out)
         r -= Ktb
         r *= mu
         return r
 
-    def f_prox(z, step):
-        return prox_quadratic_primal(z, step, K, Ktb, mu)
+    def f_prox(z, step, out=None):
+        return prox_quadratic_primal(z, step, K, Ktb, mu, out=out)
 
     f = PrimalOracle(value=f_value, grad=f_grad, prox=f_prox,
                      lipschitz_L_f=mu * K.spectral_norm**2, mu_f=0.0)
@@ -158,13 +160,21 @@ def build_saltpepper_problem(spec: SaltPepperDeblurSpec) -> SaddleProblem:
     tilt = float(spec.alpha) * spec.observed.data
     mu_g0 = float(spec.mu_g0)
 
-    f = PrimalOracle(
-        value=lambda x: 0.0,
-        grad=lambda x: np.zeros_like(x),
-        prox=lambda z, step: np.asarray(z, dtype=float).copy(),
-        lipschitz_L_f=0.0,
-        mu_f=0.0,
-    )
+    def f_grad(x, out=None):
+        if out is None:
+            return np.zeros_like(x)
+        out.fill(0.0)
+        return out
+
+    def f_prox(z, step, out=None):
+        z = np.asarray(z, dtype=float)
+        if out is None:
+            return z.copy()
+        np.copyto(out, z)
+        return out
+
+    f = PrimalOracle(value=lambda x: 0.0, grad=f_grad, prox=f_prox,
+                     lipschitz_L_f=0.0, mu_f=0.0)
 
     def g_value(y):
         v, u = y[: 2 * mn], y[2 * mn :]
@@ -174,8 +184,10 @@ def build_saltpepper_problem(spec: SaltPepperDeblurSpec) -> SaddleProblem:
             return float("inf")
         return float(tilt @ u) + 0.5 * mu_g0 * float(y @ y)
 
-    def g_prox(z, step, mu_g):
-        out = np.empty(3 * mn)
+    def g_prox(z, step, mu_g, out=None):
+        # each block's prox reads its block whole first, so out may be z
+        if out is None:
+            out = np.empty(3 * mn)
         prox_smoothed_tv_dual(z[: 2 * mn], step, mu_g, out=out[: 2 * mn])
         prox_linear_plus_box(z[2 * mn :], step, tilt, mu_g=mu_g, out=out[2 * mn :])
         return out

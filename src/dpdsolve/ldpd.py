@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError
 from .model import Array, Observer, SaddleProblem, SolverConsts
-from .solver import (RunResult, SolverState, accept_primal, dual_base_step,
-                     dual_step, primal_base_step, run)
+from .solver import (RunResult, SolverState, Workspace, accept_primal,
+                     dual_base_step, dual_step, primal_base_step, run)
 # The shared init and reference aggregate under this family's public names.
 from .solver import aggregate_closed_form, init_state as init_ldpd_state  # noqa: F401
 
@@ -175,31 +175,39 @@ def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
     `state.yhat`, with the gradient of f taken at `gradient_point`.
     `alpha` extrapolates the new dual for the next iteration, `mu_g` is
     the dual smoothing weight and `weight` this iterate's weight in the
-    aggregate. In a run on a problem at or above the thread gate
-    (`state.grad_ahead` set), once the new iterate is accepted the step
+    aggregate. The step direction is formed in the run's spare primal
+    buffer, and the gradient in the run's gradient buffer (see
+    `solver.Workspace`); a step outside a run makes a workspace of its
+    own. In a run on a problem at or above the thread gate
+    (`state.work.ahead` set), once the new iterate is accepted the step
     requests the next iteration's gradient, so that f.grad runs on the
     run's worker while this dual half does, and the next step takes it
     instead of calling f.grad. The first step of such a run, every step
-    below the gate, and a step outside a run call f.grad themselves.
-    Either way the arithmetic, and so every bit of the result, is the
-    same.
+    below the gate (which forms the gradient point in the spare buffer
+    before the direction), and a step outside a run call f.grad
+    themselves. Either way the arithmetic, and so every bit of the
+    result, is the same.
     """
     if problem.f.grad is None:
         raise ConfigurationError(
             "this solver takes gradient steps; the primal oracle has no grad"
         )
-    ahead = state.grad_ahead
-    direction = problem.A.adjoint(state.yhat)
-    grad = None if ahead is None else ahead.take()
-    if grad is None:
-        grad = problem.f.grad(gradient_point(state, params))
+    work = state.work if state.work is not None else Workspace(problem, gradients=True)
+    ahead = work.ahead
+    if ahead is None:
+        point = gradient_point(state, params, work.x, work.grad)
+        grad = work.f_grad(point, out=work.grad)
+    # with a gradient pending, A* yhat runs while the worker finishes it
+    direction = work.adjoint(state.yhat, out=work.x)
+    if ahead is not None:
+        grad = ahead.take(state, params)
     np.add(grad, direction, out=direction)
     direction *= params.eta
     state.x -= direction
     accept_primal(state, state.x, weight, direction)
     if ahead is not None:
-        ahead.request(state, state.t, direction)
-    return dual_step(state, problem, params.tau, alpha, mu_g, weight)
+        ahead.request(state, state.t)
+    return dual_step(state, work, params.tau, alpha, mu_g, weight)
 
 
 def _ldpd_weight(regime: LdpdRegime, t: int, consts: SolverConsts) -> float:

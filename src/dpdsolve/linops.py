@@ -9,7 +9,10 @@ bound `norm_bound`.
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -19,36 +22,157 @@ from .errors import ContractViolationError
 
 Array = np.ndarray
 
+# Work that needs a temporary as large as an image forms it in blocks of
+# this many float64 entries (64 KiB). An image-sized temporary, freed at
+# once, leaves glibc's heap top large enough to be trimmed, and the next
+# call faults it back in: about 750 page faults per call on the 512 x 512
+# TV prox while a gradient ran on the other thread (150k of a run's 171k).
+BLOCK = 8192
+
+
+# The arrays a run keeps side by side (its state, its spare buffers, the
+# transform scratch) start at staggered offsets within a 4 KiB page.
+# Allocated plainly, large arrays all start at one offset (a page boundary,
+# or 16 bytes past the previous array's end), and an elementwise operation
+# between two of them stalls on 4K aliasing of its loads and stores: on a
+# 2-vCPU Xeon VM, np.add(a, b, out=b) on 512 x 512 vectors took 0.25 ms
+# with the offsets 16 bytes apart and 0.20 ms with them 256 or more apart.
+PLACEMENT_STEP = 448  # bytes, a multiple of the 64-byte cache line
+_placements = itertools.count()
+
+
+def staggered_empty(shape, dtype=float, order: str = "C") -> Array:
+    """np.empty(shape, dtype, order) whose data starts at the next of the
+    offsets 0, PLACEMENT_STEP, 2 PLACEMENT_STEP, ... modulo 4096."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(np.atleast_1d(shape)) * dtype.itemsize
+    base = np.empty(nbytes + 4096, dtype=np.uint8)
+    start = (next(_placements) * PLACEMENT_STEP - base.ctypes.data) % 4096
+    return base[start : start + nbytes].view(dtype).reshape(shape, order=order)
+
 
 class LinearOperator(Protocol):
     """Structural interface every coupling operator satisfies.
 
-    `apply` and `adjoint` return a fresh array, which the caller may
-    overwrite.
+    `apply` and `adjoint` write their result into `out` and return it
+    when `out` is given (a contiguous float64 vector of the output's
+    length); otherwise they return a fresh array, which the caller may
+    overwrite. The package's operators say whether `out` may share
+    memory with the input; the difference and stacked operators refuse
+    it. A call with `out=` allocates nothing image-sized: what scratch
+    it needs belongs to the calling thread and lives as long as the
+    operator. A user operator without `out=` still works: the solvers
+    call it without one and use the array it returns.
     """
 
     dims: tuple[int, int]
     norm_bound: float
 
-    def apply(self, x: Array) -> Array: ...
+    def apply(self, x: Array, out: Array | None = None) -> Array: ...
 
-    def adjoint(self, y: Array) -> Array: ...
+    def adjoint(self, y: Array, out: Array | None = None) -> Array: ...
 
 
-def _largest_modulus(v) -> float:
-    """max |v_i| of a real or complex array (0.0 when empty, nan when v
-    holds a nan)."""
-    return float(np.max(np.abs(v), initial=0.0))
+def takes_out(fn) -> bool:
+    """Whether `fn` can be called with an `out=` keyword."""
+    try:
+        param = inspect.signature(fn).parameters.get("out")
+    except (TypeError, ValueError):
+        return False
+    return param is not None and param.kind in (
+        inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+
+
+def with_out(fn):
+    """`fn` itself when it takes `out=`, else a wrapper that accepts and
+    drops it, so that a caller can pass `out=` either way and use the
+    array that comes back."""
+    if takes_out(fn):
+        return fn
+
+    def call(*args, out=None):
+        return fn(*args)
+
+    return call
+
+
+def output_vector(out, dim: int, x=None, same_ok: bool = False) -> Array:
+    """`out` checked to be a contiguous float64 vector of length `dim`,
+    or a fresh one when it is None. With `x` given, `out` must share no
+    memory with it, except, when `same_ok`, by being x entry for entry."""
+    if out is None:
+        return np.empty(dim)
+    if not (isinstance(out, np.ndarray) and out.shape == (dim,)
+            and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ContractViolationError(
+            f"out must be a contiguous float64 vector of length {dim}")
+    if x is not None and np.may_share_memory(out, x):
+        same = (isinstance(x, np.ndarray) and x.shape == out.shape
+                and x.strides == out.strides and x.ctypes.data == out.ctypes.data)
+        if not (same_ok and same):
+            raise ContractViolationError(
+                "out may be the input itself but must not otherwise share memory "
+                "with it" if same_ok else "out must not share memory with the input")
+    return out
+
+
+def _largest_component(v: Array) -> float:
+    """max |v_i| of a flat real array (0.0 when empty, nan when v holds a
+    nan), without a temporary."""
+    if v.size == 0:
+        return 0.0
+    return max(float(np.max(v)), -float(np.min(v)))
+
+
+def _sum_of_scaled_squares(v: Array, scale: float) -> float:
+    """sum (v_i / scale)^2 over a flat real array, in blocks."""
+    buf = np.empty(min(v.size, BLOCK))
+    total = 0.0
+    for lo in range(0, v.size, BLOCK):
+        b = np.divide(v[lo : lo + BLOCK], scale, out=buf[: min(BLOCK, v.size - lo)])
+        total += float(b @ b)
+    return total
+
+
+def _real_entries(v) -> Array:
+    """The entries of a real or complex array as a flat float64 array (a
+    complex entry gives its real and imaginary parts); a view when v is
+    contiguous."""
+    v = np.asarray(v)
+    if v.dtype.kind != "c":
+        v = np.asarray(v, dtype=float)
+    flat = v.reshape(-1, order="F" if v.flags.f_contiguous else "C")
+    if flat.dtype.kind == "c":
+        flat = np.ascontiguousarray(flat).view(np.float64)
+    return flat
 
 
 def scaled_norm(v) -> float:
     """Euclidean norm of a real or complex array, taken of v divided by
-    its largest modulus, so that no square overflows or underflows. A
-    non-finite entry gives inf or nan."""
-    scale = _largest_modulus(v)
+    its largest real or imaginary part, so that no square overflows or
+    underflows. A non-finite entry gives inf or nan."""
+    flat = _real_entries(v)
+    scale = _largest_component(flat)
     if scale == 0.0 or not math.isfinite(scale):
         return scale
-    return scale * float(np.linalg.norm(v / scale))
+    return scale * math.sqrt(_sum_of_scaled_squares(flat, scale))
+
+
+class _ThreadScratch:
+    """Scratch arrays that belong to the calling thread, each made on its
+    first use there. An operator's calls may run on several threads at
+    once (README: no shared mutable scratch), and a thread's arrays go
+    with it."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def get(self, key: str, shape, dtype=float) -> Array:
+        arrays = self._local.__dict__
+        a = arrays.get(key)
+        if a is None:
+            a = arrays[key] = staggered_empty(shape, dtype, order="F")
+        return a
 
 
 def _as_vector(x, dim: int, label: str) -> Array:
@@ -134,15 +258,21 @@ class MatrixOperator:
         self.norm_bound = float(np.linalg.norm(M, 2)) if M.size else 0.0
         self.spectral_norm = self.norm_bound
 
-    def apply(self, x) -> Array:
-        return self.matrix @ _as_vector(x, self.dims[0], "input")
+    # numpy's matmul copies an input that overlaps its output, so `out`
+    # may be the input itself.
+    def apply(self, x, out=None) -> Array:
+        return np.matmul(self.matrix, _as_vector(x, self.dims[0], "input"),
+                         out=output_vector(out, self.dims[1]))
 
-    def adjoint(self, y) -> Array:
-        return self.matrix.T @ _as_vector(y, self.dims[1], "input")
+    def adjoint(self, y, out=None) -> Array:
+        return np.matmul(self.matrix.T, _as_vector(y, self.dims[1], "input"),
+                         out=output_vector(out, self.dims[0]))
 
-    def gram(self, x) -> Array:
+    def gram(self, x, out=None) -> Array:
         """M^T M x."""
-        return self.matrix.T @ (self.matrix @ _as_vector(x, self.dims[0], "input"))
+        return np.matmul(self.matrix.T,
+                         self.matrix @ _as_vector(x, self.dims[0], "input"),
+                         out=output_vector(out, self.dims[0]))
 
 
 def identity_operator(dim: int) -> MatrixOperator:
@@ -168,10 +298,10 @@ class DifferenceOperator2D:
         # exactly on grids with even side lengths.
         self.norm_bound = math.sqrt(8.0)
 
-    def apply(self, x) -> Array:
+    def apply(self, x, out=None) -> Array:
         x = _as_vector(x, self.dims[0], "input")
         m, mn = self.m, self.m * self.n
-        out = np.empty(2 * mn)
+        out = output_vector(out, 2 * mn, x)
         dv, dh = out[:mn], out[mn:]
         # Vertical: the neighbour below is the next flat entry, except in
         # each column's last row, which wraps to the column's first.
@@ -183,17 +313,27 @@ class DifferenceOperator2D:
         np.subtract(x[:m], x[mn - m :], out=dh[mn - m :])
         return out
 
-    def adjoint(self, y) -> Array:
+    def adjoint(self, y, out=None) -> Array:
         y = _as_vector(y, self.dims[1], "input")
         m, mn = self.m, self.m * self.n
         v, h = y[:mn], y[mn:]
-        out = np.empty(mn)
+        out = output_vector(out, mn, y)
         np.subtract(v[:-1], v[1:], out=out[1:])
         np.subtract(v[m - 1 :: m], v[::m], out=out[::m])
-        part = np.empty(mn)
-        np.subtract(h[:-m], h[m:], out=part[m:])
-        np.subtract(h[mn - m :], h[:m], out=part[:m])
-        out += part
+        # out += the horizontal part h[i - m] - h[i] (indices mod mn, so
+        # the first column wraps to the last), formed in blocks
+        part = np.empty(min(mn, BLOCK))
+        for lo in range(0, mn, BLOCK):
+            hi = min(lo + BLOCK, mn)
+            p = part[: hi - lo]
+            wrap = min(hi, m)
+            if lo < wrap:
+                np.subtract(h[mn - m + lo : mn - m + wrap], h[lo:wrap],
+                            out=p[: wrap - lo])
+            start = max(lo, m)
+            if start < hi:
+                np.subtract(h[start - m : hi - m], h[start:hi], out=p[start - lo :])
+            out[lo:hi] += p
         return out
 
 
@@ -207,6 +347,12 @@ class ConvolutionOperator2D:
     spectrum of K*K. `norm_bound` is the absolute weight sum, which
     always dominates the true operator norm; `spectral_norm` is the exact
     norm read off the kernel's transfer function.
+
+    Every method reads its input whole into a spectrum before it writes
+    its output, so `out` may be the input itself. A call with `out=`
+    forms its spectra in scratch arrays of the calling thread, kept for
+    the operator's lifetime; a call without allocates them and keeps
+    nothing.
     """
 
     def __init__(self, kernel: Kernel2D, m: int, n: int):
@@ -230,77 +376,112 @@ class ConvolutionOperator2D:
         # The half-spectrum holds every modulus of the full one, because
         # the spectrum of a real kernel is conjugate-symmetric.
         self.spectral_norm = float(np.max(np.abs(self.spectrum)))
+        self._scratch = _ThreadScratch()
 
-    def _forward(self, x) -> Array:
+    def _spectrum_array(self, out, slot: str = "S") -> Array:
+        """Where a call forms a spectrum: this thread's scratch array
+        `slot` when the call writes into `out`, else a fresh array."""
+        shape = (self.m // 2 + 1, self.n)
+        if out is None:
+            return np.empty(shape, dtype=complex, order="F")
+        return self._scratch.get(slot, shape, complex)
+
+    def _forward(self, x, S=None) -> Array:
         """The half-spectrum of x: the real transform down the columns,
-        then the full transform along the rows, both into one fresh
-        column-major array."""
+        then the full transform along the rows, both into S (a fresh
+        column-major array when S is None)."""
         X = _to_grid(_as_vector(x, self.dims[0], "input"), self.m, self.n)
-        S = np.empty((self.m // 2 + 1, self.n), dtype=complex, order="F")
+        if S is None:
+            S = self._spectrum_array(None)
         np.fft.rfft(X, axis=0, out=S)
         return np.fft.fft(S, axis=1, out=S)
 
-    def _inverse(self, S: Array) -> Array:
-        """The real vector whose half-spectrum is S; S is overwritten."""
+    def _inverse(self, S: Array, out=None) -> Array:
+        """The real vector whose half-spectrum is S, in `out` (or a fresh
+        vector); S is overwritten."""
         np.fft.ifft(S, axis=1, out=S)
-        out = np.empty((self.m, self.n), order="F")
-        np.fft.irfft(S, n=self.m, axis=0, out=out)
-        return _to_vector(out)
+        out = output_vector(out, self.dims[0])
+        np.fft.irfft(S, n=self.m, axis=0, out=_to_grid(out, self.m, self.n))
+        return out
 
-    def apply(self, x) -> Array:
-        S = self._forward(x)
+    def _shift_blocks(self, w: float, *spectra):
+        """Blocks of w power + 1, each with the matching blocks of the
+        given spectra, all flat in column-major order."""
+        power = self.power.reshape(-1, order="F")
+        flats = [S.reshape(-1, order="F") for S in spectra]
+        shift = np.empty(min(power.size, BLOCK))
+        for lo in range(0, power.size, BLOCK):
+            hi = min(lo + BLOCK, power.size)
+            block = np.multiply(power[lo:hi], w, out=shift[: hi - lo])
+            block += 1.0
+            yield (block, *(f[lo:hi] for f in flats))
+
+    def apply(self, x, out=None) -> Array:
+        S = self._forward(x, self._spectrum_array(out))
         S *= self.spectrum
-        return self._inverse(S)
+        return self._inverse(S, out)
 
-    def adjoint(self, y) -> Array:
-        S = self._forward(y)
-        S *= np.conj(self.spectrum)
-        return self._inverse(S)
+    def adjoint(self, y, out=None) -> Array:
+        S = self._forward(y, self._spectrum_array(out))
+        # S *= conj(spectrum), with the conjugate formed in blocks
+        flat, spectrum = S.reshape(-1, order="F"), self.spectrum.reshape(-1, order="F")
+        step = BLOCK // 2  # complex entries in 64 KiB
+        conj = np.empty(min(flat.size, step), dtype=complex)
+        for lo in range(0, flat.size, step):
+            hi = min(lo + step, flat.size)
+            flat[lo:hi] *= np.conjugate(spectrum[lo:hi], out=conj[: hi - lo])
+        return self._inverse(S, out)
 
-    def gram(self, x) -> Array:
+    def gram(self, x, out=None) -> Array:
         """K*K x, with one transform pair."""
-        S = self._forward(x)
+        S = self._forward(x, self._spectrum_array(out))
         S *= self.power
-        return self._inverse(S)
+        return self._inverse(S, out)
 
-    def solve_shifted(self, rhs, w: float) -> Array:
+    def solve_shifted(self, rhs, w: float, out=None) -> Array:
         """The x with (w K*K + I) x = rhs, a division in the transform
         domain."""
-        S = self._forward(rhs)
-        S /= w * self.power + 1.0
-        return self._inverse(S)
+        S = self._forward(rhs, self._spectrum_array(out))
+        for shift, s in self._shift_blocks(w, S):
+            s /= shift
+        return self._inverse(S, out)
 
-    def solve_shifted_checked(self, rhs, w: float) -> tuple[Array, float]:
+    def solve_shifted_checked(self, rhs, w: float, out=None) -> tuple[Array, float]:
         """`solve_shifted(rhs, w)` and the norm of its residual
         (w K*K + I) x - rhs, with three transforms: F(rhs) is kept from
-        the solve and reused by the check."""
-        R = self._forward(rhs)
-        shift = w * self.power + 1.0
-        x = self._inverse(R / shift)
-        return x, self._shifted_residual_norm(x, R, shift)
+        the solve and reused by the check. A call with `out=` keeps F(rhs)
+        in a second scratch array of the calling thread."""
+        R = self._forward(rhs, self._spectrum_array(out, "R"))
+        S = self._spectrum_array(out)
+        for shift, r, s in self._shift_blocks(w, R, S):
+            np.divide(r, shift, out=s)
+        x = self._inverse(S, out)
+        return x, self._shifted_residual_norm(x, R, w, S)
 
-    def _shifted_residual_norm(self, x, R: Array, shift: Array) -> float:
-        """||(w K*K + I) x - rhs|| from R = F(rhs) and shift = w power + 1.
+    def _shifted_residual_norm(self, x, R: Array, w: float, E=None) -> float:
+        """||(w K*K + I) x - rhs|| from R = F(rhs), with E (or a fresh
+        array) as the spectrum's scratch.
 
-        The residual's half-spectrum is shift F(x) - R. By Parseval its
-        squared moduli give the real-domain norm: each row counts twice,
-        for its conjugate partner, except row 0 and, for even m, row m/2,
-        and the sum is divided by m n. The moduli are divided by the
-        largest one before they are squared, as in `scaled_norm`.
+        The residual's half-spectrum is (w power + 1) F(x) - R. By
+        Parseval its squared moduli give the real-domain norm: each row
+        counts twice, for its conjugate partner, except row 0 and, for
+        even m, row m/2, and the sum is divided by m n. The parts are
+        divided by the largest one before they are squared, as in
+        `scaled_norm`.
         """
-        E = self._forward(x)
-        E *= shift
-        E -= R
-        scale = _largest_modulus(E)
+        E = self._forward(x, E)
+        for shift, e, r in self._shift_blocks(w, E, R):
+            e *= shift
+            e -= r
+        parts = _real_entries(E)
+        scale = _largest_component(parts)
         if scale == 0.0 or not math.isfinite(scale):
             return scale
-        E /= scale
-        rows = (E.real * E.real + E.imag * E.imag).sum(axis=1)
-        weights = np.full(rows.size, 2.0)
-        weights[0] = 1.0
+        total = 2.0 * _sum_of_scaled_squares(parts, scale)
+        total -= _sum_of_scaled_squares(_real_entries(E[0]), scale)
         if self.m % 2 == 0:
-            weights[-1] = 1.0
-        return scale * math.sqrt(float(weights @ rows) / (self.m * self.n))
+            total -= _sum_of_scaled_squares(_real_entries(E[-1]), scale)
+        return scale * math.sqrt(max(total, 0.0) / (self.m * self.n))
 
 
 class StackedOperator:
@@ -319,36 +500,52 @@ class StackedOperator:
         self.dims = (in_dims.pop(), sum(op.dims[1] for _, op in parts))
         # hypot, because squaring a large weight overflows a float
         self.norm_bound = math.hypot(*(s * op.norm_bound for s, op in parts))
+        # each part's calls, taking `out=` whether or not the part does
+        self._calls = [(s, with_out(op.apply), with_out(op.adjoint), op.dims[1])
+                       for s, op in parts]
+        self._scratch = _ThreadScratch()
 
-    def apply(self, x) -> Array:
+    def apply(self, x, out=None) -> Array:
+        """Each part's block, scaled, in its slice of one output; `out`
+        must not share memory with x."""
         x = _as_vector(x, self.dims[0], "input")
-        out = np.empty(self.dims[1])
+        out = output_vector(out, self.dims[1], x)
         offset = 0
-        for s, op in self.parts:
-            block = out[offset : offset + op.dims[1]]
-            if s == 1.0:
-                block[:] = op.apply(x)
-            else:
-                np.multiply(op.apply(x), s, out=block)
-            offset += op.dims[1]
+        for s, apply, _, dim in self._calls:
+            block = out[offset : offset + dim]
+            part = apply(x, out=block)
+            if s != 1.0:
+                np.multiply(part, s, out=block)
+            elif part is not block:
+                block[...] = part
+            offset += dim
         return out
 
-    def adjoint(self, y) -> Array:
+    def adjoint(self, y, out=None) -> Array:
+        """The sum of the parts' scaled adjoints, added in order to a sum
+        that starts from zero (so a -0.0 entry of the first becomes
+        +0.0). With `out=`, which must not share memory with y, each part
+        after the first is formed in a scratch vector of the calling
+        thread."""
         y = _as_vector(y, self.dims[1], "input")
-        out = None
+        in_dim = self.dims[0]
+        scratch = None
+        if out is not None and len(self._calls) > 1:
+            scratch = self._scratch.get("part", in_dim)
+        out = output_vector(out, in_dim, y)
         offset = 0
-        for s, op in self.parts:
-            part = op.adjoint(y[offset : offset + op.dims[1]])
+        for i, (s, _, adjoint, dim) in enumerate(self._calls):
+            target = out if i == 0 else scratch
+            part = adjoint(y[offset : offset + dim], out=target)
             if s != 1.0:
                 part *= s
-            if out is None:
-                # 0.0 + part, as a sum that starts from zeros has it:
-                # a -0.0 entry becomes +0.0.
-                out = part
+            if i == 0:
+                if part is not out:
+                    out[...] = part
                 out += 0.0
             else:
                 out += part
-            offset += op.dims[1]
+            offset += dim
         return out
 
 

@@ -39,6 +39,12 @@ class PrimalOracle:
 
     `lipschitz_L_f` bounds the gradient's Lipschitz constant and `mu_f`
     understates the strong convexity modulus; both may be zero.
+
+    `grad` and `prox` may take an `out=` keyword. A run then passes a
+    buffer it owns and uses what comes back, which must be that buffer
+    or a fresh array: `prox(z, step, out=z)` writes over its own input,
+    `grad(x, out=g)` gets a `g` that does not overlap x. Without `out`
+    they are called as `grad(x)` and `prox(z, step)`.
     """
 
     value: Callable[[Array], float]
@@ -66,7 +72,10 @@ class DualProxOracle:
     continuation run, the weight of the current iteration. `value`
     returns the function value at the declared `mu_g` and may be +inf
     outside g's domain. `mu_g` understates g's strong convexity modulus.
-    `grad` is optional and only needed by stationarity checks.
+    `grad` is optional and only needed by stationarity checks. `prox`
+    may take an `out=` keyword; a run then calls `prox(z, step, mu_g,
+    out=z)`, so it must allow its output to be its input, and uses the
+    array that comes back.
     """
 
     prox: Callable[[Array, float, float], Array]
@@ -130,9 +139,10 @@ class IterationSnapshot:
     the next step has accepted its primal iterate (and so changed the
     aggregates) raises ContractViolationError, also when that step then
     failed. `state` is the run's live solver state, whose `x` and `y` are
-    the newest raw iterates; it must be treated as read-only, and its
-    arrays are updated in place, so they are valid only until the next
-    step begins.
+    the newest raw iterates; it must be treated as read-only. Its arrays
+    are updated in place or handed back to the run as spare buffers (the
+    replaced `y`, and after a prox step the replaced `x`, are the next
+    step's scratch), so they are valid only until the next step begins.
     """
 
     t: int

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linops import ConvolutionOperator2D, MatrixOperator, scaled_norm
+from .linops import (BLOCK, ConvolutionOperator2D, MatrixOperator, output_vector,
+                     scaled_norm)
 
 Array = np.ndarray
 
@@ -26,12 +27,14 @@ def pair_norms(y) -> Array:
     return np.hypot(a, b)
 
 
-# project_ball2_pairs squares the second coordinates in blocks of this
-# many pairs. A temporary as large as the input, freed at once, left
-# glibc's heap top large enough to be trimmed, and the next call faulted
-# it back in: about 750 page faults per call on the 512 x 512 TV prox
-# while a gradient ran on the other thread (150k of a run's 171k).
-SQUARE_BLOCK = 8192
+# project_ball2_pairs, prox_linear_plus_box and prox_quadratic_primal
+# form their temporaries in blocks of this many entries (see linops.BLOCK).
+SQUARE_BLOCK = BLOCK
+
+
+def _blocks(size: int):
+    for lo in range(0, size, SQUARE_BLOCK):
+        yield slice(lo, min(lo + SQUARE_BLOCK, size))
 
 
 def project_ball2_pairs(y, out=None) -> Array:
@@ -40,30 +43,35 @@ def project_ball2_pairs(y, out=None) -> Array:
     The two halves of the input hold the first and second coordinates of
     the pairs, matching the block layout of the difference operator.
     Pairs already inside the disk pass through unchanged. The result is
-    a new array, or `out` when one is given, which may be `y` itself.
+    a new array, or `out` when one is given, which may be `y` itself but
+    must not otherwise share memory with it. The pairs are projected in
+    blocks of `SQUARE_BLOCK`, each block of `out` written after the same
+    block of y is read, so no image-sized temporary is made.
     """
     a, b = _pair_split(y)
-    square = np.empty(min(a.size, SQUARE_BLOCK))
+    out = output_vector(out, 2 * a.size, y, same_ok=True)
+    out_a, out_b = out[: a.size], out[a.size :]
+    size = min(a.size, SQUARE_BLOCK)
+    norms, square = np.empty(size), np.empty(size)
     with np.errstate(over="ignore"):
-        norms = a * a
-        for lo in range(0, a.size, SQUARE_BLOCK):
-            block = b[lo : lo + SQUARE_BLOCK]
-            norms[lo : lo + SQUARE_BLOCK] += np.multiply(
-                block, block, out=square[: block.size])
-    np.sqrt(norms, out=norms)
-    overflowed = np.isinf(norms)
-    if overflowed.any():
-        norms[overflowed] = np.hypot(a[overflowed], b[overflowed])
-    np.maximum(norms, 1.0, out=norms)
-    if out is None:
-        out = np.empty(2 * a.size)
-    np.divide(a, norms, out=out[: a.size])
-    np.divide(b, norms, out=out[a.size :])
+        for blk in _blocks(a.size):
+            pa, pb, nb = a[blk], b[blk], norms[: blk.stop - blk.start]
+            np.multiply(pa, pa, out=nb)
+            nb += np.multiply(pb, pb, out=square[: nb.size])
+            np.sqrt(nb, out=nb)
+            # fmax skips a nan norm, so that an overflowed one is never missed
+            if np.fmax.reduce(nb) == np.inf:
+                overflowed = np.isinf(nb)
+                nb[overflowed] = np.hypot(pa[overflowed], pb[overflowed])
+            np.maximum(nb, 1.0, out=nb)
+            np.divide(pa, nb, out=out_a[blk])
+            np.divide(pb, nb, out=out_b[blk])
     return out
 
 
 def project_box(u, lo: float, hi: float, out=None) -> Array:
-    """Componentwise clamp to [lo, hi], into `out` when one is given."""
+    """Componentwise clamp to [lo, hi], into `out` when one is given
+    (which may be u itself)."""
     if lo > hi:
         raise ContractViolationError(f"empty box: lo={lo} > hi={hi}")
     return np.clip(np.asarray(u, dtype=float), lo, hi, out=out)
@@ -75,31 +83,47 @@ def prox_smoothed_tv_dual(z, step: float, mu_g: float, out=None) -> Array:
     The quadratic shrinks the point toward the origin by 1 / (1 + step *
     mu_g) and the indicator then projects each pair onto the unit disk;
     the order matters and this composition is the exact minimizer.
-    The result goes into `out` when one is given; the shrunk point is
-    formed there and projected in place.
+    The result goes into `out` when one is given, which may be z itself;
+    the shrunk point is formed there and projected in place.
     """
     if step < 0.0 or mu_g < 0.0:
         raise ContractViolationError("step and mu_g must be nonnegative")
     z = np.asarray(z, dtype=float)
+    if out is not None:
+        output_vector(out, z.size, z, same_ok=True)
     u = np.divide(z, step * mu_g + 1.0, out=out)
     return project_ball2_pairs(u, out=u)
 
 
 def prox_linear_plus_box(z, step: float, c, mu_g: float = 0.0, out=None) -> Array:
     """Prox of <c, u> plus the [-1, 1] box indicator, optionally plus
-    (mu_g / 2) ||u||^2. The result goes into `out` when one is given."""
+    (mu_g / 2) ||u||^2. The result goes into `out` when one is given,
+    which may be z itself; step c is formed in blocks."""
     if step < 0.0 or mu_g < 0.0:
         raise ContractViolationError("step and mu_g must be nonnegative")
     z = np.asarray(z, dtype=float)
     c = np.asarray(c, dtype=float)
     if c.shape != z.shape:
         raise ContractViolationError("linear coefficient must match the point shape")
-    u = z - step * c
-    u /= step * mu_g + 1.0
-    return project_box(u, -1.0, 1.0, out=out)
+    out = output_vector(out, z.size, z, same_ok=True)
+    tilt = np.empty(min(z.size, SQUARE_BLOCK))
+    for blk in _blocks(z.size):
+        np.subtract(z[blk], np.multiply(c[blk], step, out=tilt[: blk.stop - blk.start]),
+                    out=out[blk])
+    out /= step * mu_g + 1.0
+    return project_box(out, -1.0, 1.0, out=out)
 
 
-def prox_quadratic_primal(z, step: float, K, Ktb, mu: float) -> Array:
+def _scaled_plus(v: Array, w: float, z: Array, out: Array) -> Array:
+    """out = w v + z, with w v formed in blocks; out may be z."""
+    scaled = np.empty(min(z.size, SQUARE_BLOCK))
+    for blk in _blocks(z.size):
+        np.add(np.multiply(v[blk], w, out=scaled[: blk.stop - blk.start]), z[blk],
+               out=out[blk])
+    return out
+
+
+def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
     """Exact prox of x -> (mu / 2) ||K x - b||^2 at z with the given step.
 
     Takes `Ktb` = K* b, fixed for a problem, rather than b, and solves
@@ -112,12 +136,20 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float) -> Array:
     neither overflows at large pixel values. A convolution checks its
     residual in the transform domain, by Parseval, so the call takes
     three real transforms; a dense operator applies its own K*K.
+
+    With `out` given, which may be z itself, the right-hand side is
+    formed there in blocks and x written over it, and a convolution
+    keeps its spectra in its scratch arrays (see
+    `ConvolutionOperator2D`), so the call allocates nothing image-sized.
     """
     if step < 0.0 or mu < 0.0:
         raise ContractViolationError("step and mu must be nonnegative")
     z = np.asarray(z, dtype=float)
     if mu == 0.0 or step == 0.0:
-        return z.copy()
+        if out is None:
+            return z.copy()
+        np.copyto(output_vector(out, z.size, z, same_ok=True), z)
+        return out
     if not isinstance(K, (ConvolutionOperator2D, MatrixOperator)):
         raise ContractViolationError(
             "quadratic prox supports circular convolution and dense operators only"
@@ -126,15 +158,20 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float) -> Array:
     if z.shape != (K.dims[0],) or Ktb.shape != (K.dims[0],):
         raise ContractViolationError("point or K* b shape does not match K")
     w = mu * step
-    rhs = w * Ktb + z
+    given = out is not None
+    rhs = _scaled_plus(Ktb, w, z, output_vector(out, z.size, z, same_ok=True))
+    tolerance = 1e-10 * (1.0 + scaled_norm(rhs))
     if isinstance(K, ConvolutionOperator2D):
-        x, residual = K.solve_shifted_checked(rhs, w)
+        x, residual = K.solve_shifted_checked(rhs, w, out=rhs if given else None)
     else:
         M = K.matrix
         x = np.linalg.solve(w * (M.T @ M) + np.eye(K.dims[0]), rhs)
         residual = scaled_norm(w * K.gram(x) + x - rhs)
+        if given:
+            np.copyto(rhs, x)
+            x = rhs
     # `not <=`, so that a nan residual is refused too
-    if not residual <= 1e-10 * (1.0 + scaled_norm(rhs)):
+    if not residual <= tolerance:
         raise NumericalFailureError(
             "quadratic prox residual exceeds tolerance; the system is too "
             "ill-conditioned for a reliable solve"

@@ -11,10 +11,11 @@ extrapolates the dual for the next iteration:
 The two families differ only in the primal update, their step-size
 schedules, their aggregation weights, and which schedule entry supplies
 alpha. This module holds everything else: the state record a run
-updates in place, the primal bookkeeping and the dual half of the step,
-the run loop, which builds and validates the whole schedule before the
-first iteration, and the pipeline that takes a linearized run's next
-gradient while the current dual half runs.
+updates in place, the buffers and oracle calls a run owns, the primal
+bookkeeping and the dual half of the step, the run loop, which builds
+and validates the whole schedule before the first iteration, and the
+pipeline that takes a linearized run's next gradient while the current
+dual half runs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
+from .linops import staggered_empty, with_out
 from .model import Array, IterationSnapshot, Observer, SaddleProblem, SolverConsts
 
 
@@ -48,11 +50,14 @@ class SolverState:
 
     A step updates the state in place and returns it: `x`, `yhat` and
     the `agg_num_*` accumulators are written over, and `y` (and, after a
-    prox step, `x`) is replaced by the step's new iterate. A run owns
-    one state for all its iterations, so an array read from it is valid
-    only until the next step begins; copy what must outlive that.
-    `grad_ahead` is internal to a run: it is set only while a linearized
-    run at or above the thread gate is in progress (see `GradientAhead`).
+    prox step, `x`) is replaced by the step's new iterate, formed in a
+    spare buffer; the replaced array becomes the next spare and is
+    overwritten by the next step. A run owns one state for all its
+    iterations, so an array read from it is valid only until the next
+    step begins; copy what must outlive that. `work` is internal to a
+    run: it holds the run's spare buffers and is set only while the run
+    is in progress (see `Workspace`); the state a run returns holds no
+    spare.
     """
 
     t: int
@@ -62,8 +67,7 @@ class SolverState:
     agg_num_x: Array
     agg_num_y: Array
     agg_den: float
-    grad_ahead: Optional["GradientAhead"] = field(default=None, init=False,
-                                                  repr=False)
+    work: Optional["Workspace"] = field(default=None, init=False, repr=False)
 
     @property
     def aggregate_x(self) -> Array:
@@ -80,34 +84,70 @@ class SolverState:
 
 def init_state(x1, y1) -> SolverState:
     """Fresh state at t = 1 with the extrapolated dual point seeded at
-    the dual start. The state owns copies of x1 and y1."""
-    x1 = np.asarray(x1, dtype=float).copy()
-    y1 = np.asarray(y1, dtype=float).copy()
-    return SolverState(
-        t=1,
-        x=x1,
-        y=y1,
-        yhat=y1.copy(),
-        agg_num_x=np.zeros_like(x1),
-        agg_num_y=np.zeros_like(y1),
-        agg_den=0.0,
-    )
+    the dual start. The state owns copies of x1 and y1, each array at its
+    own offset within a page (see `linops.staggered_empty`)."""
+    x1 = np.asarray(x1, dtype=float)
+    y1 = np.asarray(y1, dtype=float)
+    x, agg_num_x = staggered_empty(x1.shape), staggered_empty(x1.shape)
+    y, yhat, agg_num_y = (staggered_empty(y1.shape) for _ in range(3))
+    x[...], y[...], yhat[...] = x1, y1, y1
+    agg_num_x.fill(0.0)
+    agg_num_y.fill(0.0)
+    return SolverState(t=1, x=x, y=y, yhat=yhat, agg_num_x=agg_num_x,
+                       agg_num_y=agg_num_y, agg_den=0.0)
 
 
-def _add_weighted(acc: Array, v: Array, weight: float, scratch) -> None:
+class Workspace:
+    """The buffers a run owns and the oracle calls it makes.
+
+    `x` and `y` are the spare primal and dual buffers. A step forms its
+    new dual iterate (and, for a prox step, its new primal iterate) in
+    the spare and hands the replaced iterate's buffer back as the next
+    spare, so the buffers rotate with the iterates. A gradient run also
+    owns the buffer its gradient goes into (`grad`), and, at or above
+    the thread gate, the `GradientAhead` that fills it (`ahead`).
+
+    Whether each of `A.apply`, `A.adjoint`, `f.grad`, `f.prox` and
+    `g.prox` takes `out=` is decided once, here: the calls below pass
+    `out=` either way (see `linops.with_out`), and the steps use the
+    array that comes back, which is the buffer they passed when the
+    callable writes into it and a fresh array when it does not.
+    """
+
+    def __init__(self, problem: SaddleProblem, gradients: bool = False):
+        self.apply = with_out(problem.A.apply)
+        self.adjoint = with_out(problem.A.adjoint)
+        self.g_prox = with_out(problem.g.prox)
+        f = problem.f
+        self.f_grad = None if f.grad is None else with_out(f.grad)
+        self.f_prox = None if f.prox is None else with_out(f.prox)
+        self.x = staggered_empty(problem.primal_dim)
+        self.y = staggered_empty(problem.dual_dim)
+        self.grad = staggered_empty(problem.primal_dim) if gradients else None
+        self.ahead: Optional[GradientAhead] = None
+
+
+def _all_finite(v: Array) -> bool:
+    """Whether every entry of v is finite, by its extremes (a nan
+    propagates into both, an infinity is one of them), so that no
+    boolean temporary is made."""
+    v = np.asarray(v)
+    return math.isfinite(v.min()) and math.isfinite(v.max())
+
+
+def _add_weighted(acc: Array, v: Array, weight: float, scratch: Array) -> None:
     """acc += weight * v, forming the product in `scratch` (an array the
-    caller may overwrite) unless `v` lives in it."""
-    if scratch is not None and np.may_share_memory(v, scratch):
-        scratch = None
+    caller may overwrite, other than v)."""
     acc += np.multiply(v, weight, out=scratch)
 
 
 def accept_primal(state: SolverState, x_next: Array, weight: float,
-                  scratch: Optional[Array] = None) -> None:
+                  scratch: Array) -> None:
     """Make `x_next` the primal iterate t + 1, add it to the primal
-    aggregate with weight `weight`, and advance `t`. `scratch` is an
-    optional primal-size array the call may overwrite."""
-    if not np.all(np.isfinite(x_next)):
+    aggregate with weight `weight`, and advance `t`. `scratch` is a
+    primal-size array other than x_next that the call may overwrite once
+    x_next is accepted (it may be the replaced iterate)."""
+    if not _all_finite(x_next):
         raise DivergenceError(f"primal iterate {state.t + 1} is not finite")
     state.x = x_next
     _add_weighted(state.agg_num_x, x_next, weight, scratch)
@@ -115,26 +155,30 @@ def accept_primal(state: SolverState, x_next: Array, weight: float,
     state.t += 1
 
 
-def dual_step(state: SolverState, problem: SaddleProblem, tau: float,
-              alpha: float, mu_g: float, weight: float) -> SolverState:
+def dual_step(state: SolverState, work: Workspace, tau: float, alpha: float,
+              mu_g: float, weight: float) -> SolverState:
     """Finish an iteration from the primal point `accept_primal` took.
 
     Applies the dual prox with step `tau` and smoothing weight `mu_g`,
     extrapolates the dual by `alpha`, adds the new dual iterate to the
-    running aggregate with weight `weight`. The operator's output serves
-    as the prox input and then as scratch.
+    running aggregate with weight `weight`. `A x` goes into the spare
+    dual buffer, the prox input is formed there and the prox writes the
+    new iterate over it; the old iterate's buffer serves as scratch for
+    the aggregate and then becomes the spare.
     """
-    z = problem.A.apply(state.x)
+    z = work.apply(state.x, out=work.y)
     z *= tau
     z += state.y
-    y_next = problem.g.prox(z, tau, mu_g)
-    if not np.all(np.isfinite(y_next)):
+    y_next = work.g_prox(z, tau, mu_g, out=z)
+    if not _all_finite(y_next):
         raise DivergenceError(f"dual iterate {state.t} is not finite")
-    np.subtract(y_next, state.y, out=state.yhat)
+    y_old = state.y
+    np.subtract(y_next, y_old, out=state.yhat)
     state.yhat *= alpha
     state.yhat += y_next
-    _add_weighted(state.agg_num_y, y_next, weight, z)
+    _add_weighted(state.agg_num_y, y_next, weight, y_old)
     state.y = y_next
+    work.y = y_old
     return state
 
 
@@ -195,59 +239,70 @@ class GradientAhead:
     params, out, scratch)`) that depends only on x_{t+1} and the primal
     aggregate, which are final once iteration t has accepted its primal
     iterate, so the step requests it there and the gradient runs while
-    the dual half and the observer do. The first iteration takes its
-    gradient on the spot. An exception from f.grad is raised by `take`,
-    in the step that uses the gradient, as in the serial order.
+    the dual half, the observer and the next step's A* yhat do. The
+    point is formed in a buffer of its own and the gradient written into
+    the workspace's `grad` buffer, both held by the worker until `take`.
+    The first iteration takes its gradient on the spot. An exception
+    from f.grad is raised by `take`, in the step that uses the gradient,
+    as in the serial order.
     """
 
-    def __init__(self, problem: SaddleProblem, point, params: list, pool):
-        self._problem = problem
+    def __init__(self, work: Workspace, point, params: list, pool):
+        self._work = work
         self._point = point
         self._params = params
         self._pool = pool
-        self._buf = np.empty(problem.primal_dim)
+        self._buf = staggered_empty(work.grad.size)
         self._pending = None
 
-    def request(self, state: SolverState, t: int,
-                scratch: Optional[Array] = None) -> None:
+    def _point_at(self, state: SolverState, params) -> Array:
+        return self._point(state, params, self._buf, self._work.grad)
+
+    def request(self, state: SolverState, t: int) -> None:
         """Request iteration t's gradient, unless the run ends before
-        iteration t. `scratch` is a primal-size array the call may
-        overwrite; the point is formed in a buffer that the gradient
-        holds until `take`."""
+        iteration t."""
         if t > len(self._params):
             return
-        point = self._point(state, self._params[t - 1], self._buf, scratch)
-        self._pending = self._pool.submit(self._problem.f.grad, point)
+        point = self._point_at(state, self._params[t - 1])
+        self._pending = self._pool.submit(self._work.f_grad, point,
+                                          out=self._work.grad)
 
-    def take(self) -> Optional[Array]:
-        """The gradient requested last, or None when none is pending."""
+    def take(self, state: SolverState, params) -> Array:
+        """The gradient requested last, or, when none is pending (the
+        first iteration), the gradient for `params` taken on the spot."""
         pending, self._pending = self._pending, None
-        return None if pending is None else pending.result()
+        if pending is None:
+            return self._work.f_grad(self._point_at(state, params),
+                                     out=self._work.grad)
+        return pending.result()
 
 
 @contextmanager
-def _gradients_ahead(state: SolverState, problem: SaddleProblem, grad_point,
-                     params: list):
-    """Give `state` a GradientAhead for the body of the block when the run
-    takes gradient steps (`grad_point` given) on a problem with at least
-    GRAD_AHEAD_MIN_PRIMAL_DIM primal unknowns. On exit, also on an error,
-    the state drops it and the worker thread is joined. Otherwise the
-    block runs as it is: each step calls f.grad itself and no thread
-    starts.
+def _workspace(state: SolverState, problem: SaddleProblem, grad_point,
+               params: list):
+    """Give `state` the run's Workspace for the body of the block, and on
+    exit, also on an error, drop it, so the state the run returns holds
+    no spare buffer. When the run takes gradient steps (`grad_point`
+    given) on a problem with at least GRAD_AHEAD_MIN_PRIMAL_DIM primal
+    unknowns, the workspace also gets a GradientAhead, whose worker
+    thread is joined on exit. Otherwise each step calls f.grad itself
+    and no thread starts.
     """
-    if grad_point is None or problem.primal_dim < GRAD_AHEAD_MIN_PRIMAL_DIM:
-        yield
-        return
-    # imported here: concurrent.futures adds about 10 ms to every import
-    # of the package, and only a threaded run needs it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        state.grad_ahead = GradientAhead(problem, grad_point, params, pool)
-        try:
+    work = Workspace(problem, gradients=grad_point is not None)
+    state.work = work
+    try:
+        if grad_point is None or problem.primal_dim < GRAD_AHEAD_MIN_PRIMAL_DIM:
             yield
-        finally:
-            state.grad_ahead = None
+            return
+        # imported here: concurrent.futures adds about 10 ms to every import
+        # of the package, and only a threaded run needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            work.ahead = GradientAhead(work, grad_point, params, pool)
+            yield
+    finally:
+        state.work = None
 
 
 @dataclass
@@ -333,7 +388,9 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
     validated before the first iteration, so a bad configuration fails
     with ConfigurationError before any step runs. The run keeps one
     state, copied from (x1, y1), and the observer's `snap.state` is that
-    state: its arrays are valid until the next step begins.
+    state: its arrays are valid until the next step begins. The run's
+    spare buffers (see `Workspace`) are allocated once, before the first
+    step, and dropped before the run returns or raises.
     """
     if iters < 1:
         raise ConfigurationError("iters must be at least 1")
@@ -346,7 +403,7 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
                                     alpha_shift, mu_g)
     weights = [weight(regime, t, consts) for t in range(1, iters + 1)]
     state = init_state(x1, y1)
-    with _gradients_ahead(state, problem, grad_point, params[:iters]):
+    with _workspace(state, problem, grad_point, params[:iters]):
         for t in range(1, iters + 1):
             step(state, problem, params[t - 1],
                  params[t - 1 + alpha_shift].alpha, mu_gs[t - 1],

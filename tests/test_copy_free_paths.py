@@ -8,7 +8,10 @@ The reference formulas below (`np.roll` and `concatenate` differences,
 into a fresh array, a gradient `mu * (K*K x - K* b)`) are the obvious
 transcriptions of each operator's definition. The package computes the
 same numbers with one-output, staged or in-place code paths; these tests
-check that every entry agrees, signed zeros included.
+check that every entry agrees, signed zeros included. The later tests
+check that each `out=` path, into a separate output or into the input
+itself, gives the bits of the fresh-output path, and that a problem
+whose callables take no `out=` runs bit for bit as one whose do.
 """
 
 from unittest import mock
@@ -19,22 +22,37 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dpdsolve import prox
+from conftest import dense_convolution_matrix
+from dpdsolve import prox, solver
+from dpdsolve.bench import make_ball_capped_saddle, make_quadratic_saddle
+from dpdsolve.edpd import EdpdRegime, run_edpd
+from dpdsolve.errors import ContractViolationError
 from dpdsolve.imaging import (
     GaussianDeblurSpec,
     SaltPepperDeblurSpec,
     build_gaussian_problem,
     build_saltpepper_problem,
+    make_phantom,
 )
+from dpdsolve.ldpd import STRONGLY_CONVEX_DUAL, LdpdRegime, run_ldpd
 from dpdsolve.linops import (
     ImageGrid,
     Kernel2D,
+    MatrixOperator,
     StackedOperator,
     make_average_kernel,
     make_convolution_operator,
     make_difference_operator,
+    takes_out,
 )
-from dpdsolve.prox import project_ball2_pairs, prox_smoothed_tv_dual
+from dpdsolve.model import DualProxOracle, PrimalOracle, SaddleProblem
+from dpdsolve.prox import (
+    project_ball2_pairs,
+    project_box,
+    prox_linear_plus_box,
+    prox_quadratic_primal,
+    prox_smoothed_tv_dual,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -298,3 +316,209 @@ def test_gaussian_gradient_matches_the_parent_formula(case, mu):
         GaussianDeblurSpec(ImageGrid(m, n, b), kernel, mu=mu, mu_g=0.01))
     K = make_convolution_operator(kernel, m, n)
     assert_bitwise(problem.f.grad(x), mu * (K.gram(x) - K.adjoint(b)))
+
+
+# ---------------------------------------------------------------------------
+# `out=` paths: every operator, prox and oracle closure writes the same bits
+# into a given output as it returns fresh, also when the output is its input
+# where the callable allows that, and refuses the aliasing it does not.
+
+
+def assert_out_path(fn, args, alias=True):
+    """fn(*args, out=...) equals fn(*args) bit for bit, into a separate
+    output (filled with nan first, and written twice, so that scratch
+    reused from the first call shows) and, when `alias`, into a copy of
+    args[0] that also serves as the input; otherwise out=args[0] raises."""
+    expected = fn(*args)
+    out = np.full(expected.shape, np.nan)
+    for _ in range(2):
+        assert fn(*args, out=out) is out
+        assert_bitwise(out, expected)
+    src = np.array(args[0], dtype=float)
+    if alias:
+        assert fn(src, *args[1:], out=src) is src
+        assert_bitwise(src, expected)
+    else:
+        # the input inside the output's memory
+        buf = np.full(max(src.size, expected.size), np.nan)
+        buf[: src.size] = src
+        with pytest.raises(ContractViolationError):
+            fn(buf[: src.size], *args[1:], out=buf[: expected.size])
+    assert_bitwise(fn(*args), expected)
+
+
+@SETTINGS
+@given(st.data(), grid_and_vectors(3), st.floats(0.1, 10.0), st.floats(1e-3, 1e3))
+def test_operator_out_paths_equal_the_fresh_paths(data, case, alpha, w):
+    m, n, x, y = case
+    mn = m * n
+    kernel = data.draw(kernels(m, n))
+    D = make_difference_operator(m, n)
+    K = make_convolution_operator(kernel, m, n)
+    M = MatrixOperator(dense_convolution_matrix(kernel.weights, m, n))
+    for fn, args, alias in [
+        (D.apply, (x,), False), (D.adjoint, (y[: 2 * mn],), False),
+        (K.apply, (x,), True), (K.adjoint, (y[:mn],), True), (K.gram, (x,), True),
+        (K.solve_shifted, (y[:mn], w), True),
+        (M.apply, (x,), True), (M.adjoint, (y[:mn],), True), (M.gram, (x,), True),
+        (StackedOperator([(1.0, D), (alpha, K)]).apply, (x,), False),
+        (StackedOperator([(1.0, D), (alpha, K)]).adjoint, (y,), False),
+        (StackedOperator([(alpha, K), (1.0, D)]).adjoint,
+         (np.concatenate([y[2 * mn :], y[: 2 * mn]]),), False),
+        (StackedOperator([(alpha, D)]).adjoint, (y[: 2 * mn],), False),
+    ]:
+        assert_out_path(fn, args, alias)
+    x_fresh, r_fresh = K.solve_shifted_checked(y[:mn], w)
+    out = np.full(mn, np.nan)
+    x_out, r_out = K.solve_shifted_checked(y[:mn], w, out=out)
+    assert x_out is out and r_out == r_fresh
+    assert_bitwise(out, x_fresh)
+    rhs = y[:mn].copy()
+    x_alias, r_alias = K.solve_shifted_checked(rhs, w, out=rhs)
+    assert x_alias is rhs and r_alias == r_fresh
+    assert_bitwise(rhs, x_fresh)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_stacked_adjoint_out_keeps_the_positive_zero(scale):
+    # the -0.0 that the difference adjoint returns at pixel 3 becomes +0.0
+    # in a given output as in a fresh one
+    D = make_difference_operator(2, 2)
+    y = np.array([-0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0])
+    out = np.full(4, np.nan)
+    StackedOperator([(scale, D)]).adjoint(y, out=out)
+    assert not np.signbit(out[3])
+    assert_bitwise(out, StackedOperator([(scale, D)]).adjoint(y))
+
+
+def test_out_must_be_a_contiguous_float_vector_of_the_output_length():
+    D = make_difference_operator(3, 4)
+    x = np.arange(12.0)
+    for out in (np.empty(23), np.empty(24, dtype=np.float32),
+                np.empty(48)[::2], np.empty((2, 12))):
+        with pytest.raises(ContractViolationError):
+            D.apply(x, out=out)
+
+
+@SETTINGS
+@given(st.data(), shapes(), st.floats(0.01, 100.0), st.floats(0.0, 1.0),
+       st.floats(0.1, 1e4), st.sampled_from([1, 3, prox.SQUARE_BLOCK]))
+def test_prox_out_paths_equal_the_fresh_paths(data, shape, step, mu_g, mu, block):
+    m, n = shape
+    mn = m * n
+    z = data.draw(arrays(np.float64, 2 * mn,
+                         elements=st.one_of(ENTRY, st.floats(-50.0, 50.0))))
+    c = data.draw(arrays(np.float64, mn, elements=st.floats(-2.0, 2.0)))
+    kernel = make_average_kernel(3 if min(m, n) >= 3 else 1)
+    K = make_convolution_operator(kernel, m, n)
+    M = MatrixOperator(dense_convolution_matrix(kernel.weights, m, n))
+    with mock.patch.object(prox, "SQUARE_BLOCK", block):
+        for fn, args in [
+            (project_ball2_pairs, (z,)),
+            (prox_smoothed_tv_dual, (z, step, mu_g)),
+            (prox_linear_plus_box, (z[:mn], step, c, mu_g)),
+            (project_box, (z[:mn], -1.0, 1.0)),
+            (prox_quadratic_primal, (z[:mn], step, K, K.adjoint(c), mu)),
+            (prox_quadratic_primal, (z[:mn], 0.0, K, K.adjoint(c), mu)),
+            (prox_quadratic_primal, (z[:mn], step, M, M.adjoint(c), mu)),
+        ]:
+            assert_out_path(fn, args)
+
+
+def test_prox_outputs_that_partly_overlap_their_input_are_refused():
+    buf = np.linspace(-3.0, 3.0, 17)
+    c = np.zeros(8)
+    with pytest.raises(ContractViolationError):
+        prox_smoothed_tv_dual(buf[1:], 0.5, 0.1, out=buf[:-1])
+    with pytest.raises(ContractViolationError):
+        project_ball2_pairs(buf[:16], out=buf[1:])
+    with pytest.raises(ContractViolationError):
+        prox_linear_plus_box(buf[:8], 0.5, c, out=buf[1:9])
+
+
+def _imaging_problems(m, n, data):
+    observed = ImageGrid(m, n, data.draw(arrays(np.float64, m * n,
+                                                elements=st.floats(0.0, 1.0))))
+    kernel = make_average_kernel(3 if min(m, n) >= 3 else 1)
+    gauss = build_gaussian_problem(GaussianDeblurSpec(observed, kernel, mu=300.0,
+                                                      mu_g=0.01))
+    sp = build_saltpepper_problem(SaltPepperDeblurSpec(observed, kernel, alpha=0.7,
+                                                       mu_g0=0.05))
+    return gauss, sp
+
+
+@SETTINGS
+@given(st.data(), shapes(), st.floats(0.01, 100.0), st.floats(0.0, 1.0))
+def test_oracle_closure_out_paths_equal_the_fresh_paths(data, shape, step, mu_g):
+    m, n = shape
+    problems = list(_imaging_problems(m, n, data))
+    problems.append(make_quadratic_saddle(6, 4, seed=3, lam=0.5).problem)
+    problems.append(make_ball_capped_saddle(6, 4, seed=3, radius_scale=0.3).problem)
+    for problem in problems:
+        x = data.draw(arrays(np.float64, problem.primal_dim,
+                             elements=st.one_of(ENTRY, st.floats(-5.0, 5.0))))
+        y = data.draw(arrays(np.float64, problem.dual_dim,
+                             elements=st.one_of(ENTRY, st.floats(-50.0, 50.0))))
+        assert_out_path(problem.f.grad, (x,))
+        assert_out_path(problem.f.prox, (x, step))
+        assert_out_path(problem.g.prox, (y, step, mu_g))
+
+
+def _without_out(problem):
+    """The same problem through an operator and oracle closures that take
+    no `out=`."""
+    A, f, g = problem.A, problem.f, problem.g
+
+    class PlainOperator:
+        dims = A.dims
+        norm_bound = A.norm_bound
+
+        def apply(self, x):
+            return A.apply(x)
+
+        def adjoint(self, y):
+            return A.adjoint(y)
+
+    plain_f = PrimalOracle(value=f.value, grad=lambda x: f.grad(x),
+                           prox=lambda z, step: f.prox(z, step),
+                           lipschitz_L_f=f.lipschitz_L_f, mu_f=f.mu_f)
+    plain_g = DualProxOracle(prox=lambda z, step, mu_g: g.prox(z, step, mu_g),
+                             value=g.value, mu_g=g.mu_g)
+    return SaddleProblem(plain_f, plain_g, PlainOperator(), problem.primal_dim,
+                         problem.dual_dim)
+
+
+def _trajectory(run, problem, regime, iters):
+    seen = []
+    result = run(problem, regime, np.zeros(problem.primal_dim),
+                 np.zeros(problem.dual_dim), iters,
+                 observer=lambda s: seen.append((s.state.x.copy(), s.state.y.copy(),
+                                                 s.x, s.y)))
+    return result, seen
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+@pytest.mark.parametrize("family", ["ldpd", "edpd"])
+@pytest.mark.parametrize("kind", ["bench", "gauss"])
+def test_a_problem_whose_callables_take_no_out_runs_bit_for_bit(monkeypatch, threaded,
+                                                                family, kind):
+    if threaded:
+        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
+    if kind == "bench":
+        problem = make_quadratic_saddle(8, 5, seed=21, mu_g=0.4, lam=1.0).problem
+    else:
+        problem = build_gaussian_problem(GaussianDeblurSpec(
+            make_phantom(16, 12), make_average_kernel(3), mu=300.0, mu_g=0.01))
+    if family == "ldpd":
+        run, regime = run_ldpd, LdpdRegime(STRONGLY_CONVEX_DUAL)
+    else:
+        run, regime = run_edpd, EdpdRegime(STRONGLY_CONVEX_DUAL)
+    plain = _without_out(problem)
+    assert not takes_out(plain.A.apply) and not takes_out(plain.g.prox)
+    expected, seen_expected = _trajectory(run, problem, regime, 12)
+    result, seen = _trajectory(run, plain, regime, 12)
+    assert_bitwise(result.x, expected.x)
+    assert_bitwise(result.y, expected.y)
+    for got, want in zip(seen, seen_expected, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert_bitwise(a, b)

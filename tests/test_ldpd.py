@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import sys
 import threading
 
@@ -27,6 +28,7 @@ from dpdsolve.ldpd import (
     run_ldpd,
     scp_shift,
 )
+from dpdsolve.diagnostics import GapReference, HistoryRecorder
 from dpdsolve.imaging import GaussianDeblurSpec, build_gaussian_problem, make_phantom
 from dpdsolve.linops import MatrixOperator, make_motion_kernel
 from dpdsolve.model import (
@@ -420,7 +422,7 @@ def test_grad_is_called_exactly_iters_times(monkeypatch, gated):
     assert len(calls) == 17
     # the step is still looked up by its module name once per iteration
     assert len(steps) == 17
-    assert result.state.grad_ahead is None
+    assert result.state.work is None
 
 
 def _serial_and_threaded(monkeypatch, make_problem, iters):
@@ -500,7 +502,7 @@ def test_a_stored_snapshot_after_a_divergence(monkeypatch, gated, half):
         run_ldpd(problem, regime, np.zeros(8), np.zeros(5), 10,
                  observer=snaps.append)
     assert [s.t for s in snaps] == [1, 2, 3]
-    assert snaps[-1].state.grad_ahead is None
+    assert snaps[-1].state.work is None
     if half == "primal":
         assert np.array_equal(snaps[-1].x, expected.x)
         assert np.array_equal(snaps[-1].y, expected.y)
@@ -543,6 +545,46 @@ def test_threaded_imaging_run_is_bitwise_the_inline_run(monkeypatch):
     (x0, y0, agg0), (x1, y1, agg1) = results
     assert np.array_equal(x0, x1) and np.array_equal(y0, y1)
     assert all(np.array_equal(a, b) for a, b in zip(agg0, agg1, strict=True))
+
+
+def test_threaded_gaussian_run_with_a_gap_reference_records_the_inline_history(
+        monkeypatch):
+    # With a GapReference the recorder evaluates f.value, one K.apply, on
+    # the main thread while the worker takes the next gradient with
+    # K.gram, each in its own thread's transform scratch.
+    clean = make_phantom(16, 12)
+    spec = GaussianDeblurSpec(observed=clean, kernel=make_motion_kernel(5, 30.0),
+                              mu=300.0, mu_g=0.01)
+    histories, threads = [], []
+    for gate in (solver.GRAD_AHEAD_MIN_PRIMAL_DIM, 0):
+        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", gate)
+        problem = build_gaussian_problem(spec)
+        names = {"grad": [], "value": []}
+        grad, value = problem.f.grad, problem.f.value
+
+        def traced_grad(x, out=None):
+            names["grad"].append(threading.current_thread().name)
+            return grad(x, out=out)
+
+        def traced_value(x):
+            names["value"].append(threading.current_thread().name)
+            return value(x)
+
+        problem.f.grad, problem.f.value = traced_grad, traced_value
+        ref = GapReference(clean.data, np.zeros(problem.dual_dim))
+        recorder = HistoryRecorder(problem=problem, ref=ref, x_true=clean)
+        run_ldpd(problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+                 np.zeros(problem.primal_dim), np.zeros(problem.dual_dim), 25,
+                 observer=recorder)
+        histories.append([dataclasses.astuple(r) for r in recorder.records])
+        threads.append(names)
+    assert histories[0] == histories[1]
+    assert all(r[1] is not None for r in histories[1])
+    main = threading.current_thread().name
+    inline, threaded_run = threads
+    assert set(inline["grad"]) == set(inline["value"]) == {main}
+    assert set(threaded_run["value"]) == {main}
+    assert main not in threaded_run["grad"][1:]
 
 
 def test_concurrent_threaded_runs_on_one_problem_agree(monkeypatch):

@@ -244,3 +244,16 @@ def test_norm_estimate_deterministic_and_flags_nonconvergence():
     assert float(a) == float(b) and a.iterations == b.iterations
     capped = estimate_operator_norm(D, tol=1e-15, max_iter=1, seed=9)
     assert not capped.converged and capped.iterations == 1
+
+
+def test_staggered_arrays_start_at_distinct_offsets_within_a_page():
+    from dpdsolve.linops import PLACEMENT_STEP, staggered_empty
+
+    arrays = [staggered_empty(1000) for _ in range(4096 // PLACEMENT_STEP)]
+    offsets = {a.ctypes.data % 4096 for a in arrays}
+    assert len(offsets) == len(arrays)
+    assert all(o % 64 == 0 for o in offsets)
+    assert all(a.shape == (1000,) and a.dtype == np.float64 and a.flags.c_contiguous
+               and a.flags.aligned and a.flags.writeable for a in arrays)
+    S = staggered_empty((5, 7), complex, order="F")
+    assert S.shape == (5, 7) and S.dtype == complex and S.flags.f_contiguous
