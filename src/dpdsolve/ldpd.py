@@ -146,8 +146,8 @@ def ldpd_schedule(regime: LdpdRegime, t: int, consts: SolverConsts) -> LdpdParam
     )
 
 
-def gradient_point(state: SolverState, params: LdpdParams, out=None,
-                   scratch=None) -> Array:
+def gradient_point(state: SolverState, params: LdpdParams, out: Array,
+                   scratch: Array) -> Array:
     """Where an iteration with step sizes `params` takes its gradient,
     given the state's current iterate and primal aggregate.
 
@@ -155,13 +155,13 @@ def gradient_point(state: SolverState, params: LdpdParams, out=None,
     The paper's recursion carries this anchor as a blend of its own,
     which with theta = 2 / (t + 1) and weights t is the t-weighted
     aggregate. With theta = 1, or before anything is aggregated, the
-    point is `state.x` itself. The blend goes into `out` and `scratch`
-    when they are given (primal-size arrays the call may overwrite).
+    point is `state.x` itself; otherwise it is formed in `out`, with
+    `scratch` for its second term (arrays the call may overwrite).
     """
     theta = params.theta
     if theta == 1.0 or state.agg_den <= 0.0:
         return state.x
-    out = np.divide(state.agg_num_x, state.agg_den, out=out)
+    np.divide(state.agg_num_x, state.agg_den, out=out)
     out *= 1.0 - theta
     out += np.multiply(state.x, theta, out=scratch)
     return out
@@ -175,38 +175,23 @@ def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
     `state.yhat`, with the gradient of f taken at `gradient_point`.
     `alpha` extrapolates the new dual for the next iteration, `mu_g` is
     the dual smoothing weight and `weight` this iterate's weight in the
-    aggregate. The step direction is formed in the run's spare primal
-    buffer, and the gradient in the run's gradient buffer (see
-    `solver.Workspace`); a step outside a run makes a workspace of its
-    own. In a run on a problem at or above the thread gate
-    (`state.work.ahead` set), once the new iterate is accepted the step
-    requests the next iteration's gradient, so that f.grad runs on the
-    run's worker while this dual half does, and the next step takes it
-    instead of calling f.grad. The first step of such a run, every step
-    below the gate (which forms the gradient point in the spare buffer
-    before the direction), and a step outside a run call f.grad
-    themselves. Either way the arithmetic, and so every bit of the
-    result, is the same.
+    aggregate. A* yhat is formed in the run's spare primal buffer before
+    the gradient is asked for, so that a gradient still running on the
+    run's worker finishes meanwhile, and the next one is requested once
+    the new iterate is accepted (see `solver.Workspace`). A step outside
+    a run makes a workspace of its own.
     """
     if problem.f.grad is None:
         raise ConfigurationError(
             "this solver takes gradient steps; the primal oracle has no grad"
         )
-    work = state.work if state.work is not None else Workspace(problem, gradients=True)
-    ahead = work.ahead
-    if ahead is None:
-        point = gradient_point(state, params, work.x, work.grad)
-        grad = work.f_grad(point, out=work.grad)
-    # with a gradient pending, A* yhat runs while the worker finishes it
+    work = state.work if state.work is not None else Workspace(problem, gradient_point)
     direction = work.adjoint(state.yhat, out=work.x)
-    if ahead is not None:
-        grad = ahead.take(state, params)
-    np.add(grad, direction, out=direction)
+    np.add(work.gradient(state, params), direction, out=direction)
     direction *= params.eta
     state.x -= direction
     accept_primal(state, state.x, weight, direction)
-    if ahead is not None:
-        ahead.request(state, state.t)
+    work.request_gradient(state, state.t)
     return dual_step(state, work, params.tau, alpha, mu_g, weight)
 
 

@@ -30,6 +30,20 @@ Array = np.ndarray
 BLOCK = 8192
 
 
+def blocks(size: int, *dtypes):
+    """Cover range(size) in blocks of 64 KiB: yield each block's slice,
+    then, for each of `dtypes`, a scratch array of that dtype cut to the
+    block's length; every block reuses the same scratch. A block holds
+    BLOCK float64 entries (fewer of a wider dtype, at least one), with
+    BLOCK read when the loop starts, so that a test can patch it."""
+    width = max(np.dtype(d).itemsize for d in dtypes)
+    step = max(1, BLOCK * 8 // width)
+    scratch = [np.empty(min(size, step), dtype=d) for d in dtypes]
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        yield (slice(lo, hi), *(a[: hi - lo] for a in scratch))
+
+
 # The arrays a run keeps side by side (its state, its spare buffers, the
 # transform scratch) start at staggered offsets within a 4 KiB page.
 # Allocated plainly, large arrays all start at one offset (a page boundary,
@@ -126,10 +140,9 @@ def _largest_component(v: Array) -> float:
 
 def _sum_of_scaled_squares(v: Array, scale: float) -> float:
     """sum (v_i / scale)^2 over a flat real array, in blocks."""
-    buf = np.empty(min(v.size, BLOCK))
     total = 0.0
-    for lo in range(0, v.size, BLOCK):
-        b = np.divide(v[lo : lo + BLOCK], scale, out=buf[: min(BLOCK, v.size - lo)])
+    for blk, buf in blocks(v.size, float):
+        b = np.divide(v[blk], scale, out=buf)
         total += float(b @ b)
     return total
 
@@ -322,10 +335,8 @@ class DifferenceOperator2D:
         np.subtract(v[m - 1 :: m], v[::m], out=out[::m])
         # out += the horizontal part h[i - m] - h[i] (indices mod mn, so
         # the first column wraps to the last), formed in blocks
-        part = np.empty(min(mn, BLOCK))
-        for lo in range(0, mn, BLOCK):
-            hi = min(lo + BLOCK, mn)
-            p = part[: hi - lo]
+        for blk, p in blocks(mn, float):
+            lo, hi = blk.start, blk.stop
             wrap = min(hi, m)
             if lo < wrap:
                 np.subtract(h[mn - m + lo : mn - m + wrap], h[lo:wrap],
@@ -333,7 +344,7 @@ class DifferenceOperator2D:
             start = max(lo, m)
             if start < hi:
                 np.subtract(h[start - m : hi - m], h[start:hi], out=p[start - lo :])
-            out[lo:hi] += p
+            out[blk] += p
         return out
 
 
@@ -409,12 +420,10 @@ class ConvolutionOperator2D:
         given spectra, all flat in column-major order."""
         power = self.power.reshape(-1, order="F")
         flats = [S.reshape(-1, order="F") for S in spectra]
-        shift = np.empty(min(power.size, BLOCK))
-        for lo in range(0, power.size, BLOCK):
-            hi = min(lo + BLOCK, power.size)
-            block = np.multiply(power[lo:hi], w, out=shift[: hi - lo])
-            block += 1.0
-            yield (block, *(f[lo:hi] for f in flats))
+        for blk, shift in blocks(power.size, float):
+            np.multiply(power[blk], w, out=shift)
+            shift += 1.0
+            yield (shift, *(f[blk] for f in flats))
 
     def apply(self, x, out=None) -> Array:
         S = self._forward(x, self._spectrum_array(out))
@@ -423,13 +432,13 @@ class ConvolutionOperator2D:
 
     def adjoint(self, y, out=None) -> Array:
         S = self._forward(y, self._spectrum_array(out))
-        # S *= conj(spectrum), with the conjugate formed in blocks
+        # S *= conj(spectrum), with the conjugate formed in blocks. The
+        # product goes into scratch of its own: numpy rounds an in-place
+        # complex product of one entry otherwise than the whole array's.
         flat, spectrum = S.reshape(-1, order="F"), self.spectrum.reshape(-1, order="F")
-        step = BLOCK // 2  # complex entries in 64 KiB
-        conj = np.empty(min(flat.size, step), dtype=complex)
-        for lo in range(0, flat.size, step):
-            hi = min(lo + step, flat.size)
-            flat[lo:hi] *= np.conjugate(spectrum[lo:hi], out=conj[: hi - lo])
+        for blk, conj, product in blocks(flat.size, complex, complex):
+            np.conjugate(spectrum[blk], out=conj)
+            flat[blk] = np.multiply(flat[blk], conj, out=product)
         return self._inverse(S, out)
 
     def gram(self, x, out=None) -> Array:

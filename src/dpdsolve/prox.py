@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linops import (BLOCK, ConvolutionOperator2D, MatrixOperator, output_vector,
+from .linops import (ConvolutionOperator2D, MatrixOperator, blocks, output_vector,
                      scaled_norm)
 
 Array = np.ndarray
@@ -27,16 +27,6 @@ def pair_norms(y) -> Array:
     return np.hypot(a, b)
 
 
-# project_ball2_pairs, prox_linear_plus_box and prox_quadratic_primal
-# form their temporaries in blocks of this many entries (see linops.BLOCK).
-SQUARE_BLOCK = BLOCK
-
-
-def _blocks(size: int):
-    for lo in range(0, size, SQUARE_BLOCK):
-        yield slice(lo, min(lo + SQUARE_BLOCK, size))
-
-
 def project_ball2_pairs(y, out=None) -> Array:
     """Project each pair (y[i], y[half + i]) onto the unit disk.
 
@@ -45,19 +35,17 @@ def project_ball2_pairs(y, out=None) -> Array:
     Pairs already inside the disk pass through unchanged. The result is
     a new array, or `out` when one is given, which may be `y` itself but
     must not otherwise share memory with it. The pairs are projected in
-    blocks of `SQUARE_BLOCK`, each block of `out` written after the same
-    block of y is read, so no image-sized temporary is made.
+    blocks (see `linops.blocks`), each block of `out` written after the
+    same block of y is read, so no image-sized temporary is made.
     """
     a, b = _pair_split(y)
     out = output_vector(out, 2 * a.size, y, same_ok=True)
     out_a, out_b = out[: a.size], out[a.size :]
-    size = min(a.size, SQUARE_BLOCK)
-    norms, square = np.empty(size), np.empty(size)
     with np.errstate(over="ignore"):
-        for blk in _blocks(a.size):
-            pa, pb, nb = a[blk], b[blk], norms[: blk.stop - blk.start]
+        for blk, nb, square in blocks(a.size, float, float):
+            pa, pb = a[blk], b[blk]
             np.multiply(pa, pa, out=nb)
-            nb += np.multiply(pb, pb, out=square[: nb.size])
+            nb += np.multiply(pb, pb, out=square)
             np.sqrt(nb, out=nb)
             # fmax skips a nan norm, so that an overflowed one is never missed
             if np.fmax.reduce(nb) == np.inf:
@@ -106,21 +94,10 @@ def prox_linear_plus_box(z, step: float, c, mu_g: float = 0.0, out=None) -> Arra
     if c.shape != z.shape:
         raise ContractViolationError("linear coefficient must match the point shape")
     out = output_vector(out, z.size, z, same_ok=True)
-    tilt = np.empty(min(z.size, SQUARE_BLOCK))
-    for blk in _blocks(z.size):
-        np.subtract(z[blk], np.multiply(c[blk], step, out=tilt[: blk.stop - blk.start]),
-                    out=out[blk])
+    for blk, tilt in blocks(z.size, float):
+        np.subtract(z[blk], np.multiply(c[blk], step, out=tilt), out=out[blk])
     out /= step * mu_g + 1.0
     return project_box(out, -1.0, 1.0, out=out)
-
-
-def _scaled_plus(v: Array, w: float, z: Array, out: Array) -> Array:
-    """out = w v + z, with w v formed in blocks; out may be z."""
-    scaled = np.empty(min(z.size, SQUARE_BLOCK))
-    for blk in _blocks(z.size):
-        np.add(np.multiply(v[blk], w, out=scaled[: blk.stop - blk.start]), z[blk],
-               out=out[blk])
-    return out
 
 
 def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
@@ -159,7 +136,10 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
         raise ContractViolationError("point or K* b shape does not match K")
     w = mu * step
     given = out is not None
-    rhs = _scaled_plus(Ktb, w, z, output_vector(out, z.size, z, same_ok=True))
+    rhs = output_vector(out, z.size, z, same_ok=True)
+    # rhs = w K* b + z, with w K* b formed in blocks; rhs may be z
+    for blk, scaled in blocks(z.size, float):
+        np.add(np.multiply(Ktb[blk], w, out=scaled), z[blk], out=rhs[blk])
     tolerance = 1e-10 * (1.0 + scaled_norm(rhs))
     if isinstance(K, ConvolutionOperator2D):
         x, residual = K.solve_shifted_checked(rhs, w, out=rhs if given else None)

@@ -12,19 +12,16 @@ The two families differ only in the primal update, their step-size
 schedules, their aggregation weights, and which schedule entry supplies
 alpha. This module holds everything else: the state record a run
 updates in place, the buffers and oracle calls a run owns, the primal
-bookkeeping and the dual half of the step, the run loop, which builds
-and validates the whole schedule before the first iteration, and the
-pipeline that takes a linearized run's next gradient while the current
-dual half runs.
+bookkeeping and the dual half of the step, and the run loop, which
+builds and validates the whole schedule before the first iteration.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -55,9 +52,9 @@ class SolverState:
     overwritten by the next step. A run owns one state for all its
     iterations, so an array read from it is valid only until the next
     step begins; copy what must outlive that. `work` is internal to a
-    run: it holds the run's spare buffers and is set only while the run
-    is in progress (see `Workspace`); the state a run returns holds no
-    spare.
+    run: it holds the run's buffers and gradient worker and is set only
+    while the run is in progress (see `Workspace`); the state a run
+    returns holds none of them.
     """
 
     t: int
@@ -103,18 +100,25 @@ class Workspace:
     `x` and `y` are the spare primal and dual buffers. A step forms its
     new dual iterate (and, for a prox step, its new primal iterate) in
     the spare and hands the replaced iterate's buffer back as the next
-    spare, so the buffers rotate with the iterates. A gradient run also
-    owns the buffer its gradient goes into (`grad`), and, at or above
-    the thread gate, the `GradientAhead` that fills it (`ahead`).
+    spare, so the buffers rotate with the iterates.
 
     Whether each of `A.apply`, `A.adjoint`, `f.grad`, `f.prox` and
     `g.prox` takes `out=` is decided once, here: the calls below pass
     `out=` either way (see `linops.with_out`), and the steps use the
     array that comes back, which is the buffer they passed when the
     callable writes into it and a fresh array when it does not.
+
+    A workspace made with `grad_point` (see `run`) also owns the
+    gradient buffer and the gradient-point buffer, and a step gets its
+    gradient from `gradient`. Given the run's step sizes `params` on a
+    problem with at least GRAD_AHEAD_MIN_PRIMAL_DIM primal unknowns, it
+    owns a one-thread pool as well, shut down by `close`, on which
+    `request_gradient` takes the next gradient while the current
+    iteration finishes.
     """
 
-    def __init__(self, problem: SaddleProblem, gradients: bool = False):
+    def __init__(self, problem: SaddleProblem, grad_point=None,
+                 params: Sequence = ()):
         self.apply = with_out(problem.A.apply)
         self.adjoint = with_out(problem.A.adjoint)
         self.g_prox = with_out(problem.g.prox)
@@ -123,8 +127,45 @@ class Workspace:
         self.f_prox = None if f.prox is None else with_out(f.prox)
         self.x = staggered_empty(problem.primal_dim)
         self.y = staggered_empty(problem.dual_dim)
-        self.grad = staggered_empty(problem.primal_dim) if gradients else None
-        self.ahead: Optional[GradientAhead] = None
+        self._pool = self._pending = None
+        if grad_point is None:
+            return
+        self._grad_point = grad_point
+        self._params = params
+        self._grad = staggered_empty(problem.primal_dim)
+        self._point = staggered_empty(problem.primal_dim)
+        if params and problem.primal_dim >= GRAD_AHEAD_MIN_PRIMAL_DIM:
+            # imported here: concurrent.futures adds about 10 ms to every
+            # import of the package, and only a threaded run needs it
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=1)
+
+    def gradient(self, state: SolverState, params) -> Array:
+        """The gradient for an iteration with step sizes `params`, in the
+        gradient buffer: the one `request_gradient` started, or one taken
+        on the spot. An exception from f.grad is raised here."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            return pending.result()
+        point = self._grad_point(state, params, self._point, self._grad)
+        return self.f_grad(point, out=self._grad)
+
+    def request_gradient(self, state: SolverState, t: int) -> None:
+        """Start iteration t's gradient on the pool, unless there is none
+        or the run ends before iteration t. Until `gradient` returns it,
+        the caller leaves `state.x` and the primal aggregate as they are,
+        and the point and gradient buffers are the worker's."""
+        if self._pool is None or t > len(self._params):
+            return
+        point = self._grad_point(state, self._params[t - 1], self._point,
+                                 self._grad)
+        self._pending = self._pool.submit(self.f_grad, point, out=self._grad)
+
+    def close(self) -> None:
+        """Shut the pool down, waiting for a gradient still running."""
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 def _all_finite(v: Array) -> bool:
@@ -231,80 +272,6 @@ def primal_base_step(consts: SolverConsts) -> float:
 GRAD_AHEAD_MIN_PRIMAL_DIM = 256 * 256
 
 
-class GradientAhead:
-    """The gradients of a linearized run, each requested one dual half
-    before the step that uses it and taken on the run's worker thread.
-
-    The gradient of iteration t + 1 is taken at a point (`point(state,
-    params, out, scratch)`) that depends only on x_{t+1} and the primal
-    aggregate, which are final once iteration t has accepted its primal
-    iterate, so the step requests it there and the gradient runs while
-    the dual half, the observer and the next step's A* yhat do. The
-    point is formed in a buffer of its own and the gradient written into
-    the workspace's `grad` buffer, both held by the worker until `take`.
-    The first iteration takes its gradient on the spot. An exception
-    from f.grad is raised by `take`, in the step that uses the gradient,
-    as in the serial order.
-    """
-
-    def __init__(self, work: Workspace, point, params: list, pool):
-        self._work = work
-        self._point = point
-        self._params = params
-        self._pool = pool
-        self._buf = staggered_empty(work.grad.size)
-        self._pending = None
-
-    def _point_at(self, state: SolverState, params) -> Array:
-        return self._point(state, params, self._buf, self._work.grad)
-
-    def request(self, state: SolverState, t: int) -> None:
-        """Request iteration t's gradient, unless the run ends before
-        iteration t."""
-        if t > len(self._params):
-            return
-        point = self._point_at(state, self._params[t - 1])
-        self._pending = self._pool.submit(self._work.f_grad, point,
-                                          out=self._work.grad)
-
-    def take(self, state: SolverState, params) -> Array:
-        """The gradient requested last, or, when none is pending (the
-        first iteration), the gradient for `params` taken on the spot."""
-        pending, self._pending = self._pending, None
-        if pending is None:
-            return self._work.f_grad(self._point_at(state, params),
-                                     out=self._work.grad)
-        return pending.result()
-
-
-@contextmanager
-def _workspace(state: SolverState, problem: SaddleProblem, grad_point,
-               params: list):
-    """Give `state` the run's Workspace for the body of the block, and on
-    exit, also on an error, drop it, so the state the run returns holds
-    no spare buffer. When the run takes gradient steps (`grad_point`
-    given) on a problem with at least GRAD_AHEAD_MIN_PRIMAL_DIM primal
-    unknowns, the workspace also gets a GradientAhead, whose worker
-    thread is joined on exit. Otherwise each step calls f.grad itself
-    and no thread starts.
-    """
-    work = Workspace(problem, gradients=grad_point is not None)
-    state.work = work
-    try:
-        if grad_point is None or problem.primal_dim < GRAD_AHEAD_MIN_PRIMAL_DIM:
-            yield
-            return
-        # imported here: concurrent.futures adds about 10 ms to every import
-        # of the package, and only a threaded run needs it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            work.ahead = GradientAhead(work, grad_point, params, pool)
-            yield
-    finally:
-        state.work = None
-
-
 @dataclass
 class RunResult:
     """Outcome of a solver run: the guaranteed aggregate pair, the final
@@ -378,19 +345,18 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
     grad_point : callable, optional
         For a family that takes gradient steps: grad_point(state, params,
         out, scratch) -> the point iteration t's gradient is taken at,
-        given its step sizes. When the problem has at least
-        GRAD_AHEAD_MIN_PRIMAL_DIM primal unknowns, the run requests each
-        gradient ahead on a worker thread (see `GradientAhead`); below
-        that, each step takes its own. Either way f.grad is called
-        exactly `iters` times.
+        given its step sizes, formed in `out` with `scratch`. f.grad is
+        called exactly `iters` times, each after the first on a worker
+        thread when the problem is at or above the gate (see `Workspace`).
 
     The problem constants are read once; the whole schedule is built and
     validated before the first iteration, so a bad configuration fails
     with ConfigurationError before any step runs. The run keeps one
     state, copied from (x1, y1), and the observer's `snap.state` is that
     state: its arrays are valid until the next step begins. The run's
-    spare buffers (see `Workspace`) are allocated once, before the first
-    step, and dropped before the run returns or raises.
+    buffers and worker (see `Workspace`) are made once, before the first
+    step; the buffers are dropped, and the worker joined, before the run
+    returns or raises.
     """
     if iters < 1:
         raise ConfigurationError("iters must be at least 1")
@@ -403,7 +369,10 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
                                     alpha_shift, mu_g)
     weights = [weight(regime, t, consts) for t in range(1, iters + 1)]
     state = init_state(x1, y1)
-    with _workspace(state, problem, grad_point, params[:iters]):
+    # no local name holds the workspace, so that its buffers are freed
+    # before the aggregates below are formed
+    state.work = Workspace(problem, grad_point, params[:iters])
+    try:
         for t in range(1, iters + 1):
             step(state, problem, params[t - 1],
                  params[t - 1 + alpha_shift].alpha, mu_gs[t - 1],
@@ -411,5 +380,8 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
             if observer is not None:
                 observer(IterationSnapshot(t=t, params=params[t - 1],
                                            state=state))
+    finally:
+        state.work.close()
+        state.work = None
     return RunResult(x=state.aggregate_x, y=state.aggregate_y, state=state,
                      params_history=params[:iters])

@@ -12,6 +12,7 @@ operator and oracle outputs are fresh arrays.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -112,3 +113,37 @@ def test_iterations_allocate_within_the_budget(monkeypatch, name, run, threaded)
     assert sorted(excess) == list(range(1, ITERS + 1))
     over = {t: e for t, e in excess.items() if t > 2 and e > BUDGET}
     assert not over, f"{name}: peak above the iteration's end level {over} > {BUDGET}"
+
+
+@pytest.mark.parametrize("name,run,threaded", [
+    ("ldpd threaded", _ldpd, True),
+    ("sp edpd", _sp_edpd, False),
+])
+def test_a_run_frees_its_buffers_before_it_forms_its_result(monkeypatch, name, run,
+                                                            threaded):
+    # After the last observer call the run drops its workspace and then
+    # forms the two aggregates it returns, so its spare buffers and the
+    # aggregates are never held at once and the level does not rise
+    # beyond small objects. Nothing refers back to the workspace, so it
+    # is gone when the run returns, without a garbage-collector pass.
+    if threaded:
+        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
+    levels, workspaces = [], []
+
+    def build_observer(problem):
+        def observer(snap):
+            if snap.t == ITERS:
+                workspaces.append(weakref.ref(snap.state.work))
+                tracemalloc.reset_peak()
+                levels.append(tracemalloc.get_traced_memory()[0])
+
+        return observer
+
+    tracemalloc.start()
+    try:
+        run(make_phantom(SIZE, SIZE), build_observer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - levels[0] <= 4096, name
+    assert workspaces[0]() is None, name

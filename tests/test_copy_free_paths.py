@@ -8,10 +8,11 @@ The reference formulas below (`np.roll` and `concatenate` differences,
 into a fresh array, a gradient `mu * (K*K x - K* b)`) are the obvious
 transcriptions of each operator's definition. The package computes the
 same numbers with one-output, staged or in-place code paths; these tests
-check that every entry agrees, signed zeros included. The later tests
-check that each `out=` path, into a separate output or into the input
-itself, gives the bits of the fresh-output path, and that a problem
-whose callables take no `out=` runs bit for bit as one whose do.
+check that every entry agrees, signed zeros included, also with
+`linops.BLOCK` patched small and on a grid above one block. The later
+tests check that each `out=` path, into a separate output or into the
+input itself, gives the bits of the fresh-output path, and that a
+problem whose callables take no `out=` runs bit for bit as one whose do.
 """
 
 from unittest import mock
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import dense_convolution_matrix
-from dpdsolve import prox, solver
+from dpdsolve import linops, solver
 from dpdsolve.bench import make_ball_capped_saddle, make_quadratic_saddle
 from dpdsolve.edpd import EdpdRegime, run_edpd
 from dpdsolve.errors import ContractViolationError
@@ -43,6 +44,7 @@ from dpdsolve.linops import (
     make_average_kernel,
     make_convolution_operator,
     make_difference_operator,
+    scaled_norm,
     takes_out,
 )
 from dpdsolve.model import DualProxOracle, PrimalOracle, SaddleProblem
@@ -59,6 +61,11 @@ SETTINGS = settings(max_examples=40, deadline=None)
 # Zeros of both signs are drawn often, so that the sign of a zero result
 # is exercised as well as its value.
 ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-8.0, 8.0))
+
+# The blocked loops run with linops.BLOCK patched to these sizes as well
+# as its own: with blocks of 1 and 3 entries the grids below (up to 12
+# rows) span many blocks, and a column's wrap-around spans several.
+BLOCKS = st.sampled_from([1, 3, linops.BLOCK])
 
 
 def ref_diff_apply(x, m, n):
@@ -157,37 +164,42 @@ def kernels(draw, m, n):
 
 
 @SETTINGS
-@given(grid_and_vectors(2))
-@example((2, 2, np.zeros(4), np.array([-0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0])))
-def test_difference_operator_matches_roll_and_concatenate(case):
+@given(grid_and_vectors(2), BLOCKS)
+@example((2, 2, np.zeros(4), np.array([-0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0])),
+         linops.BLOCK)
+@example((12, 2, np.arange(24.0), np.cos(np.arange(48.0))), 3)
+def test_difference_operator_matches_roll_and_concatenate(case, block):
     m, n, x, y = case
     D = make_difference_operator(m, n)
-    assert_bitwise(D.apply(x), ref_diff_apply(x, m, n))
-    assert_bitwise(D.adjoint(y), ref_diff_adjoint(y, m, n))
+    with mock.patch.object(linops, "BLOCK", block):
+        assert_bitwise(D.apply(x), ref_diff_apply(x, m, n))
+        assert_bitwise(D.adjoint(y), ref_diff_adjoint(y, m, n))
 
 
 @SETTINGS
-@given(st.data(), grid_and_vectors(1), st.floats(1e-3, 1e3))
-def test_convolution_matches_rfft2_and_irfft2(data, case, w):
+@given(st.data(), grid_and_vectors(1), st.floats(1e-3, 1e3), BLOCKS)
+def test_convolution_matches_rfft2_and_irfft2(data, case, w, block):
     m, n, x, y = case
     kernel = data.draw(kernels(m, n))
     K = make_convolution_operator(kernel, m, n)
     spectrum = ref_spectrum(kernel.weights, m, n)
     assert np.array_equal(K.spectrum, spectrum)
     power = spectrum.real**2 + spectrum.imag**2
-    assert_bitwise(K.apply(x), ref_conv(x, spectrum, m, n))
-    assert_bitwise(K.adjoint(y), ref_conv(y, np.conj(spectrum), m, n))
-    assert_bitwise(K.gram(x), ref_conv(x, power, m, n))
-    assert_bitwise(K.solve_shifted(y, w), ref_conv_solve_shifted(y, spectrum, w, m, n))
-    x_checked, _ = K.solve_shifted_checked(y, w)
-    assert_bitwise(x_checked, ref_conv_solve_shifted(y, spectrum, w, m, n))
+    with mock.patch.object(linops, "BLOCK", block):
+        assert_bitwise(K.apply(x), ref_conv(x, spectrum, m, n))
+        assert_bitwise(K.adjoint(y), ref_conv(y, np.conj(spectrum), m, n))
+        assert_bitwise(K.gram(x), ref_conv(x, power, m, n))
+        assert_bitwise(K.solve_shifted(y, w),
+                       ref_conv_solve_shifted(y, spectrum, w, m, n))
+        x_checked, _ = K.solve_shifted_checked(y, w)
+        assert_bitwise(x_checked, ref_conv_solve_shifted(y, spectrum, w, m, n))
 
 
 @SETTINGS
 @given(st.data(), grid_and_vectors(3), st.floats(0.1, 10.0),
-       st.sampled_from(["1,alpha", "alpha,1", "1", "alpha"]))
+       st.sampled_from(["1,alpha", "alpha,1", "1", "alpha"]), BLOCKS)
 def test_stacked_operator_matches_concatenate_and_zeros_plus_parts(data, case, alpha,
-                                                                   layout):
+                                                                   layout, block):
     m, n, x, y = case
     kernel = data.draw(kernels(m, n))
     D = make_difference_operator(m, n)
@@ -207,8 +219,9 @@ def test_stacked_operator_matches_concatenate_and_zeros_plus_parts(data, case, a
         A = StackedOperator([(scales[layout], D)])
         parts = [(scales[layout], *ref_D)]
         y = y[: 2 * m * n]
-    assert_bitwise(A.apply(x), ref_stacked_apply(parts, x))
-    assert_bitwise(A.adjoint(y), ref_stacked_adjoint(parts, y, m * n))
+    with mock.patch.object(linops, "BLOCK", block):
+        assert_bitwise(A.apply(x), ref_stacked_apply(parts, x))
+        assert_bitwise(A.adjoint(y), ref_stacked_adjoint(parts, y, m * n))
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])
@@ -225,9 +238,9 @@ def test_stacked_adjoint_keeps_the_positive_zero_of_a_sum_from_zeros(scale):
 
 @SETTINGS
 @given(st.data(), shapes(), st.floats(0.01, 100.0), st.floats(0.0, 1.0),
-       st.booleans())
+       st.booleans(), BLOCKS)
 def test_saltpepper_dual_prox_matches_concatenated_blocks(data, shape, step, mu_g,
-                                                           overflow):
+                                                           overflow, block):
     m, n = shape
     mn = m * n
     kernel = Kernel2D(np.ones((1, 1)))
@@ -245,7 +258,62 @@ def test_saltpepper_dual_prox_matches_concatenated_blocks(data, shape, step, mu_
     expected = ref_saltpepper_dual_prox(z, step, mu_g, 0.7 * observed, mn)
     if overflow:
         assert np.isfinite(expected).all()
-    assert_bitwise(g.prox(z, step, mu_g), expected)
+    with mock.patch.object(linops, "BLOCK", block):
+        assert_bitwise(g.prox(z, step, mu_g), expected)
+
+
+def ref_shifted_residual_norm(x, rhs, spectrum, w, m, n):
+    """||(w K*K + I) x - rhs|| by Parseval on the whole half-spectrum:
+    every row counts twice except row 0 and, for even m, row m/2."""
+    power = spectrum.real**2 + spectrum.imag**2
+    E = ((w * power + 1.0) * np.fft.rfft2(x.reshape((m, n), order="F"), axes=(1, 0))
+         - np.fft.rfft2(rhs.reshape((m, n), order="F"), axes=(1, 0)))
+    counts = np.full((E.shape[0], 1), 2.0)
+    counts[0] = 1.0
+    if m % 2 == 0:
+        counts[-1] = 1.0
+    return np.sqrt(np.sum(counts * np.abs(E) ** 2) / (m * n))
+
+
+@pytest.mark.parametrize("block", [1, 3, linops.BLOCK])
+def test_blocked_loops_match_the_whole_array_formulas_on_a_grid_above_one_block(block):
+    # The grids drawn above hold at most 144 pixels; this one holds more
+    # than linops.BLOCK, so that at the default block size too every
+    # blocked loop runs past its first block, with a partial last one.
+    m, n = 97, 89
+    assert m * n > linops.BLOCK
+    rng = np.random.default_rng(31)
+    kernel = Kernel2D(rng.uniform(-1.0, 1.0, (5, 3)))
+    x = rng.standard_normal(m * n)
+    y = 3.0 * rng.standard_normal(3 * m * n)
+    c = rng.uniform(-2.0, 2.0, m * n)
+    w, step, mu_g = 0.7, 0.4, 0.2
+    D = make_difference_operator(m, n)
+    K = make_convolution_operator(kernel, m, n)
+    spectrum = ref_spectrum(kernel.weights, m, n)
+    with mock.patch.object(linops, "BLOCK", block):
+        assert_bitwise(D.adjoint(y[: 2 * m * n]), ref_diff_adjoint(y[: 2 * m * n], m, n))
+        assert_bitwise(K.adjoint(x), ref_conv(x, np.conj(spectrum), m, n))
+        assert_bitwise(K.solve_shifted(x, w), ref_conv_solve_shifted(x, spectrum, w, m, n))
+        assert_bitwise(StackedOperator([(1.0, D), (0.5, K)]).adjoint(y),
+                       ref_diff_adjoint(y[: 2 * m * n], m, n)
+                       + 0.5 * ref_conv(y[2 * m * n :], np.conj(spectrum), m, n))
+        assert_bitwise(project_ball2_pairs(y[: 2 * m * n]),
+                       ref_project_ball2_pairs(y[: 2 * m * n]))
+        assert_bitwise(prox_linear_plus_box(x, step, c, mu_g),
+                       np.clip((x - step * c) / (step * mu_g + 1.0), -1.0, 1.0))
+        assert_bitwise(prox_quadratic_primal(x, step, K, c, 2.0),
+                       ref_conv_solve_shifted(c * (2.0 * step) + x, spectrum,
+                                              2.0 * step, m, n))
+        # the block sums of the norms round differently from one sum
+        x_checked, residual = K.solve_shifted_checked(y[: m * n], w)
+        assert_bitwise(x_checked, ref_conv_solve_shifted(y[: m * n], spectrum, w, m, n))
+        assert residual == pytest.approx(
+            ref_shifted_residual_norm(x_checked, y[: m * n], spectrum, w, m, n),
+            rel=1e-12)
+        assert scaled_norm(y) == pytest.approx(np.linalg.norm(y), rel=1e-13)
+        assert scaled_norm(spectrum) == pytest.approx(np.linalg.norm(spectrum),
+                                                      rel=1e-13)
 
 
 def assert_adjoint_identities(kernel, m, n, alpha, rng):
@@ -284,7 +352,7 @@ def test_adjoint_identities_hold_for_subnormal_kernels(weights, shape):
 
 @SETTINGS
 @given(st.data(), shapes(), st.floats(0.01, 100.0), st.floats(0.0, 1.0),
-       st.booleans(), st.sampled_from([1, 3, prox.SQUARE_BLOCK]))
+       st.booleans(), BLOCKS)
 def test_tv_dual_prox_and_the_aliased_projection_match_the_parent_formula(
         data, shape, step, mu_g, overflow, block):
     m, n = shape
@@ -297,7 +365,7 @@ def test_tv_dual_prox_and_the_aliased_projection_match_the_parent_formula(
         z[mn] = -3e200 * (step * mu_g + 1.0)
     expected = ref_project_ball2_pairs(z / (step * mu_g + 1.0))
     # small blocks make the second coordinates' squares span several
-    with mock.patch.object(prox, "SQUARE_BLOCK", block):
+    with mock.patch.object(linops, "BLOCK", block):
         assert_bitwise(prox_smoothed_tv_dual(z, step, mu_g), expected)
         out = np.full(2 * mn, np.nan)
         assert prox_smoothed_tv_dual(z, step, mu_g, out=out) is out
@@ -348,35 +416,37 @@ def assert_out_path(fn, args, alias=True):
 
 
 @SETTINGS
-@given(st.data(), grid_and_vectors(3), st.floats(0.1, 10.0), st.floats(1e-3, 1e3))
-def test_operator_out_paths_equal_the_fresh_paths(data, case, alpha, w):
+@given(st.data(), grid_and_vectors(3), st.floats(0.1, 10.0), st.floats(1e-3, 1e3),
+       BLOCKS)
+def test_operator_out_paths_equal_the_fresh_paths(data, case, alpha, w, block):
     m, n, x, y = case
     mn = m * n
     kernel = data.draw(kernels(m, n))
     D = make_difference_operator(m, n)
     K = make_convolution_operator(kernel, m, n)
     M = MatrixOperator(dense_convolution_matrix(kernel.weights, m, n))
-    for fn, args, alias in [
-        (D.apply, (x,), False), (D.adjoint, (y[: 2 * mn],), False),
-        (K.apply, (x,), True), (K.adjoint, (y[:mn],), True), (K.gram, (x,), True),
-        (K.solve_shifted, (y[:mn], w), True),
-        (M.apply, (x,), True), (M.adjoint, (y[:mn],), True), (M.gram, (x,), True),
-        (StackedOperator([(1.0, D), (alpha, K)]).apply, (x,), False),
-        (StackedOperator([(1.0, D), (alpha, K)]).adjoint, (y,), False),
-        (StackedOperator([(alpha, K), (1.0, D)]).adjoint,
-         (np.concatenate([y[2 * mn :], y[: 2 * mn]]),), False),
-        (StackedOperator([(alpha, D)]).adjoint, (y[: 2 * mn],), False),
-    ]:
-        assert_out_path(fn, args, alias)
-    x_fresh, r_fresh = K.solve_shifted_checked(y[:mn], w)
-    out = np.full(mn, np.nan)
-    x_out, r_out = K.solve_shifted_checked(y[:mn], w, out=out)
-    assert x_out is out and r_out == r_fresh
-    assert_bitwise(out, x_fresh)
-    rhs = y[:mn].copy()
-    x_alias, r_alias = K.solve_shifted_checked(rhs, w, out=rhs)
-    assert x_alias is rhs and r_alias == r_fresh
-    assert_bitwise(rhs, x_fresh)
+    with mock.patch.object(linops, "BLOCK", block):
+        for fn, args, alias in [
+            (D.apply, (x,), False), (D.adjoint, (y[: 2 * mn],), False),
+            (K.apply, (x,), True), (K.adjoint, (y[:mn],), True), (K.gram, (x,), True),
+            (K.solve_shifted, (y[:mn], w), True),
+            (M.apply, (x,), True), (M.adjoint, (y[:mn],), True), (M.gram, (x,), True),
+            (StackedOperator([(1.0, D), (alpha, K)]).apply, (x,), False),
+            (StackedOperator([(1.0, D), (alpha, K)]).adjoint, (y,), False),
+            (StackedOperator([(alpha, K), (1.0, D)]).adjoint,
+             (np.concatenate([y[2 * mn :], y[: 2 * mn]]),), False),
+            (StackedOperator([(alpha, D)]).adjoint, (y[: 2 * mn],), False),
+        ]:
+            assert_out_path(fn, args, alias)
+        x_fresh, r_fresh = K.solve_shifted_checked(y[:mn], w)
+        out = np.full(mn, np.nan)
+        x_out, r_out = K.solve_shifted_checked(y[:mn], w, out=out)
+        assert x_out is out and r_out == r_fresh
+        assert_bitwise(out, x_fresh)
+        rhs = y[:mn].copy()
+        x_alias, r_alias = K.solve_shifted_checked(rhs, w, out=rhs)
+        assert x_alias is rhs and r_alias == r_fresh
+        assert_bitwise(rhs, x_fresh)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])
@@ -402,7 +472,7 @@ def test_out_must_be_a_contiguous_float_vector_of_the_output_length():
 
 @SETTINGS
 @given(st.data(), shapes(), st.floats(0.01, 100.0), st.floats(0.0, 1.0),
-       st.floats(0.1, 1e4), st.sampled_from([1, 3, prox.SQUARE_BLOCK]))
+       st.floats(0.1, 1e4), BLOCKS)
 def test_prox_out_paths_equal_the_fresh_paths(data, shape, step, mu_g, mu, block):
     m, n = shape
     mn = m * n
@@ -412,7 +482,7 @@ def test_prox_out_paths_equal_the_fresh_paths(data, shape, step, mu_g, mu, block
     kernel = make_average_kernel(3 if min(m, n) >= 3 else 1)
     K = make_convolution_operator(kernel, m, n)
     M = MatrixOperator(dense_convolution_matrix(kernel.weights, m, n))
-    with mock.patch.object(prox, "SQUARE_BLOCK", block):
+    with mock.patch.object(linops, "BLOCK", block):
         for fn, args in [
             (project_ball2_pairs, (z,)),
             (prox_smoothed_tv_dual, (z, step, mu_g)),
