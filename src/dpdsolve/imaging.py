@@ -28,6 +28,7 @@ from .linops import (
     make_convolution_operator,
     make_difference_operator,
     make_stacked_operator,
+    staggered_empty,
 )
 from .model import DualProxOracle, PrimalOracle, SaddleProblem
 from .prox import (
@@ -117,7 +118,7 @@ def build_gaussian_problem(spec: GaussianDeblurSpec) -> SaddleProblem:
         r -= b
         return 0.5 * mu * float(r @ r)
 
-    Ktb = K.adjoint(b)
+    Ktb = K.adjoint(b, out=staggered_empty(m * n))
 
     # The oracles write into `out` when one is given, which may be their
     # input (K reads its input whole before it writes).
@@ -157,7 +158,8 @@ def build_saltpepper_problem(spec: SaltPepperDeblurSpec) -> SaddleProblem:
     K = make_convolution_operator(spec.kernel, m, n)
     D = make_difference_operator(m, n)
     A = make_stacked_operator([(1.0, D), (float(spec.alpha), K)])
-    tilt = float(spec.alpha) * spec.observed.data
+    tilt = np.multiply(spec.observed.data, float(spec.alpha),
+                       out=staggered_empty(mn))
     mu_g0 = float(spec.mu_g0)
 
     def f_grad(x, out=None):

@@ -381,8 +381,12 @@ class ConvolutionOperator2D:
         for p in range(kernel.height):
             for q in range(kernel.width):
                 embedded[(p - ch) % m, (q - cw) % n] += kernel.weights[p, q]
-        self.spectrum = self._forward(_to_vector(embedded))
-        self.power = self.spectrum.real**2 + self.spectrum.imag**2
+        shape = (m // 2 + 1, n)
+        self.spectrum = self._forward(
+            _to_vector(embedded), staggered_empty(shape, complex, order="F"))
+        self.power = np.square(self.spectrum.real,
+                               out=staggered_empty(shape, order="F"))
+        self.power += self.spectrum.imag**2
         self.norm_bound = float(np.abs(kernel.weights).sum())
         # The half-spectrum holds every modulus of the full one, because
         # the spectrum of a real kernel is conjugate-symmetric.

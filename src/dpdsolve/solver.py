@@ -100,7 +100,9 @@ class Workspace:
     `x` and `y` are the spare primal and dual buffers. A step forms its
     new dual iterate (and, for a prox step, its new primal iterate) in
     the spare and hands the replaced iterate's buffer back as the next
-    spare, so the buffers rotate with the iterates.
+    spare, so the buffers rotate with the iterates. `adjoint_yhat` forms
+    A* yhat, the primal update's coupling term, in the spare primal
+    buffer.
 
     Whether each of `A.apply`, `A.adjoint`, `f.grad`, `f.prox` and
     `g.prox` takes `out=` is decided once, here: the calls below pass
@@ -112,9 +114,13 @@ class Workspace:
     gradient buffer and the gradient-point buffer, and a step gets its
     gradient from `gradient`. Given the run's step sizes `params` on a
     problem with at least GRAD_AHEAD_MIN_PRIMAL_DIM primal unknowns, it
-    owns a one-thread pool as well, shut down by `close`, on which
-    `request_gradient` takes the next gradient while the current
-    iteration finishes.
+    owns a one-thread pool as well, shut down by `close`. On that worker
+    `request_gradient` forms the next gradient point and takes the
+    gradient there while the current iteration's dual half runs, and
+    `request_adjoint_yhat` then applies A* to the new extrapolated dual
+    point while the observer runs; `gradient` and `adjoint_yhat` return
+    what was requested. The worker runs one task at a time, in the
+    order they were requested.
     """
 
     def __init__(self, problem: SaddleProblem, grad_point=None,
@@ -127,7 +133,7 @@ class Workspace:
         self.f_prox = None if f.prox is None else with_out(f.prox)
         self.x = staggered_empty(problem.primal_dim)
         self.y = staggered_empty(problem.dual_dim)
-        self._pool = self._pending = None
+        self._pool = self._grad_ahead = self._adjoint_ahead = None
         if grad_point is None:
             return
         self._grad_point = grad_point
@@ -141,38 +147,64 @@ class Workspace:
 
             self._pool = ThreadPoolExecutor(max_workers=1)
 
+    def adjoint_yhat(self, state: SolverState) -> Array:
+        """A* `state.yhat` in the spare primal buffer: the one
+        `request_adjoint_yhat` started, or one applied on the spot. An
+        exception from A.adjoint is raised here."""
+        pending, self._adjoint_ahead = self._adjoint_ahead, None
+        if pending is not None:
+            return pending.result()
+        return self.adjoint(state.yhat, out=self.x)
+
+    def request_adjoint_yhat(self, state: SolverState, t: int) -> None:
+        """Start iteration t's A* yhat on the pool, unless there is none
+        or the run ends before iteration t. Until `adjoint_yhat` returns
+        it, the caller leaves `state.yhat` as it is, and the spare primal
+        buffer is the worker's."""
+        if self._pool is None or t > len(self._params):
+            return
+        self._adjoint_ahead = self._pool.submit(self.adjoint, state.yhat,
+                                                out=self.x)
+
     def gradient(self, state: SolverState, params) -> Array:
         """The gradient for an iteration with step sizes `params`, in the
         gradient buffer: the one `request_gradient` started, or one taken
         on the spot. An exception from f.grad is raised here."""
-        pending, self._pending = self._pending, None
+        pending, self._grad_ahead = self._grad_ahead, None
         if pending is not None:
             return pending.result()
+        return self._gradient_at(state, params)
+
+    def _gradient_at(self, state: SolverState, params) -> Array:
         point = self._grad_point(state, params, self._point, self._grad)
         return self.f_grad(point, out=self._grad)
 
     def request_gradient(self, state: SolverState, t: int) -> None:
-        """Start iteration t's gradient on the pool, unless there is none
-        or the run ends before iteration t. Until `gradient` returns it,
-        the caller leaves `state.x` and the primal aggregate as they are,
-        and the point and gradient buffers are the worker's."""
+        """Start iteration t's gradient, its point included, on the pool,
+        unless there is none or the run ends before iteration t. Until
+        `gradient` returns it, the caller leaves `state.x` and the primal
+        aggregate as they are, and the point and gradient buffers are the
+        worker's."""
         if self._pool is None or t > len(self._params):
             return
-        point = self._grad_point(state, self._params[t - 1], self._point,
-                                 self._grad)
-        self._pending = self._pool.submit(self.f_grad, point, out=self._grad)
+        self._grad_ahead = self._pool.submit(self._gradient_at, state,
+                                             self._params[t - 1])
 
     def close(self) -> None:
-        """Shut the pool down, waiting for a gradient still running."""
+        """Shut the pool down, waiting for a task still running."""
         if self._pool is not None:
             self._pool.shutdown()
 
 
 def _all_finite(v: Array) -> bool:
-    """Whether every entry of v is finite, by its extremes (a nan
-    propagates into both, an infinity is one of them), so that no
-    boolean temporary is made."""
+    """Whether every entry of v is finite, in one BLAS pass when v . v
+    is finite (a nan or an infinity makes it not). A finite v whose
+    squares overflow is told apart by its extremes (a nan propagates
+    into both, an infinity is one of them). No temporary is made."""
     v = np.asarray(v)
+    with np.errstate(over="ignore"):
+        if math.isfinite(np.dot(v, v)):
+            return True
     return math.isfinite(v.min()) and math.isfinite(v.max())
 
 
@@ -257,10 +289,11 @@ def primal_base_step(consts: SolverConsts) -> float:
     return consts.mu_f / (2.0 * consts.norm_A**2)
 
 
-# A linearized run takes each next gradient on a second thread when the
-# problem has at least this many primal unknowns; below, each step calls
-# f.grad itself. Handing a call over costs GIL switches, and the short
-# numpy calls of a small problem hold the GIL, so every hand-off waits.
+# A linearized run takes each next gradient and A* yhat on a second
+# thread when the problem has at least this many primal unknowns; below,
+# each step calls f.grad and A.adjoint itself. Handing a call over costs
+# GIL switches, and the short numpy calls of a small problem hold the
+# GIL, so every hand-off waits.
 # deblur-gauss, ldpd, 200 iterations, medians of 6 runs on a 2-vCPU
 # Xeon VM, threaded against in line: 0.51 s against 0.24 s at 128 x 128,
 # 0.68 against 0.58 s at 192 x 192, 0.97 against 1.15 s at 256 x 256.
@@ -268,7 +301,12 @@ def primal_base_step(consts: SolverConsts) -> float:
 # GIL, runs while the dual half does. The gate does not ask for a second
 # CPU: pinned to one (taskset -c 0), the threaded run was no slower,
 # medians of 6 alternating runs in process, 1.30 against 1.32 s at
-# 256 x 256 and 5.48 against 5.94 s at 512 x 512.
+# 256 x 256 and 5.48 against 5.94 s at 512 x 512. Since the worker also
+# forms each gradient point and applies A* to each next dual point (two
+# hand-offs per iteration), threaded against in line, medians of 5 runs
+# in process: 0.80 against 0.77 s at 256 x 256 (before, one hand-off:
+# 0.84 against 0.81 s), and of 3 runs, 1.37 against 1.84 s at 384 x 384
+# and 2.61 against 3.74 s at 512 x 512.
 GRAD_AHEAD_MIN_PRIMAL_DIM = 256 * 256
 
 
@@ -345,18 +383,21 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
     grad_point : callable, optional
         For a family that takes gradient steps: grad_point(state, params,
         out, scratch) -> the point iteration t's gradient is taken at,
-        given its step sizes, formed in `out` with `scratch`. f.grad is
-        called exactly `iters` times, each after the first on a worker
-        thread when the problem is at or above the gate (see `Workspace`).
+        given its step sizes, formed in `out` with `scratch`. f.grad and
+        A.adjoint are each called exactly `iters` times; when the problem
+        is at or above the gate, every call after the first, and the
+        point of each gradient after the first, are made on a worker
+        thread (see `Workspace`), so A.adjoint may overlap the observer.
 
     The problem constants are read once; the whole schedule is built and
     validated before the first iteration, so a bad configuration fails
     with ConfigurationError before any step runs. The run keeps one
     state, copied from (x1, y1), and the observer's `snap.state` is that
-    state: its arrays are valid until the next step begins. The run's
-    buffers and worker (see `Workspace`) are made once, before the first
-    step; the buffers are dropped, and the worker joined, before the run
-    returns or raises.
+    state: its arrays are valid until the next step begins, and the
+    observer must not write them, as the worker may be reading them.
+    The run's buffers and worker (see `Workspace`) are made once, before
+    the first step; the buffers are dropped, and the worker joined,
+    before the run returns or raises.
     """
     if iters < 1:
         raise ConfigurationError("iters must be at least 1")

@@ -475,6 +475,79 @@ def test_dual_divergence_with_a_gradient_pending_surfaces_unchanged(monkeypatch,
                       list(range(1, k)))
 
 
+def _counting_adjoint(problem, fail_at=None, wait_at=None, event=None):
+    """Replace problem.A.adjoint by a wrapper that counts its calls; at
+    call `fail_at` it raises, and at call `wait_at` it first waits for
+    `event`."""
+    adjoint, calls = problem.A.adjoint, []
+
+    def counted(y, out=None):
+        calls.append(threading.current_thread().name)
+        if len(calls) == fail_at:
+            raise FloatingPointError(f"adjoint call {fail_at}")
+        if len(calls) == wait_at:
+            assert event.wait(timeout=30)
+        return adjoint(y, out=out)
+
+    problem.A.adjoint = counted
+    return calls
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_adjoint_is_called_exactly_iters_times(monkeypatch, gated):
+    if gated:
+        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
+    inst = make_quadratic_saddle(8, 5, seed=23, mu_g=0.4, lam=1.0)
+    adjoints = _counting_adjoint(inst.problem)
+    grads = _counting_grad(inst.problem)
+    result = run_ldpd(inst.problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+                      np.zeros(8), np.zeros(5), 17)
+    # nothing is requested for an iteration after the last
+    assert len(adjoints) == len(grads) == 17
+    main = threading.current_thread().name
+    assert adjoints[0] == main
+    if gated:
+        assert main not in adjoints[1:]
+    else:
+        assert set(adjoints) == {main}
+    assert result.state.work is None
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_adjoint_error_surfaces_at_the_serial_iteration(monkeypatch, k):
+    def make_problem():
+        problem = make_quadratic_saddle(8, 5, seed=25, mu_g=0.4, lam=1.0).problem
+        _counting_adjoint(problem, fail_at=k)
+        return problem
+
+    serial, threaded_run = _serial_and_threaded(monkeypatch, make_problem, 10)
+    assert serial == threaded_run
+    assert serial == (FloatingPointError, f"adjoint call {k}",
+                      list(range(1, k)))
+
+
+def test_an_observer_error_with_the_adjoint_pending(threaded):
+    # Iteration 4's A* yhat, the fourth call, runs on the worker while
+    # iteration 3's observer runs; it waits until that observer has
+    # started, so it is still pending when the observer raises.
+    inst = make_quadratic_saddle(8, 5, seed=31, mu_g=0.4, lam=1.0)
+    observing = threading.Event()
+    calls = _counting_adjoint(inst.problem, wait_at=4, event=observing)
+    start = threading.active_count()
+
+    def observer(s):
+        if s.t == 3:
+            observing.set()
+            raise KeyError("observer failed")
+
+    with pytest.raises(KeyError, match="observer failed"):
+        run_ldpd(inst.problem, LdpdRegime(STRONGLY_CONVEX_DUAL), np.zeros(8),
+                 np.zeros(5), 10, observer=observer)
+    assert len(calls) == 4
+    assert calls[3] != threading.current_thread().name
+    assert threading.active_count() == start
+
+
 @pytest.mark.parametrize("gated", [True, False])
 @pytest.mark.parametrize("half", ["primal", "dual"])
 def test_a_stored_snapshot_after_a_divergence(monkeypatch, gated, half):

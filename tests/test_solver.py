@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from dpdsolve import edpd, ldpd
+from dpdsolve import edpd, ldpd, solver
 from dpdsolve.bench import make_quadratic_saddle
 from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
 from dpdsolve.diagnostics import BOUND_SLACK
@@ -112,3 +112,25 @@ def test_snapshot_aggregates_read_in_the_observer_stay_valid_after_the_run(famil
     with pytest.raises(ContractViolationError, match="iteration 2"):
         unread[0].x
     assert np.array_equal(unread[-1].x, unread[-1].state.aggregate_x)
+
+
+@pytest.mark.parametrize("entries, finite", [
+    ([1.0, -2.0, 0.0], True),
+    ([1.0, np.nan, 3.0], False),
+    ([np.inf, 1.0], False),
+    ([1.0, -np.inf], False),
+    ([np.inf, -np.inf], False),
+    # squares that overflow: the one-pass test fails, the extremes pass
+    ([1e200, -1e200, 3.0], True),
+    ([1e200, np.nan], False),
+    ([-1e200, np.inf], False),
+    # squares that underflow to zero
+    ([5e-324, -1e-310, 2.2e-308], True),
+    ([5e-324, np.nan], False),
+])
+def test_all_finite_tells_every_nonfinite_entry_apart(entries, finite):
+    # runs under the suite's error::RuntimeWarning filter, so the
+    # overflowing and underflowing squares must warn nothing
+    v = np.array(entries)
+    assert solver._all_finite(v) is finite
+    assert solver._all_finite(v[::-1]) is finite
