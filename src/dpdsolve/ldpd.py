@@ -161,7 +161,7 @@ def gradient_point(state: SolverState, params: LdpdParams, out: Array,
     theta = params.theta
     if theta == 1.0 or state.agg_den <= 0.0:
         return state.x
-    np.divide(state.agg_num_x, state.agg_den, out=out)
+    state.primal_aggregate(out)
     out *= 1.0 - theta
     out += np.multiply(state.x, theta, out=scratch)
     return out

@@ -9,6 +9,7 @@ bound `norm_bound`.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 import math
@@ -138,6 +139,25 @@ def _largest_component(v: Array) -> float:
     return max(float(np.max(v)), -float(np.min(v)))
 
 
+# A sum of squares taken as it stands is trusted when it is finite (no
+# square overflowed) and at least this large: each square that underflowed
+# lost less than one subnormal, 5e-324, so even a billion of them move
+# such a sum by less than 1e-30 of its value.
+SAFE_SUM_OF_SQUARES = 1e-280
+
+
+def _sum_of_squares(v: Array) -> float:
+    """v . v over a flat real array, in one BLAS pass: inf, without a
+    warning, when the squares overflow, nan when v holds a nan."""
+    with np.errstate(over="ignore"):
+        return float(v @ v)
+
+
+def _trusted(total: float) -> bool:
+    """Whether a plain sum of squares needs no scaled recomputation."""
+    return math.isfinite(total) and total >= SAFE_SUM_OF_SQUARES
+
+
 def _sum_of_scaled_squares(v: Array, scale: float) -> float:
     """sum (v_i / scale)^2 over a flat real array, in blocks."""
     total = 0.0
@@ -161,10 +181,16 @@ def _real_entries(v) -> Array:
 
 
 def scaled_norm(v) -> float:
-    """Euclidean norm of a real or complex array, taken of v divided by
-    its largest real or imaginary part, so that no square overflows or
-    underflows. A non-finite entry gives inf or nan."""
+    """Euclidean norm of a real or complex array that neither overflows
+    nor underflows. It is sqrt(v . v), one BLAS pass, when that sum is
+    finite and at least SAFE_SUM_OF_SQUARES; otherwise the norm is taken
+    of v divided by its largest real or imaginary part (J. L. Blue's
+    scaling, ACM TOMS 4(1), 1978), so that no square overflows or
+    underflows. A non-finite entry gives inf or nan, and zeros give 0."""
     flat = _real_entries(v)
+    total = _sum_of_squares(flat)
+    if _trusted(total):
+        return math.sqrt(total)
     scale = _largest_component(flat)
     if scale == 0.0 or not math.isfinite(scale):
         return scale
@@ -478,22 +504,29 @@ class ConvolutionOperator2D:
         The residual's half-spectrum is (w power + 1) F(x) - R. By
         Parseval its squared moduli give the real-domain norm: each row
         counts twice, for its conjugate partner, except row 0 and, for
-        even m, row m/2, and the sum is divided by m n. The parts are
-        divided by the largest one before they are squared, as in
-        `scaled_norm`.
+        even m, row m/2, and the sum is divided by m n. As in
+        `scaled_norm`, the three sums of squares (all parts, row 0, row
+        m/2) are plain dots when the sum over all parts is trusted, and
+        are otherwise taken of the parts divided by the largest one.
         """
         E = self._forward(x, E)
         for shift, e, r in self._shift_blocks(w, E, R):
             e *= shift
             e -= r
         parts = _real_entries(E)
-        scale = _largest_component(parts)
-        if scale == 0.0 or not math.isfinite(scale):
-            return scale
-        total = 2.0 * _sum_of_scaled_squares(parts, scale)
-        total -= _sum_of_scaled_squares(_real_entries(E[0]), scale)
+        total = _sum_of_squares(parts)
+        # the rows' sums are parts of the total, so they are trusted with it
+        if _trusted(total):
+            scale, squares = 1.0, _sum_of_squares
+        else:
+            scale = _largest_component(parts)
+            if scale == 0.0 or not math.isfinite(scale):
+                return scale
+            total = _sum_of_scaled_squares(parts, scale)
+            squares = functools.partial(_sum_of_scaled_squares, scale=scale)
+        total = 2.0 * total - squares(_real_entries(E[0]))
         if self.m % 2 == 0:
-            total -= _sum_of_scaled_squares(_real_entries(E[-1]), scale)
+            total -= squares(_real_entries(E[-1]))
         return scale * math.sqrt(max(total, 0.0) / (self.m * self.n))
 
 

@@ -161,6 +161,13 @@ class IterationSnapshot:
     def x(self) -> Array:
         return self._current_state().aggregate_x
 
+    def primal_aggregate(self, out: Array) -> Array:
+        """The aggregate `x` written into `out`, a contiguous float64
+        vector of the primal size the caller owns, under the same rule:
+        a read once the next step has accepted its primal iterate
+        raises ContractViolationError."""
+        return self._current_state().primal_aggregate(out)
+
     @cached_property
     def y(self) -> Array:
         return self._current_state().aggregate_y

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
-from .linops import staggered_empty, with_out
+from .linops import output_vector, staggered_empty, with_out
 from .model import Array, IterationSnapshot, Observer, SaddleProblem, SolverConsts
 
 
@@ -66,17 +66,29 @@ class SolverState:
     agg_den: float
     work: Optional["Workspace"] = field(default=None, init=False, repr=False)
 
+    def primal_aggregate(self, out: Optional[Array] = None) -> Array:
+        """The primal aggregate `agg_num_x / agg_den`, written into `out`
+        (a contiguous float64 vector of the primal size) when one is
+        given, else a fresh array."""
+        return _weighted_average(self.agg_num_x, self.agg_den, out)
+
     @property
     def aggregate_x(self) -> Array:
-        if self.agg_den <= 0.0:
-            raise ContractViolationError("no iterations accumulated yet")
-        return self.agg_num_x / self.agg_den
+        return self.primal_aggregate()
 
     @property
     def aggregate_y(self) -> Array:
-        if self.agg_den <= 0.0:
-            raise ContractViolationError("no iterations accumulated yet")
-        return self.agg_num_y / self.agg_den
+        return _weighted_average(self.agg_num_y, self.agg_den)
+
+
+def _weighted_average(num: Array, den: float, out: Optional[Array] = None) -> Array:
+    """num / den, the one formula of both aggregates, into `out` or a
+    fresh array."""
+    if den <= 0.0:
+        raise ContractViolationError("no iterations accumulated yet")
+    if out is not None:
+        out = output_vector(out, num.size, num)
+    return np.divide(num, den, out=out)
 
 
 def init_state(x1, y1) -> SolverState:

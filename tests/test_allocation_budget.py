@@ -3,12 +3,14 @@
 A run owns its iterates and spare buffers, and the operators and
 oracles write into them, so after the first iterations have made those
 buffers (and each thread's transform scratch) an iteration allocates
-nothing image-sized that it frees again, except in the observer: the
-snapshot's fresh primal aggregate and the recorder's SNR difference.
-Each iteration's peak above the level it ends at must therefore stay
-within two primal-size arrays plus 64 KiB for the block temporaries and
-small objects. Every 64 x 64 run below exceeds that budget when the
-operator and oracle outputs are fresh arrays.
+nothing image-sized that it frees again. The observer below, a
+`HistoryRecorder` with a ground truth, forms the aggregate and its SNR
+error in a buffer of its own and allocates nothing image-sized either.
+Each iteration's peak above the level it ends at must stay within two
+primal-size arrays plus 64 KiB for the block temporaries and small
+objects, the budget set when the recorder still allocated the aggregate
+and the error afresh. Every 64 x 64 run below exceeds that budget when
+the operator and oracle outputs are fresh arrays.
 """
 
 import tracemalloc
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from dpdsolve import solver
-from dpdsolve.diagnostics import HistoryRecorder
+from dpdsolve.diagnostics import HistoryRecorder, snr_db
 from dpdsolve.edpd import EdpdRegime, run_edpd
 from dpdsolve.imaging import (
     GaussianDeblurSpec,
@@ -100,12 +102,15 @@ def _sp_edpd(clean, build_observer):
              mu_g=lambda t: continuation_mu_g(t, 0.03, 5))
 
 
-@pytest.mark.parametrize("name,run,threaded", [
+RUNS = [
     ("ldpd in line", _ldpd, False),
     ("ldpd threaded", _ldpd, True),
     ("gauss edpd", _gauss_edpd, False),
     ("sp edpd", _sp_edpd, False),
-])
+]
+
+
+@pytest.mark.parametrize("name,run,threaded", RUNS)
 def test_iterations_allocate_within_the_budget(monkeypatch, name, run, threaded):
     if threaded:
         monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
@@ -147,3 +152,51 @@ def test_a_run_frees_its_buffers_before_it_forms_its_result(monkeypatch, name, r
         tracemalloc.stop()
     assert peak - levels[0] <= 4096, name
     assert workspaces[0]() is None, name
+
+
+@pytest.mark.parametrize("name,run,threaded", RUNS)
+def test_the_recorder_writes_the_snr_error_into_a_buffer_of_its_own(
+        monkeypatch, name, run, threaded):
+    # Each recorder call allocates less than one primal array; its SNR
+    # equals snr_db(snap.x, truth) bit for bit; and an observer that
+    # keeps snap.x after the recorder has run gets a fresh array each time.
+    if threaded:
+        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
+    clean = make_phantom(SIZE, SIZE)
+    peaks, expected, kept, copies, recorders = [], [], [], [], []
+
+    def build_observer(problem):
+        recorder = HistoryRecorder(x_true=clean)
+        recorders.append(recorder)
+
+        def observer(snap):
+            # on a threaded run the worker is applying A* to the next dual
+            # point now; let it finish, so that the peak is the recorder's
+            pending = snap.state.work._adjoint_ahead
+            if pending is not None:
+                pending.result()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            recorder(snap)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            kept.append(snap.x)
+            copies.append(snap.x.copy())
+            expected.append(snr_db(snap.x, clean))
+
+        return observer
+
+    tracemalloc.start()
+    try:
+        run(clean, build_observer)
+    finally:
+        tracemalloc.stop()
+    primal_bytes = SIZE * SIZE * 8
+    assert len(peaks) == ITERS
+    assert max(peaks[1:]) < primal_bytes, (name, peaks)
+    got = [rec.snr_db for rec in recorders[0].records]
+    assert np.array(got).tobytes() == np.array(expected).tobytes(), name
+    assert len({id(x) for x in kept}) == ITERS
+    for i, x in enumerate(kept):
+        assert np.array_equal(x, copies[i])
+        assert not np.shares_memory(x, recorders[0]._error)
+        assert not any(np.shares_memory(x, y) for y in kept[i + 1:])

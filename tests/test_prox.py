@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import dense_convolution_matrix
 
+from dpdsolve import linops
 from dpdsolve.errors import ContractViolationError, NumericalFailureError
 from dpdsolve.linops import (
     Kernel2D,
@@ -345,3 +346,111 @@ def test_spectral_residual_norm_scales_with_its_input():
     assert scaled_norm(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
     assert scaled_norm(np.array([1.0, np.inf])) == np.inf
     assert np.isnan(scaled_norm(np.array([1.0, np.nan])))
+
+
+def _scaled_reference(v) -> float:
+    """Blue's scaled norm written out: divide by the largest real or
+    imaginary part, then square."""
+    flat = np.asarray(v).reshape(-1)
+    if flat.dtype.kind == "c":
+        flat = np.concatenate([flat.real, flat.imag])
+    scale = np.max(np.abs(flat))
+    return float(scale * np.sqrt(np.sum((flat / scale) ** 2)))
+
+
+def _count_scaled_paths(monkeypatch):
+    """Count the calls that only the scaled (fallback) computation makes."""
+    calls = []
+    largest = linops._largest_component
+
+    def counted(v):
+        calls.append(v.size)
+        return largest(v)
+
+    monkeypatch.setattr(linops, "_largest_component", counted)
+    return calls
+
+
+def test_norms_take_one_plain_pass_on_ordinary_inputs(monkeypatch):
+    # Drawn inputs over magnitudes 1e-100 .. 1e100, real and complex: the
+    # norm is the plain sqrt(v . v), which agrees with the scaled value
+    # within 1e-13, and the scaled computation never runs.
+    rng = np.random.default_rng(11)
+    calls = _count_scaled_paths(monkeypatch)
+    for trial in range(60):
+        size = int(rng.integers(1, 5000))
+        scale = 10.0 ** rng.uniform(-100, 100)
+        v = scale * rng.standard_normal(size)
+        if trial % 3 == 0:
+            v = v + 1j * scale * rng.standard_normal(size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = scaled_norm(v)
+        assert got == pytest.approx(_scaled_reference(v), rel=1e-13)
+    assert calls == []
+
+
+@pytest.mark.parametrize("m,n", GRIDS)
+def test_spectral_residual_norm_fast_and_scaled_values_agree(m, n, monkeypatch):
+    rng = np.random.default_rng(m * 10 + n + 1)
+    K = _random_blur(rng, m, n)
+    for w in (0.0, 0.7, 1e3):
+        x, rhs = rng.standard_normal(m * n), rng.standard_normal(m * n)
+        R = K._forward(rhs)
+        fast = K._shifted_residual_norm(x, R, w)
+        with monkeypatch.context() as mp:
+            # no plain sum is trusted, so the scaled sums are taken
+            mp.setattr(linops, "SAFE_SUM_OF_SQUARES", np.inf)
+            calls = _count_scaled_paths(mp)
+            scaled = K._shifted_residual_norm(x, R, w)
+            assert calls
+        assert fast == pytest.approx(scaled, rel=1e-13)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_norms_past_the_safe_range_take_the_scaled_path(scale, monkeypatch):
+    # 1e200 squared overflows and 1e-200 squared underflows to 0, so the
+    # plain sums are not trusted and the scaled ones give the norm.
+    rng = np.random.default_rng(3)
+    K = _random_blur(rng, 6, 8)
+    v, x, rhs = (rng.standard_normal(48) for _ in range(3))
+    unit_norm = scaled_norm(v)
+    unit_residual = K._shifted_residual_norm(x, K._forward(rhs), 0.7)
+    calls = _count_scaled_paths(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert scaled_norm(scale * v) == pytest.approx(scale * unit_norm, rel=1e-13)
+        assert calls == [48]
+        residual = K._shifted_residual_norm(scale * x, K._forward(scale * rhs), 0.7)
+    assert residual == pytest.approx(scale * unit_residual, rel=1e-12)
+    assert calls == [48, 2 * 4 * 8]
+
+
+def test_norms_of_nan_inf_and_zero_inputs():
+    K = _random_blur(np.random.default_rng(4), 6, 8)
+    zeros = np.zeros(48)
+    R0 = K._forward(zeros)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for v in (zeros, np.zeros(5, dtype=complex), np.zeros(0)):
+            assert scaled_norm(v) == 0.0
+        assert scaled_norm(np.array([np.inf, 1.0])) == np.inf
+        assert scaled_norm(np.array([1.0, -np.inf])) == np.inf
+        assert scaled_norm(np.array([1e300, 1e300j, np.inf])) == np.inf
+        assert np.isnan(scaled_norm(np.array([1.0, np.nan])))
+        assert np.isnan(scaled_norm(np.array([np.inf, np.nan])))
+        assert K._shifted_residual_norm(zeros, R0, 0.7) == 0.0
+        R = R0.copy(order="F")
+        R[1, 2] = np.inf
+        assert K._shifted_residual_norm(zeros, R, 0.7) == np.inf
+        R[1, 2] = np.nan
+        assert np.isnan(K._shifted_residual_norm(zeros, R, 0.7))
+
+
+def test_a_nan_residual_is_refused_by_the_prox(monkeypatch):
+    K = make_convolution_operator(make_average_kernel(3), 6, 8)
+    z = np.random.default_rng(6).standard_normal(48)
+    monkeypatch.setattr(K, "solve_shifted_checked",
+                        lambda rhs, w, out=None: (K.solve_shifted(rhs, w), np.nan))
+    with pytest.raises(NumericalFailureError):
+        prox_quadratic_primal(z, 0.5, K, np.zeros(48), 2.0)
