@@ -109,10 +109,12 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
     a division; dense matrix operators fall back to a direct solve. The
     returned x is verified against the normal equations, and an
     unacceptable or non-finite residual raises. The residual and the
-    tolerance's ||rhs|| are both scaled norms (see `scaled_norm`), so
-    neither overflows at large pixel values. A convolution checks its
-    residual in the transform domain, by Parseval, so the call takes
-    three real transforms; a dense operator applies its own K*K.
+    tolerance's ||rhs|| are both taken as in `scaled_norm`: one BLAS
+    pass when the sum of squares is safe, scaled when it overflows or
+    underflows, so neither norm fails at large or tiny pixel values. A
+    convolution checks its residual in the transform domain, by
+    Parseval, so the call takes three real transforms; a dense operator
+    applies its own K*K.
 
     With `out` given, which may be z itself, the right-hand side is
     formed there in blocks and x written over it, and a convolution

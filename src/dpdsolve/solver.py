@@ -305,21 +305,25 @@ def primal_base_step(consts: SolverConsts) -> float:
 # thread when the problem has at least this many primal unknowns; below,
 # each step calls f.grad and A.adjoint itself. Handing a call over costs
 # GIL switches, and the short numpy calls of a small problem hold the
-# GIL, so every hand-off waits.
-# deblur-gauss, ldpd, 200 iterations, medians of 6 runs on a 2-vCPU
-# Xeon VM, threaded against in line: 0.51 s against 0.24 s at 128 x 128,
-# 0.68 against 0.58 s at 192 x 192, 0.97 against 1.15 s at 256 x 256.
-# From there up, the FFT pair of an imaging gradient, which releases the
-# GIL, runs while the dual half does. The gate does not ask for a second
-# CPU: pinned to one (taskset -c 0), the threaded run was no slower,
-# medians of 6 alternating runs in process, 1.30 against 1.32 s at
-# 256 x 256 and 5.48 against 5.94 s at 512 x 512. Since the worker also
-# forms each gradient point and applies A* to each next dual point (two
-# hand-offs per iteration), threaded against in line, medians of 5 runs
-# in process: 0.80 against 0.77 s at 256 x 256 (before, one hand-off:
-# 0.84 against 0.81 s), and of 3 runs, 1.37 against 1.84 s at 384 x 384
-# and 2.61 against 3.74 s at 512 x 512.
-GRAD_AHEAD_MIN_PRIMAL_DIM = 256 * 256
+# GIL, so every hand-off waits; from the gate up, the FFT pair of an
+# imaging gradient, which releases the GIL, runs while the dual half
+# does. The gate does not ask for a second CPU: pinned to one
+# (taskset -c 0), an earlier version with one hand-off per iteration was
+# no slower threaded, 1.30 against 1.32 s at 256 x 256 and 5.48 against
+# 5.94 s at 512 x 512.
+# deblur-gauss, ldpd, 200 iterations, in process, one BLAS thread, on a
+# 2-vCPU Xeon VM; threaded against in line, alternating, two sets of
+# medians of 5 runs (s):
+#
+#   size        threaded       in line        ratio
+#   256 x 256   0.777, 0.770   0.746, 0.723   1.04, 1.07
+#   288 x 288   0.923, 0.924   0.935, 0.927   0.99, 1.00
+#   320 x 320   1.100, 1.182   0.975, 1.189   1.13, 0.99
+#   352 x 352   1.005, 1.291   1.419, 1.529   0.71, 0.84
+#   384 x 384   1.132          1.571          0.72
+#
+# Threading starts to win at 352 x 352, so the gate sits there.
+GRAD_AHEAD_MIN_PRIMAL_DIM = 352 * 352
 
 
 @dataclass
