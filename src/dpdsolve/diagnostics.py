@@ -22,7 +22,7 @@ import numpy as np
 
 from . import edpd, ldpd
 from .errors import ConfigurationError, ContractViolationError
-from .linops import staggered_empty
+from .linops import staggered_empty, sum_of_squares
 from .model import (
     Array,
     IterationSnapshot,
@@ -216,8 +216,7 @@ def _snr_db_of_error(error: Array, signal: float) -> float:
     """20 log10(signal / ||error||), for the error x* - x_k of a
     reconstruction and the centred norm `signal` of its truth. The norm
     is sqrt(error . error), one BLAS pass; an overflow gives inf."""
-    with np.errstate(over="ignore"):
-        noise = math.sqrt(float(np.dot(error, error)))
+    noise = math.sqrt(sum_of_squares(error))
     if noise == 0.0:
         return float("inf")
     ratio = signal / noise

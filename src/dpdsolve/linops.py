@@ -146,7 +146,7 @@ def _largest_component(v: Array) -> float:
 SAFE_SUM_OF_SQUARES = 1e-280
 
 
-def _sum_of_squares(v: Array) -> float:
+def sum_of_squares(v: Array) -> float:
     """v . v over a flat real array, in one BLAS pass: inf, without a
     warning, when the squares overflow, nan when v holds a nan."""
     with np.errstate(over="ignore"):
@@ -188,7 +188,7 @@ def scaled_norm(v) -> float:
     scaling, ACM TOMS 4(1), 1978), so that no square overflows or
     underflows. A non-finite entry gives inf or nan, and zeros give 0."""
     flat = _real_entries(v)
-    total = _sum_of_squares(flat)
+    total = sum_of_squares(flat)
     if _trusted(total):
         return math.sqrt(total)
     scale = _largest_component(flat)
@@ -514,10 +514,10 @@ class ConvolutionOperator2D:
             e *= shift
             e -= r
         parts = _real_entries(E)
-        total = _sum_of_squares(parts)
+        total = sum_of_squares(parts)
         # the rows' sums are parts of the total, so they are trusted with it
         if _trusted(total):
-            scale, squares = 1.0, _sum_of_squares
+            scale, squares = 1.0, sum_of_squares
         else:
             scale = _largest_component(parts)
             if scale == 0.0 or not math.isfinite(scale):

@@ -162,10 +162,10 @@ class IterationSnapshot:
         return self._current_state().aggregate_x
 
     def primal_aggregate(self, out: Array) -> Array:
-        """The aggregate `x` written into `out`, a contiguous float64
-        vector of the primal size the caller owns, under the same rule:
-        a read once the next step has accepted its primal iterate
-        raises ContractViolationError."""
+        """The aggregate `x` written into `out`, a float64 array of the
+        primal shape that the caller owns, under the same rule: a read
+        once the next step has accepted its primal iterate raises
+        ContractViolationError."""
         return self._current_state().primal_aggregate(out)
 
     @cached_property

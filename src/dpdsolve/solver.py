@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
-from .linops import output_vector, staggered_empty, with_out
+from .linops import staggered_empty, with_out
 from .model import Array, IterationSnapshot, Observer, SaddleProblem, SolverConsts
 
 
@@ -68,13 +68,13 @@ class SolverState:
 
     def primal_aggregate(self, out: Optional[Array] = None) -> Array:
         """The primal aggregate `agg_num_x / agg_den`, written into `out`
-        (a contiguous float64 vector of the primal size) when one is
-        given, else a fresh array."""
+        (a float64 array of the primal shape) when one is given, else a
+        fresh array."""
         return _weighted_average(self.agg_num_x, self.agg_den, out)
 
     @property
     def aggregate_x(self) -> Array:
-        return self.primal_aggregate()
+        return _weighted_average(self.agg_num_x, self.agg_den)
 
     @property
     def aggregate_y(self) -> Array:
@@ -86,8 +86,6 @@ def _weighted_average(num: Array, den: float, out: Optional[Array] = None) -> Ar
     fresh array."""
     if den <= 0.0:
         raise ContractViolationError("no iterations accumulated yet")
-    if out is not None:
-        out = output_vector(out, num.size, num)
     return np.divide(num, den, out=out)
 
 

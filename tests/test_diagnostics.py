@@ -318,6 +318,17 @@ def test_recorder_snr_column_equals_snr_db_bitwise():
     assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
+def test_recorder_refuses_a_truth_of_another_size():
+    truth = make_phantom(16, 12)
+    problem = build_gaussian_problem(GaussianDeblurSpec(
+        observed=truth, kernel=make_average_kernel(3), mu=300.0, mu_g=0.01))
+    recorder = HistoryRecorder(x_true=make_phantom(12, 12))
+    with pytest.raises(ContractViolationError, match="shapes differ"):
+        run_ldpd(problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+                 np.zeros(problem.primal_dim), np.zeros(problem.dual_dim), 2,
+                 recorder)
+
+
 @pytest.mark.parametrize("tag,zero", [
     ("ldpd-strongly-convex-dual", "mu_g"),
     ("edpd-strongly-convex-dual", "mu_g"),

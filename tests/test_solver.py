@@ -8,7 +8,7 @@ import pytest
 from dpdsolve import edpd, ldpd, solver
 from dpdsolve.bench import make_quadratic_saddle
 from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
-from dpdsolve.diagnostics import BOUND_SLACK
+from dpdsolve.diagnostics import BOUND_SLACK, HistoryRecorder
 from dpdsolve.errors import ContractViolationError
 from dpdsolve.imaging import (
     SaltPepperDeblurSpec,
@@ -111,7 +111,15 @@ def test_snapshot_aggregates_read_in_the_observer_stay_valid_after_the_run(famil
     # after the run moved on would be another iteration's; it raises
     with pytest.raises(ContractViolationError, match="iteration 2"):
         unread[0].x
+    # so does an aggregate written into a buffer, and a recorder reading one
+    with pytest.raises(ContractViolationError, match="iteration 2"):
+        unread[0].primal_aggregate(np.empty(8))
+    with pytest.raises(ContractViolationError, match="iteration 2"):
+        HistoryRecorder(x_true=np.zeros(8))(unread[0])
     assert np.array_equal(unread[-1].x, unread[-1].state.aggregate_x)
+    out = np.empty(8)
+    assert unread[-1].primal_aggregate(out) is out
+    assert np.array_equal(out, unread[-1].state.aggregate_x)
 
 
 @pytest.mark.parametrize("entries, finite", [
