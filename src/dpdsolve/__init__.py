@@ -7,6 +7,10 @@ nonsmooth primal terms. Each ships the published step-size schedules
 whose primal-dual gap decays at 1/k, or at 1/k^2 when one block is
 strongly convex, together with the matching guarantee curves so runs can
 be checked against the theory.
+
+The names imported here are the package's public API, the list in
+README.md's "Public API" section; every other name in the submodules is
+internal.
 """
 
 from .errors import (
@@ -21,9 +25,6 @@ from .linops import (
     ImageGrid,
     Kernel2D,
     LinearOperator,
-    NormEstimate,
-    estimate_operator_norm,
-    identity_operator,
     make_average_kernel,
     make_convolution_operator,
     make_difference_operator,
@@ -40,7 +41,6 @@ from .model import (
     lagrangian,
 )
 from .prox import (
-    pair_norms,
     project_ball2_pairs,
     project_box,
     prox_linear_plus_box,
@@ -50,7 +50,6 @@ from .prox import (
 from .solver import (
     RunResult,
     SolverState,
-    aggregate_closed_form,
 )
 from .ldpd import (
     LdpdParams,

@@ -104,16 +104,25 @@ def _require_finite(image: ImageGrid, what: str) -> ImageGrid:
 
 
 def _load_scene(args):
-    """Resolve (clean, observed, degraded_here) from the input flags."""
+    """The clean image (None when only a degraded one is given) and the
+    --degraded-input image (None when the run degrades the clean one)."""
     clean = None
     if args.input:
         clean = _require_finite(_read_image(args.input), args.input)
     if args.degraded_input:
         return clean, _require_finite(_read_image(args.degraded_input),
-                                      args.degraded_input), False
+                                      args.degraded_input)
     if clean is None:
         clean = make_phantom(args.size, args.size)
-    return clean, None, True
+    return clean, None
+
+
+def _degrade(clean: ImageGrid, kernel, noise) -> ImageGrid:
+    """`noise(blurred)`, where blurred is `clean` convolved with `kernel`.
+    The blur operator and the blurred image are freed on return, so they
+    do not outlive the degradation."""
+    K = make_convolution_operator(kernel, clean.m, clean.n)
+    return noise(ImageGrid(clean.m, clean.n, K.apply(clean.data)))
 
 
 def _write_run_outputs(out_dir, recovered: ImageGrid, records, label=None,
@@ -127,85 +136,21 @@ def _write_run_outputs(out_dir, recovered: ImageGrid, records, label=None,
         write_dpdf(os.path.join(out_dir, "degraded.dpdf"), degraded)
 
 
-def cmd_deblur_gauss(args) -> int:
-    """Quadratic-fit deblurring run."""
-    length, theta = _parse_motion(args.kernel)
-    clean, observed, degraded_here = _load_scene(args)
-    # The trimmed kernel spans at least the segment's extent along each axis.
-    rad = math.radians(theta)
-    _check_kernel_fits(abs(length * math.sin(rad)), abs(length * math.cos(rad)),
-                       clean if observed is None else observed,
-                       f"a motion kernel of length {length:g} at {theta:g} degrees")
-    kernel = make_motion_kernel(length, theta)
-    if degraded_here:
-        K = make_convolution_operator(kernel, clean.m, clean.n)
-        blurred = ImageGrid(clean.m, clean.n, K.apply(clean.data))
-        observed = _require_finite(
-            add_gaussian_noise(blurred, args.sigma, args.seed),
-            f"the image degraded with --sigma {args.sigma:g}")
-    problem = build_gaussian_problem(
-        GaussianDeblurSpec(observed=observed, kernel=kernel,
-                           mu=args.mu, mu_g=args.mu_g))
-
-    norm_A = problem.A.norm_bound
-    if args.solver == "ldpd":
-        regime = _ldpd_regime(args.regime, args.iters, args.tau, args.mu_g)
-    else:
-        regime = _edpd_regime(args.regime, args.tau, norm_A)
-
+def _deblur(args, build) -> int:
+    """One deblurring run. `build(args, clean, observed)` returns the
+    model's (observed, problem, solve, label): the observed image, made
+    from `clean` when `observed` is None; the problem; solve(x1, y1,
+    iters, observer), which runs the model's solver, looked up on the
+    ldpd or edpd module when called, so a wrapper set there sees the run;
+    and the history's label, or None."""
+    clean, observed = _load_scene(args)
+    degraded_here = observed is None
+    observed, problem, solve, label = build(args, clean, observed)
     recorder = HistoryRecorder(x_true=clean, timing=args.timing)
-    x1 = np.zeros(problem.primal_dim)
-    y1 = np.zeros(problem.dual_dim)
     # Only the primal aggregate is kept, so the run's final state is freed
     # before the outputs are written.
-    if args.solver == "ldpd":
-        x = ldpd.run_ldpd(problem, regime, x1, y1, args.iters, recorder).x
-    else:
-        x = edpd.run_edpd(problem, regime, x1, y1, args.iters, recorder).x
-
-    recovered = ImageGrid(observed.m, observed.n, x)
-    _write_run_outputs(args.out_dir, recovered, recorder.records,
-                       degraded=observed if degraded_here else None)
-    if clean is not None:
-        print(f"final snr_db: {snr_db(x, clean.data):.4f}")
-    print(f"wrote recovered image and history to {args.out_dir}")
-    return EXIT_OK
-
-
-def cmd_deblur_sp(args) -> int:
-    """L1-fit deblurring run with optional smoothing continuation."""
-    clean, observed, degraded_here = _load_scene(args)
-    _check_kernel_fits(args.kernel, args.kernel,
-                       clean if observed is None else observed,
-                       f"a {args.kernel}x{args.kernel} averaging kernel")
-    kernel = make_average_kernel(args.kernel)
-    if degraded_here:
-        K = make_convolution_operator(kernel, clean.m, clean.n)
-        blurred = ImageGrid(clean.m, clean.n, K.apply(clean.data))
-        observed = add_salt_pepper(blurred, args.fraction, args.seed)
-    spec = SaltPepperDeblurSpec(observed=observed, kernel=kernel,
-                                alpha=args.alpha, mu_g0=args.mu_g0,
-                                halve_every=args.halve_every)
-    problem = build_saltpepper_problem(spec)
-
-    mu_g = None
-    label = None
-    if spec.mu_g0 > 0.0:
-        regime = edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL)
-        if spec.halve_every > 0:
-            label = CONTINUATION_LABEL
-            mu_g = functools.partial(continuation_mu_g, mu_g0=spec.mu_g0,
-                                     halve_every=spec.halve_every)
-    else:
-        tau = args.tau if args.tau is not None else 1.0 / problem.A.norm_bound
-        regime = edpd.EdpdRegime(edpd.WEAKLY_CONVEX, tau=tau)
-
-    recorder = HistoryRecorder(x_true=clean, timing=args.timing)
-    x1 = np.zeros(problem.primal_dim)
-    y1 = np.zeros(problem.dual_dim)
-    # only the primal aggregate is kept (see cmd_deblur_gauss)
-    x = edpd.run_edpd(problem, regime, x1, y1, args.iters, recorder, mu_g=mu_g).x
-
+    x = solve(np.zeros(problem.primal_dim), np.zeros(problem.dual_dim),
+              args.iters, recorder).x
     recovered = ImageGrid(observed.m, observed.n, x)
     _write_run_outputs(args.out_dir, recovered, recorder.records, label=label,
                        degraded=observed if degraded_here else None)
@@ -217,24 +162,65 @@ def cmd_deblur_sp(args) -> int:
     return EXIT_OK
 
 
-def _ldpd_regime(name: str, iters: int, tau, mu_g: float) -> ldpd.LdpdRegime:
-    if name == ldpd.WEAKLY_CONVEX:
-        return ldpd.LdpdRegime(name, horizon=iters)
-    if name == ldpd.SINGLE_STEP:
-        if tau is None:
-            if not mu_g > 0.0:
-                raise ConfigurationError(
-                    "single-step needs --tau when mu_g is zero"
-                )
-            tau = dual_base_step(ldpd.SCD_STEP_SCALE, mu_g)
-        return ldpd.LdpdRegime(name, tau=tau)
-    return ldpd.LdpdRegime(name)
+def _gaussian_model(args, clean, observed):
+    """deblur-gauss: motion blur and Gaussian noise, a quadratic fit, and
+    the --solver family in the --regime schedule."""
+    length, theta = _parse_motion(args.kernel)
+    # The trimmed kernel spans at least the segment's extent along each axis.
+    rad = math.radians(theta)
+    _check_kernel_fits(abs(length * math.sin(rad)), abs(length * math.cos(rad)),
+                       clean if observed is None else observed,
+                       f"a motion kernel of length {length:g} at {theta:g} degrees")
+    kernel = make_motion_kernel(length, theta)
+    if observed is None:
+        observed = _degrade(clean, kernel, lambda blurred: _require_finite(
+            add_gaussian_noise(blurred, args.sigma, args.seed),
+            f"the image degraded with --sigma {args.sigma:g}"))
+    problem = build_gaussian_problem(
+        GaussianDeblurSpec(observed=observed, kernel=kernel,
+                           mu=args.mu, mu_g=args.mu_g))
+    tau = args.tau
+    if args.solver == "edpd":
+        regime = edpd.EdpdRegime(
+            args.regime, tau=1.0 / problem.A.norm_bound if tau is None else tau)
+        return observed, problem, lambda *run: edpd.run_edpd(problem, regime, *run), None
+    if args.regime == ldpd.SINGLE_STEP and tau is None:
+        if not args.mu_g > 0.0:
+            raise ConfigurationError("single-step needs --tau when mu_g is zero")
+        tau = dual_base_step(ldpd.SCD_STEP_SCALE, args.mu_g)
+    # each regime reads only its own fields: horizon (weakly convex), tau
+    # (single step)
+    regime = ldpd.LdpdRegime(args.regime, horizon=args.iters, tau=tau or 0.0)
+    return observed, problem, lambda *run: ldpd.run_ldpd(problem, regime, *run), None
 
 
-def _edpd_regime(name: str, tau, norm_A: float) -> edpd.EdpdRegime:
-    if name == edpd.WEAKLY_CONVEX:
-        return edpd.EdpdRegime(name, tau=tau if tau is not None else 1.0 / norm_A)
-    return edpd.EdpdRegime(name)
+def _saltpepper_model(args, clean, observed):
+    """deblur-sp: box blur and salt-and-pepper noise, an L1 fit, and edpd,
+    under the smoothing continuation when --mu-g0 and --halve-every are
+    positive."""
+    _check_kernel_fits(args.kernel, args.kernel,
+                       clean if observed is None else observed,
+                       f"a {args.kernel}x{args.kernel} averaging kernel")
+    kernel = make_average_kernel(args.kernel)
+    if observed is None:
+        observed = _degrade(clean, kernel, lambda blurred: add_salt_pepper(
+            blurred, args.fraction, args.seed))
+    spec = SaltPepperDeblurSpec(observed=observed, kernel=kernel,
+                                alpha=args.alpha, mu_g0=args.mu_g0,
+                                halve_every=args.halve_every)
+    problem = build_saltpepper_problem(spec)
+    mu_g = label = None
+    if spec.mu_g0 > 0.0:
+        regime = edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL)
+        if spec.halve_every > 0:
+            label = CONTINUATION_LABEL
+            mu_g = functools.partial(continuation_mu_g, mu_g0=spec.mu_g0,
+                                     halve_every=spec.halve_every)
+    else:
+        tau = args.tau if args.tau is not None else 1.0 / problem.A.norm_bound
+        regime = edpd.EdpdRegime(edpd.WEAKLY_CONVEX, tau=tau)
+    return (observed, problem,
+            lambda *run: edpd.run_edpd(problem, regime, *run, mu_g=mu_g), label)
 
 
 def _bench_instances(args):
@@ -411,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--tau", type=float, default=None,
                     help="free dual step for single-step / weakly convex "
                          "proximal regimes")
-    pg.set_defaults(func=cmd_deblur_gauss)
+    pg.set_defaults(func=functools.partial(_deblur, build=_gaussian_model))
 
     ps = sub.add_parser("deblur-sp",
                         help="L1-fit deblurring (salt-and-pepper noise)")
@@ -425,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--fraction", type=float, default=0.2)
     ps.add_argument("--tau", type=float, default=None,
                     help="dual step when mu_g0 is zero")
-    ps.set_defaults(func=cmd_deblur_sp)
+    ps.set_defaults(func=functools.partial(_deblur, build=_saltpepper_model))
 
     pb = sub.add_parser("synth-bench",
                         help="check every gap guarantee on dense instances")
@@ -459,7 +445,7 @@ def main(argv=None) -> int:
     try:
         _check_finite_floats(args)
         return args.func(args)
-    except (ConfigurationError, ContractViolationError) as exc:
+    except (ConfigurationError, ContractViolationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

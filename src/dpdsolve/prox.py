@@ -107,8 +107,8 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
     (mu step K*K + I) x = mu step K* b + z. Circular convolution
     operators are diagonal in their transform domain, where the solve is
     a division; dense matrix operators fall back to a direct solve. The
-    returned x is verified against the normal equations, and an
-    unacceptable or non-finite residual raises. The residual and the
+    returned x is verified against the normal equations: a residual
+    above 1e-10 (1 + ||rhs||), or not finite, raises. The residual and the
     tolerance's ||rhs|| are both taken as in `scaled_norm`: one BLAS
     pass when the sum of squares is safe, scaled when it overflows or
     underflows, so neither norm fails at large or tiny pixel values. A

@@ -40,7 +40,6 @@ from dpdsolve.ldpd import aggregate_closed_form
 from dpdsolve.linops import (
     ImageGrid,
     MatrixOperator,
-    estimate_operator_norm,
     make_average_kernel,
     make_convolution_operator,
     make_difference_operator,
@@ -227,12 +226,11 @@ def test_criterion_07_operator_and_prox_contracts():
             worst_prox = max(worst_prox, float(margin))
     prox_ok = worst_prox <= 1e-9
 
-    # power-iteration norm of the difference operator against a dense SVD
+    # the difference operator's certified norm against a dense SVD
     D8 = make_difference_operator(8, 8)
     dense = np.column_stack([D8.apply(e) for e in np.eye(64)])
     svd_norm = float(np.linalg.norm(dense, 2))
-    est = float(estimate_operator_norm(D8).value)
-    norm_ok = abs(est - svd_norm) <= 1e-4
+    norm_ok = abs(D8.norm_bound - svd_norm) <= 1e-12 * svd_norm
 
     # finite differences against the analytic data-term gradient
     small = build_gaussian_problem(GaussianDeblurSpec(
@@ -252,7 +250,7 @@ def test_criterion_07_operator_and_prox_contracts():
     ok = adj_ok and prox_ok and norm_ok and fd_ok
     _report(7, ok, f"adjoint error<={worst_adj:.1e}; "
                    f"prox margin<={worst_prox:.1e}; "
-                   f"|norm-svd|={abs(est - svd_norm):.1e}; "
+                   f"|norm_bound-svd|={abs(D8.norm_bound - svd_norm):.1e}; "
                    f"grad fd rel={fd_rel:.1e}")
 
 

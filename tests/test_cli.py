@@ -1,10 +1,12 @@
 import argparse
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import dpdsolve.cli as cli
+from dpdsolve import edpd, ldpd
 from dpdsolve.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -393,3 +395,77 @@ def test_benchmark_sized_bench_keeps_every_gap_under_its_bound(tmp_path):
     # every iteration of six regimes, the final one of the horizon-tuned one
     assert checked == 6 * 500 + 1
     assert main(["rates", "--from-dir", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ["deblur-gauss", "--size", "10000000"],
+    ["synth-bench", "--dims", "100000000,99999999"],
+], ids=["phantom-728TiB", "bench-instance-71PiB"])
+def test_problems_too_large_to_allocate_are_config_errors(tmp_path, capsys, argv):
+    # Each asks numpy for more than the 128 TiB user address space, so the
+    # allocation fails at once and nothing is allocated. Both used to end
+    # in a MemoryError traceback with rc=1.
+    out = tmp_path / "x"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_memory_running_out_during_a_run_is_a_config_error(tmp_path, monkeypatch,
+                                                          capsys):
+    run = ldpd.run_ldpd
+
+    def starved(problem, regime, x1, y1, iters, observer=None):
+        def observe_then_fail(snap):
+            observer(snap)
+            raise MemoryError("out of memory at iteration 1")
+
+        return run(problem, regime, x1, y1, iters, observe_then_fail)
+
+    monkeypatch.setattr(ldpd, "run_ldpd", starved)
+    out = tmp_path / "x"
+    assert main(["deblur-gauss", "--size", "16", "--iters", "2", "--kernel", "3,0",
+                 "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: out of memory at iteration 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, family, run_name", [
+    (["deblur-gauss", "--kernel", "3,0"], ldpd, "run_ldpd"),
+    (["deblur-gauss", "--kernel", "3,0", "--solver", "edpd"], edpd, "run_edpd"),
+    (["deblur-sp", "--kernel", "3", "--halve-every", "1"], edpd, "run_edpd"),
+], ids=["gauss-ldpd", "gauss-edpd", "sp-continuation"])
+def test_the_blur_operator_is_freed_before_the_run(tmp_path, monkeypatch, argv,
+                                                   family, run_name):
+    # The solver is reached through the module attribute, looked up at call
+    # time, which is where perfbench hooks its run timers.
+    made = []
+    make = cli.make_convolution_operator
+
+    def recording(*args, **kwargs):
+        op = make(*args, **kwargs)
+        made.append(weakref.ref(op))
+        return op
+
+    seen = []
+    run = getattr(family, run_name)
+
+    def wrapped(problem, regime, x1, y1, iters, observer=None, **kwargs):
+        def first_call(snap):
+            if snap.t == 1:
+                seen.append(([ref() is None for ref in made], kwargs))
+            observer(snap)
+
+        return run(problem, regime, x1, y1, iters, first_call, **kwargs)
+
+    monkeypatch.setattr(cli, "make_convolution_operator", recording)
+    monkeypatch.setattr(family, run_name, wrapped)
+    assert main(argv + ["--size", "16", "--iters", "2",
+                        "--out-dir", str(tmp_path / "x")]) == EXIT_OK
+    [(freed, kwargs)] = seen
+    # one operator degraded the phantom, and it is gone by the first
+    # observer call
+    assert freed == [True]
+    if argv[0] == "deblur-sp":
+        assert callable(kwargs["mu_g"])

@@ -189,8 +189,6 @@ def test_convolution_matches_rfft2_and_irfft2(data, case, w, block):
         assert_bitwise(K.apply(x), ref_conv(x, spectrum, m, n))
         assert_bitwise(K.adjoint(y), ref_conv(y, np.conj(spectrum), m, n))
         assert_bitwise(K.gram(x), ref_conv(x, power, m, n))
-        assert_bitwise(K.solve_shifted(y, w),
-                       ref_conv_solve_shifted(y, spectrum, w, m, n))
         x_checked, _ = K.solve_shifted_checked(y, w)
         assert_bitwise(x_checked, ref_conv_solve_shifted(y, spectrum, w, m, n))
 
@@ -294,7 +292,6 @@ def test_blocked_loops_match_the_whole_array_formulas_on_a_grid_above_one_block(
     with mock.patch.object(linops, "BLOCK", block):
         assert_bitwise(D.adjoint(y[: 2 * m * n]), ref_diff_adjoint(y[: 2 * m * n], m, n))
         assert_bitwise(K.adjoint(x), ref_conv(x, np.conj(spectrum), m, n))
-        assert_bitwise(K.solve_shifted(x, w), ref_conv_solve_shifted(x, spectrum, w, m, n))
         assert_bitwise(StackedOperator([(1.0, D), (0.5, K)]).adjoint(y),
                        ref_diff_adjoint(y[: 2 * m * n], m, n)
                        + 0.5 * ref_conv(y[2 * m * n :], np.conj(spectrum), m, n))
@@ -429,7 +426,6 @@ def test_operator_out_paths_equal_the_fresh_paths(data, case, alpha, w, block):
         for fn, args, alias in [
             (D.apply, (x,), False), (D.adjoint, (y[: 2 * mn],), False),
             (K.apply, (x,), True), (K.adjoint, (y[:mn],), True), (K.gram, (x,), True),
-            (K.solve_shifted, (y[:mn], w), True),
             (M.apply, (x,), True), (M.adjoint, (y[:mn],), True), (M.gram, (x,), True),
             (StackedOperator([(1.0, D), (alpha, K)]).apply, (x,), False),
             (StackedOperator([(1.0, D), (alpha, K)]).adjoint, (y,), False),

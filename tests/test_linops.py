@@ -7,8 +7,6 @@ from dpdsolve.linops import (
     ImageGrid,
     Kernel2D,
     MatrixOperator,
-    estimate_operator_norm,
-    identity_operator,
     make_average_kernel,
     make_convolution_operator,
     make_difference_operator,
@@ -134,9 +132,8 @@ def test_convolution_norm_bounds():
     K = make_convolution_operator(Kernel2D(w), 8, 8)
     assert K.norm_bound == pytest.approx(np.abs(w).sum())
     assert K.spectral_norm <= K.norm_bound + 1e-12
-    est = estimate_operator_norm(K, tol=1e-10, max_iter=5000, seed=1)
-    assert float(est) <= K.norm_bound + 1e-8
-    assert float(est) == pytest.approx(K.spectral_norm, abs=1e-6)
+    dense = np.linalg.norm(dense_convolution_matrix(w, 8, 8), 2)
+    assert K.spectral_norm == pytest.approx(dense, rel=1e-12)
 
 
 def test_convolution_rejects_oversized_kernel():
@@ -186,7 +183,7 @@ def test_average_kernel():
 
 def test_stacked_operator_known_example():
     D = make_difference_operator(2, 2)
-    stack = make_stacked_operator([(1.0, D), (4.0, identity_operator(4))])
+    stack = make_stacked_operator([(1.0, D), (4.0, MatrixOperator(np.eye(4)))])
     assert stack.dims == (4, 12)
     out = stack.apply(np.full(4, 2.5))
     np.testing.assert_array_equal(out[:8], np.zeros(8))
@@ -209,41 +206,25 @@ def test_stacked_operator_adjoint_identity_100_pairs():
 
 def test_stacked_operator_rejects_mismatched_parts():
     with pytest.raises(ContractViolationError):
-        make_stacked_operator([(1.0, identity_operator(4)),
-                               (1.0, identity_operator(5))])
+        make_stacked_operator([(1.0, MatrixOperator(np.eye(4))),
+                               (1.0, MatrixOperator(np.eye(5)))])
     with pytest.raises(ContractViolationError):
         make_stacked_operator([])
 
 
-def test_norm_estimate_identity():
-    est = estimate_operator_norm(identity_operator(5), tol=1e-9, seed=0)
-    assert est.converged
-    assert float(est) == pytest.approx(1.0, abs=1e-8)
+def test_matrix_operator_norm_bound_is_the_spectral_norm():
+    op = MatrixOperator(np.diag([1.0, -2.0, 3.0]))
+    assert op.norm_bound == pytest.approx(3.0, rel=1e-15)
 
 
-def test_norm_estimate_diagonal():
-    op = MatrixOperator(np.diag([1.0, 2.0, 3.0]))
-    est = estimate_operator_norm(op, tol=1e-12, max_iter=2000, seed=4)
-    assert est.converged
-    assert float(est) == pytest.approx(3.0, abs=1e-6)
-
-
-def test_norm_estimate_difference_operator_matches_svd():
-    D = make_difference_operator(8, 8)
-    est = estimate_operator_norm(D, tol=1e-12, max_iter=20000, seed=2)
-    dense = np.linalg.norm(dense_difference_matrix(8, 8), 2)
-    assert 2.6 <= float(est) <= 2.8284271247461903
-    assert abs(float(est) - dense) <= 1e-4
-    assert float(est) <= D.norm_bound + 1e-8
-
-
-def test_norm_estimate_deterministic_and_flags_nonconvergence():
-    D = make_difference_operator(6, 6)
-    a = estimate_operator_norm(D, seed=9)
-    b = estimate_operator_norm(D, seed=9)
-    assert float(a) == float(b) and a.iterations == b.iterations
-    capped = estimate_operator_norm(D, tol=1e-15, max_iter=1, seed=9)
-    assert not capped.converged and capped.iterations == 1
+def test_difference_operator_norm_bound_matches_svd():
+    # sqrt(8) is attained on grids with even side lengths
+    for m, n in [(8, 8), (6, 4)]:
+        D = make_difference_operator(m, n)
+        dense = np.linalg.norm(dense_difference_matrix(m, n), 2)
+        assert D.norm_bound == pytest.approx(dense, rel=1e-12)
+    D = make_difference_operator(5, 7)
+    assert np.linalg.norm(dense_difference_matrix(5, 7), 2) <= D.norm_bound
 
 
 def test_staggered_arrays_start_at_distinct_offsets_within_a_page():

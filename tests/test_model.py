@@ -7,7 +7,7 @@ from dpdsolve.errors import (
     ContractViolationError,
     UnsupportedPointError,
 )
-from dpdsolve.linops import MatrixOperator, identity_operator
+from dpdsolve.linops import MatrixOperator
 from dpdsolve.model import (
     DualProxOracle,
     PrimalOracle,
@@ -29,7 +29,7 @@ def _zero_g():
 
 
 def test_lagrangian_pure_coupling():
-    problem = SaddleProblem(f=_zero_f(), g=_zero_g(), A=identity_operator(2),
+    problem = SaddleProblem(f=_zero_f(), g=_zero_g(), A=MatrixOperator(np.eye(2)),
                             primal_dim=2, dual_dim=2)
     assert lagrangian(problem, [1.0, 2.0], [3.0, 4.0]) == 11.0
 
@@ -53,13 +53,13 @@ def test_lagrangian_is_minus_inf_outside_dual_domain():
     )
     f = PrimalOracle(value=lambda x: 0.5 * float((x - 1.0) @ (x - 1.0)),
                      grad=lambda x: x - 1.0)
-    problem = SaddleProblem(f=f, g=g, A=identity_operator(1),
+    problem = SaddleProblem(f=f, g=g, A=MatrixOperator(np.eye(1)),
                             primal_dim=1, dual_dim=1)
     assert lagrangian(problem, [0.0], [2.0]) == -np.inf
 
 
 def test_lagrangian_rejects_bad_shapes():
-    problem = SaddleProblem(f=_zero_f(), g=_zero_g(), A=identity_operator(2),
+    problem = SaddleProblem(f=_zero_f(), g=_zero_g(), A=MatrixOperator(np.eye(2)),
                             primal_dim=2, dual_dim=2)
     with pytest.raises(ContractViolationError):
         lagrangian(problem, [1.0], [1.0, 2.0])
@@ -86,12 +86,12 @@ def test_kkt_residual_vanishes_at_certified_saddle():
 
 def test_kkt_residual_requires_gradients():
     f_prox_only = PrimalOracle(value=lambda x: 0.0, prox=lambda z, step: z)
-    problem = SaddleProblem(f=f_prox_only, g=_zero_g(), A=identity_operator(1),
+    problem = SaddleProblem(f=f_prox_only, g=_zero_g(), A=MatrixOperator(np.eye(1)),
                             primal_dim=1, dual_dim=1)
     with pytest.raises(ContractViolationError):
         kkt_residual(problem, [0.0], [0.0])
     g_no_grad = DualProxOracle(prox=lambda z, step, mu_g: z, value=lambda y: 0.0)
-    problem2 = SaddleProblem(f=_zero_f(), g=g_no_grad, A=identity_operator(1),
+    problem2 = SaddleProblem(f=_zero_f(), g=g_no_grad, A=MatrixOperator(np.eye(1)),
                              primal_dim=1, dual_dim=1)
     with pytest.raises(UnsupportedPointError):
         kkt_residual(problem2, [0.0], [0.0])
@@ -114,7 +114,7 @@ def test_dual_oracle_validation():
 
 def test_problem_dimension_check():
     with pytest.raises(ContractViolationError):
-        SaddleProblem(f=_zero_f(), g=_zero_g(), A=identity_operator(3),
+        SaddleProblem(f=_zero_f(), g=_zero_g(), A=MatrixOperator(np.eye(3)),
                       primal_dim=2, dual_dim=3)
 
 

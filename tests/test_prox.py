@@ -9,7 +9,6 @@ from dpdsolve.errors import ContractViolationError, NumericalFailureError
 from dpdsolve.linops import (
     Kernel2D,
     MatrixOperator,
-    identity_operator,
     make_average_kernel,
     make_convolution_operator,
     make_difference_operator,
@@ -152,14 +151,14 @@ def test_linear_plus_box_prox_decrease_100_competitors():
 
 
 def test_quadratic_primal_prox_identity_returns_data():
-    K = identity_operator(3)
+    K = MatrixOperator(np.eye(3))
     z = np.array([0.2, -0.4, 1.1])
     out = prox_quadratic_primal(z, 5.0, K, K.adjoint(z), 2.0)
     np.testing.assert_allclose(out, z, atol=1e-12)
 
 
 def test_quadratic_primal_prox_zero_weight_is_identity():
-    K = identity_operator(2)
+    K = MatrixOperator(np.eye(2))
     z = np.array([1.0, -2.0])
     np.testing.assert_array_equal(prox_quadratic_primal(z, 3.0, K, K.adjoint(z), 0.0), z)
 
@@ -262,7 +261,10 @@ def test_checked_solve_matches_the_plain_solve_and_its_real_residual(m, n):
     rhs = rng.standard_normal(m * n)
     for w in (0.5, 1e12):
         x, residual = K.solve_shifted_checked(rhs, w)
-        assert np.array_equal(x, K.solve_shifted(rhs, w))
+        # the plain solve: numpy's 2-D transforms, divided by w K*K + I
+        S = np.fft.rfft2(rhs.reshape((m, n), order="F"), axes=(1, 0)) / (w * K.power + 1.0)
+        plain = np.fft.irfft2(S, s=(n, m), axes=(1, 0)).reshape(-1, order="F")
+        assert np.array_equal(x, plain)
         real = np.linalg.norm(w * K.gram(x) + x - rhs)
         assert residual == pytest.approx(real, rel=1e-2, abs=1e-13 * np.linalg.norm(rhs))
 
@@ -323,8 +325,10 @@ def test_quadratic_prox_checks_its_residual_at_pixel_scale_1e200(dense, monkeypa
             monkeypatch.setattr(np.linalg, "solve",
                                 lambda a, b: solve(a, b) * (1.0 + 1e-6))
         else:
+            solve = K.solve_shifted_checked
+
             def perturbed(rhs, w, out=None):
-                x = K.solve_shifted(rhs, w) * (1.0 + 1e-6)
+                x = solve(rhs, w)[0] * (1.0 + 1e-6)
                 return x, K._shifted_residual_norm(x, K._forward(rhs), w)
 
             monkeypatch.setattr(K, "solve_shifted_checked", perturbed)
@@ -450,7 +454,8 @@ def test_norms_of_nan_inf_and_zero_inputs():
 def test_a_nan_residual_is_refused_by_the_prox(monkeypatch):
     K = make_convolution_operator(make_average_kernel(3), 6, 8)
     z = np.random.default_rng(6).standard_normal(48)
+    solve = K.solve_shifted_checked
     monkeypatch.setattr(K, "solve_shifted_checked",
-                        lambda rhs, w, out=None: (K.solve_shifted(rhs, w), np.nan))
+                        lambda rhs, w, out=None: (solve(rhs, w)[0], np.nan))
     with pytest.raises(NumericalFailureError):
         prox_quadratic_primal(z, 0.5, K, np.zeros(48), 2.0)
