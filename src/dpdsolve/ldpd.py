@@ -175,27 +175,25 @@ def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
     `state.yhat`, with the gradient of f taken at `gradient_point`.
     `alpha` extrapolates the new dual for the next iteration, `mu_g` is
     the dual smoothing weight and `weight` this iterate's weight in the
-    aggregate. A* yhat and the gradient come from the run's workspace;
-    once the new iterate is accepted the step requests the next
-    iteration's gradient, and once the new dual iterate is accepted the
-    next iteration's A* yhat, so that on a run with a worker both are
-    formed there while this iteration finishes (see `solver.Workspace`).
-    A step outside a run makes a workspace of its own.
+    aggregate. The gradient comes from the run's workspace; once the new
+    iterate is accepted the step requests the next iteration's gradient,
+    so that on a run with a worker it is taken there while this
+    iteration finishes. That is the worker's one task; A* yhat and the
+    dual half run on the calling thread (see `solver.Workspace`). A step
+    outside a run makes a workspace of its own.
     """
     if problem.f.grad is None:
         raise ConfigurationError(
             "this solver takes gradient steps; the primal oracle has no grad"
         )
     work = state.work if state.work is not None else Workspace(problem, gradient_point)
-    direction = work.adjoint_yhat(state)
+    direction = work.adjoint(state.yhat, out=work.x)
     np.add(work.gradient(state, params), direction, out=direction)
     direction *= params.eta
     state.x -= direction
     accept_primal(state, state.x, weight, direction)
     work.request_gradient(state, state.t)
-    dual_step(state, work, params.tau, alpha, mu_g, weight)
-    work.request_adjoint_yhat(state, state.t)
-    return state
+    return dual_step(state, work, params.tau, alpha, mu_g, weight)
 
 
 def _ldpd_weight(regime: LdpdRegime, t: int, consts: SolverConsts) -> float:

@@ -110,9 +110,8 @@ class Workspace:
     `x` and `y` are the spare primal and dual buffers. A step forms its
     new dual iterate (and, for a prox step, its new primal iterate) in
     the spare and hands the replaced iterate's buffer back as the next
-    spare, so the buffers rotate with the iterates. `adjoint_yhat` forms
-    A* yhat, the primal update's coupling term, in the spare primal
-    buffer.
+    spare, so the buffers rotate with the iterates. A step forms A* yhat,
+    the primal update's coupling term, in the spare primal buffer.
 
     Whether each of `A.apply`, `A.adjoint`, `f.grad`, `f.prox` and
     `g.prox` takes `out=` is decided once, here: the calls below pass
@@ -124,13 +123,13 @@ class Workspace:
     gradient buffer and the gradient-point buffer, and a step gets its
     gradient from `gradient`. Given the run's step sizes `params` on a
     problem with at least GRAD_AHEAD_MIN_PRIMAL_DIM primal unknowns, it
-    owns a one-thread pool as well, shut down by `close`. On that worker
-    `request_gradient` forms the next gradient point and takes the
-    gradient there while the current iteration's dual half runs, and
-    `request_adjoint_yhat` then applies A* to the new extrapolated dual
-    point while the observer runs; `gradient` and `adjoint_yhat` return
-    what was requested. The worker runs one task at a time, in the
-    order they were requested.
+    owns a one-thread pool as well, shut down by `close`. The worker runs
+    one task: `request_gradient` forms the next gradient point there and
+    takes f.grad at it, and `gradient` returns what was requested. This
+    is the run's one concurrency rule: only f.grad and the forming of
+    its point run on the worker, and they may overlap `A.adjoint`,
+    `A.apply`, `g.prox` and the observer; every other call runs on the
+    thread that called the step.
     """
 
     def __init__(self, problem: SaddleProblem, grad_point=None,
@@ -143,7 +142,7 @@ class Workspace:
         self.f_prox = None if f.prox is None else with_out(f.prox)
         self.x = staggered_empty(problem.primal_dim)
         self.y = staggered_empty(problem.dual_dim)
-        self._pool = self._grad_ahead = self._adjoint_ahead = None
+        self._pool = self._grad_ahead = None
         if grad_point is None:
             return
         self._grad_point = grad_point
@@ -156,25 +155,6 @@ class Workspace:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(max_workers=1)
-
-    def adjoint_yhat(self, state: SolverState) -> Array:
-        """A* `state.yhat` in the spare primal buffer: the one
-        `request_adjoint_yhat` started, or one applied on the spot. An
-        exception from A.adjoint is raised here."""
-        pending, self._adjoint_ahead = self._adjoint_ahead, None
-        if pending is not None:
-            return pending.result()
-        return self.adjoint(state.yhat, out=self.x)
-
-    def request_adjoint_yhat(self, state: SolverState, t: int) -> None:
-        """Start iteration t's A* yhat on the pool, unless there is none
-        or the run ends before iteration t. Until `adjoint_yhat` returns
-        it, the caller leaves `state.yhat` as it is, and the spare primal
-        buffer is the worker's."""
-        if self._pool is None or t > len(self._params):
-            return
-        self._adjoint_ahead = self._pool.submit(self.adjoint, state.yhat,
-                                                out=self.x)
 
     def gradient(self, state: SolverState, params) -> Array:
         """The gradient for an iteration with step sizes `params`, in the
@@ -299,9 +279,9 @@ def primal_base_step(consts: SolverConsts) -> float:
     return consts.mu_f / (2.0 * consts.norm_A**2)
 
 
-# A linearized run takes each next gradient and A* yhat on a second
-# thread when the problem has at least this many primal unknowns; below,
-# each step calls f.grad and A.adjoint itself. Handing a call over costs
+# A linearized run takes each next gradient on a second thread when the
+# problem has at least this many primal unknowns; below, each step calls
+# f.grad itself. Handing a call over costs
 # GIL switches, and the short numpy calls of a small problem hold the
 # GIL, so every hand-off waits; from the gate up, the FFT pair of an
 # imaging gradient, which releases the GIL, runs while the dual half
@@ -397,11 +377,10 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
     grad_point : callable, optional
         For a family that takes gradient steps: grad_point(state, params,
         out, scratch) -> the point iteration t's gradient is taken at,
-        given its step sizes, formed in `out` with `scratch`. f.grad and
-        A.adjoint are each called exactly `iters` times; when the problem
-        is at or above the gate, every call after the first, and the
-        point of each gradient after the first, are made on a worker
-        thread (see `Workspace`), so A.adjoint may overlap the observer.
+        given its step sizes, formed in `out` with `scratch`. f.grad is
+        called exactly `iters` times; when the problem is at or above the
+        gate, every gradient after the first, its point included, is
+        taken on a worker thread, and nothing else is (see `Workspace`).
 
     The problem constants are read once; the whole schedule is built and
     validated before the first iteration, so a bad configuration fails

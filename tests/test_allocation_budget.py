@@ -170,9 +170,9 @@ def test_the_recorder_writes_the_snr_error_into_a_buffer_of_its_own(
         recorders.append(recorder)
 
         def observer(snap):
-            # on a threaded run the worker is applying A* to the next dual
-            # point now; let it finish, so that the peak is the recorder's
-            pending = snap.state.work._adjoint_ahead
+            # on a threaded run the worker is taking the next gradient
+            # now; let it finish, so that the peak is the recorder's
+            pending = snap.state.work._grad_ahead
             if pending is not None:
                 pending.result()
             tracemalloc.reset_peak()
