@@ -118,11 +118,14 @@ def _load_scene(args):
 
 
 def _degrade(clean: ImageGrid, kernel, noise) -> ImageGrid:
-    """`noise(blurred)`, where blurred is `clean` convolved with `kernel`.
-    The blur operator and the blurred image are freed on return, so they
-    do not outlive the degradation."""
+    """`noise(blurred)`, where blurred is `clean` convolved with `kernel`,
+    refused when the blur or the noise overflows. The blur operator and
+    the blurred image are freed on return, so they do not outlive the
+    degradation."""
     K = make_convolution_operator(kernel, clean.m, clean.n)
-    return noise(ImageGrid(clean.m, clean.n, K.apply(clean.data)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        observed = noise(ImageGrid(clean.m, clean.n, K.apply(clean.data)))
+    return _require_finite(observed, "the degraded image")
 
 
 def _write_run_outputs(out_dir, recovered: ImageGrid, records, label=None,
@@ -173,9 +176,8 @@ def _gaussian_model(args, clean, observed):
                        f"a motion kernel of length {length:g} at {theta:g} degrees")
     kernel = make_motion_kernel(length, theta)
     if observed is None:
-        observed = _degrade(clean, kernel, lambda blurred: _require_finite(
-            add_gaussian_noise(blurred, args.sigma, args.seed),
-            f"the image degraded with --sigma {args.sigma:g}"))
+        observed = _degrade(clean, kernel, lambda blurred: add_gaussian_noise(
+            blurred, args.sigma, args.seed))
     problem = build_gaussian_problem(
         GaussianDeblurSpec(observed=observed, kernel=kernel,
                            mu=args.mu, mu_g=args.mu_g))
@@ -433,17 +435,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite_floats(args) -> None:
+def _check_args(args) -> None:
+    """Refuse a non-finite float option or a negative --seed, which numpy's
+    generators reject, before anything is built."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             flag = "--" + name.replace("_", "-")
             raise ConfigurationError(f"{flag} must be finite, got {value!r}")
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_finite_floats(args)
+        _check_args(args)
         return args.func(args)
     except (ConfigurationError, ContractViolationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -387,14 +387,18 @@ def read_history_csv(path) -> list[HistoryRecord]:
     for ln in lines[1:]:
         cells = ln.split(",")
         if len(cells) != len(CSV_COLUMNS):
-            raise ContractViolationError(f"malformed history row: {ln!r}")
+            raise ContractViolationError(f"malformed history row in {path}: {ln!r}")
         kwargs = {}
-        for col, cell in zip(CSV_COLUMNS, cells):
-            if cell == "":
-                kwargs[col] = None
-            elif col == "t":
-                kwargs[col] = int(cell)
-            else:
-                kwargs[col] = float(cell)
+        try:
+            for col, cell in zip(CSV_COLUMNS, cells):
+                if cell == "":
+                    kwargs[col] = None
+                elif col == "t":
+                    kwargs[col] = int(cell)
+                else:
+                    kwargs[col] = float(cell)
+        except ValueError as exc:
+            raise ContractViolationError(
+                f"malformed history row in {path}: {ln!r}") from exc
         records.append(HistoryRecord(**kwargs))
     return records

@@ -295,6 +295,9 @@ def read_pgm(path) -> ImageGrid:
     tokens, offset = _read_pgm_tokens(blob, 4)
     if tokens[0] != b"P5":
         raise ContractViolationError("only binary (P5) PGM files are supported")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise ContractViolationError(
+            f"malformed PGM header in {path}: {b' '.join(tokens[1:])!r}")
     width, height, maxval = (int(t) for t in tokens[1:])
     if maxval != 255:
         raise ContractViolationError("only 8-bit PGM files are supported")

@@ -356,20 +356,31 @@ def test_noise_that_overflows_the_degraded_image_is_refused(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+NON_FINITE_CASES = [(bad, flag) for bad in (np.nan, np.inf, -np.inf)
+                    for flag in ("--input", "--degraded-input")]
+# a finite clean image whose blur overflows
+NON_FINITE_CASES.append(("overflow", "--input"))
+
+
 @pytest.mark.parametrize("command", ["deblur-gauss", "deblur-sp"])
-@pytest.mark.parametrize("flag", ["--input", "--degraded-input"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad,flag", NON_FINITE_CASES,
+                         ids=[f"{bad}-{flag}" for bad, flag in NON_FINITE_CASES])
 def test_non_finite_image_inputs_are_refused_before_the_run(tmp_path, monkeypatch,
                                                            capsys, command, flag, bad):
     # one NaN pixel used to exit 4 after an iteration, one inf pixel exit
-    # 0 in deblur-sp
+    # 0 in deblur-sp; an overflowing blur made deblur-sp exit 4 after the
+    # run started, and both commands warn of the overflow
     def refuse(*args, **kwargs):
         raise AssertionError("a problem was built")
 
     monkeypatch.setattr(cli, "build_gaussian_problem", refuse)
     monkeypatch.setattr(cli, "build_saltpepper_problem", refuse)
     image = make_phantom(16, 16)
-    image.data[37] = bad
+    if bad == "overflow":
+        image = ImageGrid(16, 16, image.data * (1.7e308 / image.data.max()))
+        assert np.all(np.isfinite(image.data))
+    else:
+        image.data[37] = bad
     path = tmp_path / "bad.dpdf"
     write_dpdf(path, image)
     argv = [command, flag, str(path), "--iters", "2", "--kernel",
@@ -379,6 +390,56 @@ def test_non_finite_image_inputs_are_refused_before_the_run(tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert "non-finite" in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["deblur-gauss", "--size", "32", "--seed", "-1"],
+    ["deblur-sp", "--seed", "-1"],
+    ["synth-bench", "--seed", "-1"],
+    ["rates", "--seed", "-5"],
+], ids=["deblur-gauss", "deblur-sp", "synth-bench", "rates"])
+def test_a_negative_seed_is_refused_before_anything_is_built(tmp_path, monkeypatch,
+                                                            capsys, argv):
+    # numpy's generators reject a negative seed; this used to end in a
+    # ValueError traceback with rc=1
+    def refuse(*args, **kwargs):
+        raise AssertionError("something was built")
+
+    for name in ("make_phantom", "make_quadratic_saddle", "make_ball_capped_saddle"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "x"
+    if argv[0] != "rates":
+        argv = argv + ["--out-dir", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_malformed_pgm_header_is_a_config_error(tmp_path, capsys):
+    # int() on the header used to raise a bare ValueError, rc=1
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\nab 4\n255\n" + bytes(16))
+    out = tmp_path / "x"
+    assert main(["deblur-gauss", "--input", str(path), "--iters", "2",
+                 "--kernel", "3,0", "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed PGM header") and str(path) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_malformed_history_cell_is_a_config_error(tmp_path, capsys):
+    # int() on the t cell used to raise a bare ValueError, rc=1
+    path = tmp_path / "ldpd-strongly-convex-dual.csv"
+    write_history_csv(path, [HistoryRecord(t=1, gap=0.5)])
+    lines = path.read_text().splitlines()
+    lines[1] = "x" + lines[1][1:]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["rates", "--from-dir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed history row") and str(path) in err
+    assert repr(lines[1]) in err and "Traceback" not in err
 
 
 def test_benchmark_sized_bench_keeps_every_gap_under_its_bound(tmp_path):
