@@ -281,26 +281,25 @@ def primal_base_step(consts: SolverConsts) -> float:
 
 # A linearized run takes each next gradient on a second thread when the
 # problem has at least this many primal unknowns; below, each step calls
-# f.grad itself. Handing a call over costs
-# GIL switches, and the short numpy calls of a small problem hold the
-# GIL, so every hand-off waits; from the gate up, the FFT pair of an
-# imaging gradient, which releases the GIL, runs while the dual half
-# does. The gate does not ask for a second CPU: pinned to one
-# (taskset -c 0), an earlier version with one hand-off per iteration was
-# no slower threaded, 1.30 against 1.32 s at 256 x 256 and 5.48 against
-# 5.94 s at 512 x 512.
+# f.grad itself. Handing a call over costs GIL switches, and the short
+# numpy calls of a small problem hold the GIL, so every hand-off waits;
+# from the gate up, the FFT pair of an imaging gradient, which releases
+# the GIL, runs while the dual half does. The gate does not ask for a
+# second CPU: pinned to one (taskset -c 0), an earlier version with this
+# one hand-off per iteration was no slower threaded, 1.30 against 1.32 s
+# at 256 x 256 and 5.48 against 5.94 s at 512 x 512.
 # deblur-gauss, ldpd, 200 iterations, in process, one BLAS thread, on a
-# 2-vCPU Xeon VM; threaded against in line, alternating, two sets of
-# medians of 5 runs (s):
+# 2-vCPU Xeon VM; threaded (gate 0) against in line, alternating, two
+# sets of medians of 5 runs (s):
 #
 #   size        threaded       in line        ratio
-#   256 x 256   0.777, 0.770   0.746, 0.723   1.04, 1.07
-#   288 x 288   0.923, 0.924   0.935, 0.927   0.99, 1.00
-#   320 x 320   1.100, 1.182   0.975, 1.189   1.13, 0.99
-#   352 x 352   1.005, 1.291   1.419, 1.529   0.71, 0.84
-#   384 x 384   1.132          1.571          0.72
+#   256 x 256   0.619, 0.527   0.652, 0.515   0.95, 1.02
+#   288 x 288   1.005, 0.898   0.931, 0.737   1.08, 1.22
+#   320 x 320   1.076, 0.888   1.054, 0.908   1.02, 0.98
+#   352 x 352   0.970, 1.234   1.315, 1.282   0.74, 0.96
+#   384 x 384   0.955, 0.976   1.417, 1.408   0.67, 0.69
 #
-# Threading starts to win at 352 x 352, so the gate sits there.
+# Threading wins in both sets from 352 x 352 up, so the gate sits there.
 GRAD_AHEAD_MIN_PRIMAL_DIM = 352 * 352
 
 
