@@ -285,9 +285,9 @@ def primal_base_step(consts: SolverConsts) -> float:
 # numpy calls of a small problem hold the GIL, so every hand-off waits;
 # from the gate up, the FFT pair of an imaging gradient, which releases
 # the GIL, runs while the dual half does. The gate does not ask for a
-# second CPU: pinned to one (taskset -c 0), an earlier version with this
-# one hand-off per iteration was no slower threaded, 1.30 against 1.32 s
-# at 256 x 256 and 5.48 against 5.94 s at 512 x 512.
+# second CPU: pinned to one (taskset -c 0), an earlier version of this
+# hand-off was no slower threaded, 1.30 against 1.32 s at 256 x 256 and
+# 5.48 against 5.94 s at 512 x 512.
 # deblur-gauss, ldpd, 200 iterations, in process, one BLAS thread, on a
 # 2-vCPU Xeon VM; threaded (gate 0) against in line, alternating, two
 # sets of medians of 5 runs (s):
