@@ -9,7 +9,6 @@ bound `norm_bound`.
 
 from __future__ import annotations
 
-import functools
 import inspect
 import itertools
 import math
@@ -155,11 +154,6 @@ def sum_of_squares(v: Array) -> float:
         return float(v @ v)
 
 
-def _trusted(total: float) -> bool:
-    """Whether a plain sum of squares needs no scaled recomputation."""
-    return math.isfinite(total) and total >= SAFE_SUM_OF_SQUARES
-
-
 def _sum_of_scaled_squares(v: Array, scale: float) -> float:
     """sum (v_i / scale)^2 over a flat real array, in blocks."""
     total = 0.0
@@ -191,7 +185,7 @@ def scaled_norm(v) -> float:
     underflows. A non-finite entry gives inf or nan, and zeros give 0."""
     flat = _real_entries(v)
     total = sum_of_squares(flat)
-    if _trusted(total):
+    if math.isfinite(total) and total >= SAFE_SUM_OF_SQUARES:
         return math.sqrt(total)
     scale = _largest_component(flat)
     if scale == 0.0 or not math.isfinite(scale):
@@ -385,9 +379,10 @@ class ConvolutionOperator2D:
 
     Every method reads its input whole into a spectrum before it writes
     its output, so `out` may be the input itself. A call with `out=`
-    forms its spectra in scratch arrays of the calling thread, kept for
-    the operator's lifetime; a call without allocates them and keeps
-    nothing.
+    forms its spectra, and `solve_shifted_checked` its real shift
+    w power + 1, in scratch arrays of the calling thread ("S", "R" and
+    "shift"), kept for the operator's lifetime; a call without allocates
+    them and keeps nothing.
     """
 
     def __init__(self, kernel: Kernel2D, m: int, n: int):
@@ -417,13 +412,13 @@ class ConvolutionOperator2D:
         self.spectral_norm = float(np.max(np.abs(self.spectrum)))
         self._scratch = _ThreadScratch()
 
-    def _spectrum_array(self, out, slot: str = "S") -> Array:
+    def _spectrum_array(self, out, slot: str = "S", dtype=complex) -> Array:
         """Where a call forms a spectrum: this thread's scratch array
         `slot` when the call writes into `out`, else a fresh array."""
         shape = (self.m // 2 + 1, self.n)
         if out is None:
-            return np.empty(shape, dtype=complex, order="F")
-        return self._scratch.get(slot, shape, complex)
+            return np.empty(shape, dtype=dtype, order="F")
+        return self._scratch.get(slot, shape, dtype)
 
     def _forward(self, x, S=None) -> Array:
         """The half-spectrum of x: the real transform down the columns,
@@ -442,16 +437,6 @@ class ConvolutionOperator2D:
         out = output_vector(out, self.dims[0])
         np.fft.irfft(S, n=self.m, axis=0, out=_to_grid(out, self.m, self.n))
         return out
-
-    def _shift_blocks(self, w: float, *spectra):
-        """Blocks of w power + 1, each with the matching blocks of the
-        given spectra, all flat in column-major order."""
-        power = self.power.reshape(-1, order="F")
-        flats = [S.reshape(-1, order="F") for S in spectra]
-        for blk, shift in blocks(power.size, float):
-            np.multiply(power[blk], w, out=shift)
-            shift += 1.0
-            yield (shift, *(f[blk] for f in flats))
 
     def apply(self, x, out=None) -> Array:
         S = self._forward(x, self._spectrum_array(out))
@@ -478,47 +463,37 @@ class ConvolutionOperator2D:
     def solve_shifted_checked(self, rhs, w: float, out=None) -> tuple[Array, float]:
         """The x with (w K*K + I) x = rhs, a division in the transform
         domain, and the norm of its residual (w K*K + I) x - rhs, with
-        three transforms: F(rhs) is kept from the solve and reused by the
-        check. A call with `out=` keeps F(rhs) in a second scratch array
-        of the calling thread."""
+        three transforms: F(rhs) and the shift w power + 1 are formed once
+        and reused by the check. A call with `out=` keeps F(rhs) and the
+        shift in two more scratch arrays of the calling thread, "R" and
+        "shift"."""
         R = self._forward(rhs, self._spectrum_array(out, "R"))
-        S = self._spectrum_array(out)
-        for shift, r, s in self._shift_blocks(w, R, S):
-            np.divide(r, shift, out=s)
+        shift = np.multiply(self.power, w, out=self._spectrum_array(out, "shift", float))
+        shift += 1.0
+        S = np.divide(R, shift, out=self._spectrum_array(out))
         x = self._inverse(S, out)
-        return x, self._shifted_residual_norm(x, R, w, S)
+        return x, self._shifted_residual_norm(x, R, shift, S)
 
-    def _shifted_residual_norm(self, x, R: Array, w: float, E=None) -> float:
-        """||(w K*K + I) x - rhs|| from R = F(rhs), with E (or a fresh
-        array) as the spectrum's scratch.
+    def _shifted_residual_norm(self, x, R: Array, shift: Array, E=None) -> float:
+        """||(w K*K + I) x - rhs|| from R = F(rhs) and shift = w power + 1,
+        with E (or a fresh array) as the spectrum's scratch.
 
-        The residual's half-spectrum is (w power + 1) F(x) - R. By
-        Parseval its squared moduli give the real-domain norm: each row
-        counts twice, for its conjugate partner, except row 0 and, for
-        even m, row m/2, and the sum is divided by m n. As in
-        `scaled_norm`, the three sums of squares (all parts, row 0, row
-        m/2) are plain dots when the sum over all parts is trusted, and
-        are otherwise taken of the parts divided by the largest one.
+        The residual's half-spectrum is shift F(x) - R. By Parseval its
+        squared moduli give the real-domain norm: each row counts twice,
+        for its conjugate partner, except row 0 and, for even m, row m/2,
+        and the sum is divided by m n. The three norms (whole, row 0, row
+        m/2) are `scaled_norm`s, and the edge rows enter relative to the
+        whole, of which they are parts, so the bracket lies in [1, 2].
         """
         E = self._forward(x, E)
-        for shift, e, r in self._shift_blocks(w, E, R):
-            e *= shift
-            e -= r
-        parts = _real_entries(E)
-        total = sum_of_squares(parts)
-        # the rows' sums are parts of the total, so they are trusted with it
-        if _trusted(total):
-            scale, squares = 1.0, sum_of_squares
-        else:
-            scale = _largest_component(parts)
-            if scale == 0.0 or not math.isfinite(scale):
-                return scale
-            total = _sum_of_scaled_squares(parts, scale)
-            squares = functools.partial(_sum_of_scaled_squares, scale=scale)
-        total = 2.0 * total - squares(_real_entries(E[0]))
-        if self.m % 2 == 0:
-            total -= squares(_real_entries(E[-1]))
-        return scale * math.sqrt(max(total, 0.0) / (self.m * self.n))
+        E *= shift
+        E -= R
+        whole = scaled_norm(E)
+        if whole == 0.0 or not math.isfinite(whole):
+            return whole
+        edges = [E[0]] + ([E[-1]] if self.m % 2 == 0 else [])
+        bracket = 2.0 - sum((scaled_norm(e) / whole) ** 2 for e in edges)
+        return whole * math.sqrt(bracket / (self.m * self.n))
 
 
 class StackedOperator:

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
-from .linops import staggered_empty, with_out
+from .linops import staggered_empty, sum_of_squares, with_out
 from .model import Array, IterationSnapshot, Observer, SaddleProblem, SolverConsts
 
 
@@ -192,9 +192,8 @@ def _all_finite(v: Array) -> bool:
     squares overflow is told apart by its extremes (a nan propagates
     into both, an infinity is one of them). No temporary is made."""
     v = np.asarray(v)
-    with np.errstate(over="ignore"):
-        if math.isfinite(np.dot(v, v)):
-            return True
+    if math.isfinite(sum_of_squares(v)):
+        return True
     return math.isfinite(v.min()) and math.isfinite(v.max())
 
 

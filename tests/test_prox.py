@@ -232,7 +232,7 @@ def test_quadratic_primal_prox_takes_three_real_transforms(monkeypatch):
     assert sorted(calls) == ["fft", "fft", "ifft", "irfft", "rfft", "rfft"]
 
 
-GRIDS = [(6, 9), (7, 5), (8, 1), (7, 1), (1, 8), (1, 7)]
+GRIDS = [(6, 9), (7, 5), (8, 1), (7, 1), (1, 8), (1, 7), (2, 5)]
 
 
 def _random_blur(rng, m, n):
@@ -249,7 +249,7 @@ def test_spectral_residual_norm_equals_the_real_domain_norm(m, n):
     for w in (0.0, 0.7, 1e3):
         x = rng.standard_normal(m * n)
         rhs = rng.standard_normal(m * n)
-        spectral = K._shifted_residual_norm(x, K._forward(rhs), w)
+        spectral = K._shifted_residual_norm(x, K._forward(rhs), w * K.power + 1.0)
         real = np.linalg.norm(w * K.gram(x) + x - rhs)
         assert spectral == pytest.approx(real, rel=1e-6)
 
@@ -329,7 +329,7 @@ def test_quadratic_prox_checks_its_residual_at_pixel_scale_1e200(dense, monkeypa
 
             def perturbed(rhs, w, out=None):
                 x = solve(rhs, w)[0] * (1.0 + 1e-6)
-                return x, K._shifted_residual_norm(x, K._forward(rhs), w)
+                return x, K._shifted_residual_norm(x, K._forward(rhs), w * K.power + 1.0)
 
             monkeypatch.setattr(K, "solve_shifted_checked", perturbed)
         with pytest.raises(NumericalFailureError):
@@ -339,12 +339,13 @@ def test_quadratic_prox_checks_its_residual_at_pixel_scale_1e200(dense, monkeypa
 def test_spectral_residual_norm_scales_with_its_input():
     rng = np.random.default_rng(7)
     K = _random_blur(rng, 6, 8)
+    shift = 0.7 * K.power + 1.0
     x, rhs = rng.standard_normal(48), rng.standard_normal(48)
-    unit = K._shifted_residual_norm(x, K._forward(rhs), 0.7)
+    unit = K._shifted_residual_norm(x, K._forward(rhs), shift)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for scale in (1e200, 1e-200):
-            big = K._shifted_residual_norm(scale * x, K._forward(scale * rhs), 0.7)
+            big = K._shifted_residual_norm(scale * x, K._forward(scale * rhs), shift)
             assert big == pytest.approx(scale * unit, rel=1e-12)
     assert scaled_norm(np.zeros(3)) == 0.0
     assert scaled_norm(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
@@ -400,13 +401,13 @@ def test_spectral_residual_norm_fast_and_scaled_values_agree(m, n, monkeypatch):
     K = _random_blur(rng, m, n)
     for w in (0.0, 0.7, 1e3):
         x, rhs = rng.standard_normal(m * n), rng.standard_normal(m * n)
-        R = K._forward(rhs)
-        fast = K._shifted_residual_norm(x, R, w)
+        R, shift = K._forward(rhs), w * K.power + 1.0
+        fast = K._shifted_residual_norm(x, R, shift)
         with monkeypatch.context() as mp:
             # no plain sum is trusted, so the scaled sums are taken
             mp.setattr(linops, "SAFE_SUM_OF_SQUARES", np.inf)
             calls = _count_scaled_paths(mp)
-            scaled = K._shifted_residual_norm(x, R, w)
+            scaled = K._shifted_residual_norm(x, R, shift)
             assert calls
         assert fast == pytest.approx(scaled, rel=1e-13)
 
@@ -418,20 +419,22 @@ def test_norms_past_the_safe_range_take_the_scaled_path(scale, monkeypatch):
     rng = np.random.default_rng(3)
     K = _random_blur(rng, 6, 8)
     v, x, rhs = (rng.standard_normal(48) for _ in range(3))
+    shift = 0.7 * K.power + 1.0
     unit_norm = scaled_norm(v)
-    unit_residual = K._shifted_residual_norm(x, K._forward(rhs), 0.7)
+    unit_residual = K._shifted_residual_norm(x, K._forward(rhs), shift)
     calls = _count_scaled_paths(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert scaled_norm(scale * v) == pytest.approx(scale * unit_norm, rel=1e-13)
         assert calls == [48]
-        residual = K._shifted_residual_norm(scale * x, K._forward(scale * rhs), 0.7)
+        residual = K._shifted_residual_norm(scale * x, K._forward(scale * rhs), shift)
     assert residual == pytest.approx(scale * unit_residual, rel=1e-12)
-    assert calls == [48, 2 * 4 * 8]
+    assert calls == [48, 2 * 4 * 8, 2 * 8, 2 * 8]
 
 
 def test_norms_of_nan_inf_and_zero_inputs():
     K = _random_blur(np.random.default_rng(4), 6, 8)
+    shift = 0.7 * K.power + 1.0
     zeros = np.zeros(48)
     R0 = K._forward(zeros)
     with warnings.catch_warnings():
@@ -443,12 +446,12 @@ def test_norms_of_nan_inf_and_zero_inputs():
         assert scaled_norm(np.array([1e300, 1e300j, np.inf])) == np.inf
         assert np.isnan(scaled_norm(np.array([1.0, np.nan])))
         assert np.isnan(scaled_norm(np.array([np.inf, np.nan])))
-        assert K._shifted_residual_norm(zeros, R0, 0.7) == 0.0
+        assert K._shifted_residual_norm(zeros, R0, shift) == 0.0
         R = R0.copy(order="F")
         R[1, 2] = np.inf
-        assert K._shifted_residual_norm(zeros, R, 0.7) == np.inf
+        assert K._shifted_residual_norm(zeros, R, shift) == np.inf
         R[1, 2] = np.nan
-        assert np.isnan(K._shifted_residual_norm(zeros, R, 0.7))
+        assert np.isnan(K._shifted_residual_norm(zeros, R, shift))
 
 
 def test_a_nan_residual_is_refused_by_the_prox(monkeypatch):
