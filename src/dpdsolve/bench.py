@@ -50,7 +50,13 @@ class QuadraticSaddle:
 
 
 def _draw_instance_data(n_primal: int, n_dual: int, seed: int,
-                        c_rows: Optional[int]):
+                        c_rows: Optional[int], mu_g: float, lam: float):
+    """Check mu_g and lam, then draw C, d and A and form f's Hessian
+    H = C'C + lam I and C'd, which both instance builders use."""
+    if not mu_g > 0.0:
+        raise ConfigurationError("mu_g must be positive for a certified solution")
+    if lam < 0.0:
+        raise ConfigurationError("lam must be nonnegative")
     rows = n_primal if c_rows is None else int(c_rows)
     if rows < 1:
         raise ConfigurationError("C needs at least one row")
@@ -58,20 +64,20 @@ def _draw_instance_data(n_primal: int, n_dual: int, seed: int,
     C = rng.standard_normal((rows, n_primal))
     d = rng.standard_normal(rows)
     A = rng.standard_normal((n_dual, n_primal))
-    return C, d, A
+    return C, d, A, C.T @ C + lam * np.eye(n_primal), C.T @ d
 
 
-def _problem_from_data(C, d, A, lam: float, mu_g: float,
+def _problem_from_data(C, d, A, H, Ctd, lam: float, mu_g: float,
                        ball_radius: Optional[float]) -> SaddleProblem:
-    """Assemble oracles and the coupling operator for one dense instance."""
+    """Assemble oracles and the coupling operator for one dense instance,
+    with f's Hessian H and C'd."""
     n_primal = C.shape[1]
-    # f's Hessian H = V diag(eigs) V^T, factored once so that every prox
-    # is a diagonal scaling in the eigenbasis.
-    eigs, V = np.linalg.eigh(C.T @ C + lam * np.eye(n_primal))
+    # H = V diag(eigs) V^T, factored once so that every prox is a
+    # diagonal scaling in the eigenbasis.
+    eigs, V = np.linalg.eigh(H)
     L_f = float(eigs[-1])
     # With a genuine null space the smallest modulus is exactly lam.
     mu_f = float(lam) if C.shape[0] < n_primal else float(max(eigs[0], 0.0))
-    Ctd = C.T @ d
 
     def f_value(x):
         r = C @ x - d
@@ -140,14 +146,9 @@ def make_quadratic_saddle(n_primal: int = 20, n_dual: int = 15, seed: int = 42,
         Adds an inactive centered ball indicator to g; the radius must
         strictly exceed ||y*||.
     """
-    if not mu_g > 0.0:
-        raise ConfigurationError("mu_g must be positive for a certified solution")
-    if lam < 0.0:
-        raise ConfigurationError("lam must be nonnegative")
-    C, d, A = _draw_instance_data(n_primal, n_dual, seed, c_rows)
-    problem = _problem_from_data(C, d, A, float(lam), float(mu_g), ball_radius)
-    H = C.T @ C + lam * np.eye(n_primal)
-    x_star = np.linalg.solve(H + (A.T @ A) / mu_g, C.T @ d)
+    C, d, A, H, Ctd = _draw_instance_data(n_primal, n_dual, seed, c_rows, mu_g, lam)
+    problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), ball_radius)
+    x_star = np.linalg.solve(H + (A.T @ A) / mu_g, Ctd)
     y_star = A @ x_star / mu_g
     if ball_radius is not None and np.linalg.norm(y_star) >= ball_radius:
         raise ConfigurationError(
@@ -184,17 +185,11 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
     unconstrained dual vanishes, so that its radius is rounding noise
     and is not checked.
     """
-    if not mu_g > 0.0:
-        raise ConfigurationError("mu_g must be positive for a certified solution")
-    if lam < 0.0:
-        raise ConfigurationError("lam must be nonnegative")
     if not 0.0 < radius_scale < 1.0:
         raise ConfigurationError(
             "radius_scale must lie in (0, 1) so the ball binds at the saddle"
         )
-    C, d, A = _draw_instance_data(n_primal, n_dual, seed, c_rows)
-    H = C.T @ C + lam * np.eye(n_primal)
-    Ctd = C.T @ d
+    C, d, A, H, Ctd = _draw_instance_data(n_primal, n_dual, seed, c_rows, mu_g, lam)
     AtA = A.T @ A
     M0 = H + AtA / mu_g
     a0 = A @ np.linalg.solve(M0, Ctd)
@@ -230,9 +225,9 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
     beta = 0.5 * (lo + hi)
     x_star = np.linalg.solve(H + beta * AtA, Ctd)
     y_star = beta * (A @ x_star)
-    # Free two n-by-n arrays before the eigendecomposition in
+    # Free an n-by-n array before the eigendecomposition in
     # _problem_from_data allocates its workspace.
-    del H, AtA
+    del AtA
     # With lam = 0 and n_dual <= n_primal - c_rows, generic data admit an
     # x with C x = d and A x = 0: the unconstrained dual is zero in exact
     # arithmetic, the radius is rounding noise and no ball can bind, so
@@ -245,6 +240,6 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
             f"{y_norm!r}, radius {radius!r}"
         )
 
-    problem = _problem_from_data(C, d, A, float(lam), float(mu_g), radius)
+    problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), radius)
     return QuadraticSaddle(problem=problem, x_star=x_star, y_star=y_star,
                            C=C, d=d, lam=float(lam))

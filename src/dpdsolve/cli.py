@@ -23,6 +23,7 @@ import numpy as np
 from . import edpd, ldpd
 from .bench import make_ball_capped_saddle, make_quadratic_saddle
 from .diagnostics import (
+    BOUND_SLACK,
     GapReference,
     HistoryRecorder,
     fit_loglog_slope,
@@ -313,7 +314,7 @@ def cmd_synth_bench(args) -> int:
         write_history_csv(os.path.join(args.out_dir, f"{tag}.csv"),
                           recorder.records)
         for rec in recorder.records:
-            if rec.bound is not None and rec.gap > rec.bound + 1e-9:
+            if rec.bound is not None and rec.gap > rec.bound + BOUND_SLACK:
                 violations.append((tag, rec.t))
         gaps = recorder.series("gap")
         slope = fit_loglog_slope(gaps, k_min=max(10, args.iters // 10)) \

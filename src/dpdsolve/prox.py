@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
@@ -108,8 +110,9 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
     operators are diagonal in their transform domain, where the solve is
     a division; dense matrix operators fall back to a direct solve. The
     returned x is verified against the normal equations: a residual
-    above 1e-10 (1 + ||rhs||), or not finite, raises. The residual and the
-    tolerance's ||rhs|| are both taken as in `scaled_norm`: one BLAS
+    above 1e-10 (1 + ||rhs||), or not finite, raises, and so does a
+    weight mu step that overflows, before any array work. The residual
+    and the tolerance's ||rhs|| are both taken as in `scaled_norm`: one BLAS
     pass when the sum of squares is safe, scaled when it overflows or
     underflows, so neither norm fails at large or tiny pixel values. A
     convolution checks its residual in the transform domain, by
@@ -136,7 +139,11 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
     Ktb = np.asarray(Ktb, dtype=float)
     if z.shape != (K.dims[0],) or Ktb.shape != (K.dims[0],):
         raise ContractViolationError("point or K* b shape does not match K")
-    w = mu * step
+    # Python floats, so that an overflowing product is inf without a warning
+    w = float(mu) * float(step)
+    if not math.isfinite(w):
+        raise NumericalFailureError(
+            f"quadratic prox weight mu * step = {mu!r} * {step!r} is not finite")
     given = out is not None
     rhs = output_vector(out, z.size, z, same_ok=True)
     # rhs = w K* b + z, with w K* b formed in blocks; rhs may be z

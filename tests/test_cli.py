@@ -1,5 +1,7 @@
 import argparse
 import math
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -9,6 +11,7 @@ import dpdsolve.cli as cli
 from dpdsolve import edpd, ldpd
 from dpdsolve.cli import (
     EXIT_CONFIG,
+    EXIT_DIVERGED,
     EXIT_IO,
     EXIT_OK,
     EXIT_VIOLATION,
@@ -530,3 +533,21 @@ def test_the_blur_operator_is_freed_before_the_run(tmp_path, monkeypatch, argv,
     assert freed == [True]
     if argv[0] == "deblur-sp":
         assert callable(kwargs["mu_g"])
+
+
+@pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]],
+                         ids=["default", "warnings-as-errors"])
+def test_an_exact_prox_whose_weight_overflows_exits_4_cleanly(tmp_path, flags):
+    # tau 1e-306 gives eta = 1.25e305, so mu * eta overflows; this used to
+    # print numpy RuntimeWarnings, or end in a traceback under -W error
+    out = tmp_path / "x"
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "dpdsolve.cli", "deblur-gauss", "--size", "32",
+         "--iters", "5", "--solver", "edpd", "--regime", "weakly-convex",
+         "--tau", "1e-306", "--out-dir", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_DIVERGED
+    assert proc.stderr.startswith("numerical error: quadratic prox weight mu * step")
+    assert proc.stderr.count("\n") == 1
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()

@@ -462,3 +462,20 @@ def test_a_nan_residual_is_refused_by_the_prox(monkeypatch):
                         lambda rhs, w, out=None: (solve(rhs, w)[0], np.nan))
     with pytest.raises(NumericalFailureError):
         prox_quadratic_primal(z, 0.5, K, np.zeros(48), 2.0)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_an_overflowing_prox_weight_is_refused_before_any_array_work(dense):
+    # mu step = 3000 * 1.25e305 overflows to inf; the solve used to run on
+    # it, warn four times and fail its residual check
+    kernel = make_average_kernel(3)
+    K = make_convolution_operator(kernel, 6, 8)
+    if dense:
+        K = MatrixOperator(dense_convolution_matrix(kernel.weights, 6, 8))
+    z = np.random.default_rng(8).standard_normal(48)
+    before = z.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailureError, match=r"mu \* step = 3000.0 \* 1.25e\+305"):
+            prox_quadratic_primal(z, 1.25e305, K, np.ones(48), 3000.0, out=z)
+    assert np.array_equal(z, before)
