@@ -413,8 +413,9 @@ class ConvolutionOperator2D:
         self._scratch = _ThreadScratch()
 
     def _spectrum_array(self, out, slot: str = "S", dtype=complex) -> Array:
-        """Where a call forms a spectrum: this thread's scratch array
-        `slot` when the call writes into `out`, else a fresh array."""
+        """Where a call forms a spectrum, or with a float `dtype` the real
+        shift: this thread's scratch array `slot` when the call writes
+        into `out`, else a fresh array."""
         shape = (self.m // 2 + 1, self.n)
         if out is None:
             return np.empty(shape, dtype=dtype, order="F")
@@ -491,7 +492,7 @@ class ConvolutionOperator2D:
         whole = scaled_norm(E)
         if whole == 0.0 or not math.isfinite(whole):
             return whole
-        edges = [E[0]] + ([E[-1]] if self.m % 2 == 0 else [])
+        edges = (E[0], E[-1]) if self.m % 2 == 0 else (E[0],)
         bracket = 2.0 - sum((scaled_norm(e) / whole) ** 2 for e in edges)
         return whole * math.sqrt(bracket / (self.m * self.n))
 
