@@ -28,7 +28,6 @@ from .diagnostics import (
     HistoryRecorder,
     fit_loglog_slope,
     read_history_csv,
-    snr_db,
     theoretical_bound,
     write_history_csv,
 )
@@ -129,17 +128,6 @@ def _degrade(clean: ImageGrid, kernel, noise) -> ImageGrid:
     return _require_finite(observed, "the degraded image")
 
 
-def _write_run_outputs(out_dir, recovered: ImageGrid, records, label=None,
-                       degraded: ImageGrid | None = None):
-    os.makedirs(out_dir, exist_ok=True)
-    write_pgm(os.path.join(out_dir, "recovered.pgm"), recovered)
-    write_dpdf(os.path.join(out_dir, "recovered.dpdf"), recovered)
-    write_history_csv(os.path.join(out_dir, "history.csv"), records, label=label)
-    if degraded is not None:
-        write_pgm(os.path.join(out_dir, "degraded.pgm"), degraded)
-        write_dpdf(os.path.join(out_dir, "degraded.dpdf"), degraded)
-
-
 def _deblur(args, build) -> int:
     """One deblurring run. `build(args, clean, observed)` returns the
     model's (observed, problem, solve, label): the observed image, made
@@ -156,12 +144,19 @@ def _deblur(args, build) -> int:
     x = solve(np.zeros(problem.primal_dim), np.zeros(problem.dual_dim),
               args.iters, recorder).x
     recovered = ImageGrid(observed.m, observed.n, x)
-    _write_run_outputs(args.out_dir, recovered, recorder.records, label=label,
-                       degraded=observed if degraded_here else None)
+    os.makedirs(args.out_dir, exist_ok=True)
+    write_pgm(os.path.join(args.out_dir, "recovered.pgm"), recovered)
+    write_dpdf(os.path.join(args.out_dir, "recovered.dpdf"), recovered)
+    write_history_csv(os.path.join(args.out_dir, "history.csv"), recorder.records,
+                      label=label)
+    if degraded_here:
+        write_pgm(os.path.join(args.out_dir, "degraded.pgm"), observed)
+        write_dpdf(os.path.join(args.out_dir, "degraded.dpdf"), observed)
     if label:
         print(f"mode: {label} (guarantee column left empty)")
     if clean is not None:
-        print(f"final snr_db: {snr_db(x, clean.data):.4f}")
+        # the last record's SNR is that of x, bit for bit (HistoryRecorder)
+        print(f"final snr_db: {recorder.records[-1].snr_db:.4f}")
     print(f"wrote recovered image and history to {args.out_dir}")
     return EXIT_OK
 

@@ -28,6 +28,7 @@ from .linops import (
     make_convolution_operator,
     make_difference_operator,
     make_stacked_operator,
+    output_vector,
     staggered_empty,
 )
 from .model import DualProxOracle, PrimalOracle, SaddleProblem
@@ -163,15 +164,12 @@ def build_saltpepper_problem(spec: SaltPepperDeblurSpec) -> SaddleProblem:
     mu_g0 = float(spec.mu_g0)
 
     def f_grad(x, out=None):
-        if out is None:
-            return np.zeros_like(x)
+        out = output_vector(out, mn)
         out.fill(0.0)
         return out
 
     def f_prox(z, step, out=None):
-        z = np.asarray(z, dtype=float)
-        if out is None:
-            return z.copy()
+        out = output_vector(out, mn)
         np.copyto(out, z)
         return out
 
@@ -188,8 +186,7 @@ def build_saltpepper_problem(spec: SaltPepperDeblurSpec) -> SaddleProblem:
 
     def g_prox(z, step, mu_g, out=None):
         # each block's prox reads its block whole first, so out may be z
-        if out is None:
-            out = np.empty(3 * mn)
+        out = output_vector(out, 3 * mn)
         prox_smoothed_tv_dual(z[: 2 * mn], step, mu_g, out=out[: 2 * mn])
         prox_linear_plus_box(z[2 * mn :], step, tilt, mu_g=mu_g, out=out[2 * mn :])
         return out

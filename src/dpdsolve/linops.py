@@ -154,15 +154,6 @@ def sum_of_squares(v: Array) -> float:
         return float(v @ v)
 
 
-def _sum_of_scaled_squares(v: Array, scale: float) -> float:
-    """sum (v_i / scale)^2 over a flat real array, in blocks."""
-    total = 0.0
-    for blk, buf in blocks(v.size, float):
-        b = np.divide(v[blk], scale, out=buf)
-        total += float(b @ b)
-    return total
-
-
 def _real_entries(v) -> Array:
     """The entries of a real or complex array as a flat float64 array (a
     complex entry gives its real and imaginary parts); a view when v is
@@ -190,7 +181,11 @@ def scaled_norm(v) -> float:
     scale = _largest_component(flat)
     if scale == 0.0 or not math.isfinite(scale):
         return scale
-    return scale * math.sqrt(_sum_of_scaled_squares(flat, scale))
+    total = 0.0
+    for blk, buf in blocks(flat.size, float):
+        b = np.divide(flat[blk], scale, out=buf)
+        total += float(b @ b)
+    return scale * math.sqrt(total)
 
 
 class _ThreadScratch:
@@ -308,6 +303,18 @@ class MatrixOperator:
                          self.matrix @ _as_vector(x, self.dims[0], "input"),
                          out=output_vector(out, self.dims[0]))
 
+    def solve_shifted_checked(self, rhs, w: float, out=None) -> tuple[Array, float]:
+        """The x with (w M^T M + I) x = rhs, by a direct solve, and the
+        norm of its residual (w M^T M + I) x - rhs. x is written into
+        `out`, which may be rhs itself, after the residual is taken."""
+        M = self.matrix
+        x = np.linalg.solve(w * (M.T @ M) + np.eye(self.dims[0]), rhs)
+        residual = scaled_norm(w * self.gram(x) + x - rhs)
+        if out is not None:
+            np.copyto(out, x)
+            x = out
+        return x, residual
+
 
 class DifferenceOperator2D:
     """Forward differences with periodic wrap on an m-by-n grid.
@@ -350,18 +357,12 @@ class DifferenceOperator2D:
         out = output_vector(out, mn, y)
         np.subtract(v[:-1], v[1:], out=out[1:])
         np.subtract(v[m - 1 :: m], v[::m], out=out[::m])
-        # out += the horizontal part h[i - m] - h[i] (indices mod mn, so
-        # the first column wraps to the last), formed in blocks
-        for blk, p in blocks(mn, float):
+        # out += the horizontal part h[i - m] - h[i] (indices mod mn): the
+        # first column wraps to the last, and the rest is formed in blocks
+        out[:m] += h[mn - m :] - h[:m]
+        for blk, p in blocks(mn - m, float):
             lo, hi = blk.start, blk.stop
-            wrap = min(hi, m)
-            if lo < wrap:
-                np.subtract(h[mn - m + lo : mn - m + wrap], h[lo:wrap],
-                            out=p[: wrap - lo])
-            start = max(lo, m)
-            if start < hi:
-                np.subtract(h[start - m : hi - m], h[start:hi], out=p[start - lo :])
-            out[blk] += p
+            out[lo + m : hi + m] += np.subtract(h[lo:hi], h[lo + m : hi + m], out=p)
         return out
 
 
@@ -396,10 +397,11 @@ class ConvolutionOperator2D:
         self.n = n
         self.dims = (m * n, m * n)
         embedded = np.zeros((m, n), order="F")
-        ch, cw = kernel.height // 2, kernel.width // 2
-        for p in range(kernel.height):
-            for q in range(kernel.width):
-                embedded[(p - ch) % m, (q - cw) % n] += kernel.weights[p, q]
+        rows = (np.arange(kernel.height) - kernel.height // 2) % m
+        cols = (np.arange(kernel.width) - kernel.width // 2) % n
+        # The kernel fits the grid, so no two weights share a pixel; + 0.0
+        # makes a -0.0 weight +0.0, as adding it to the zeros did.
+        embedded[np.ix_(rows, cols)] = kernel.weights + 0.0
         shape = (m // 2 + 1, n)
         self.spectrum = self._forward(
             _to_vector(embedded), staggered_empty(shape, complex, order="F"))

@@ -7,8 +7,7 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .linops import (ConvolutionOperator2D, MatrixOperator, blocks, output_vector,
-                     scaled_norm)
+from .linops import blocks, output_vector, scaled_norm
 
 Array = np.ndarray
 
@@ -106,18 +105,18 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
     """Exact prox of x -> (mu / 2) ||K x - b||^2 at z with the given step.
 
     Takes `Ktb` = K* b, fixed for a problem, rather than b, and solves
-    (mu step K*K + I) x = mu step K* b + z. Circular convolution
-    operators are diagonal in their transform domain, where the solve is
-    a division; dense matrix operators fall back to a direct solve. The
+    (mu step K*K + I) x = mu step K* b + z with K's own
+    `solve_shifted_checked(rhs, w, out=None)`, which returns x and the
+    norm of its residual; an operator without one is refused. The
+    package's convolution operator divides in its transform domain and
+    checks the residual there, by Parseval, with three real transforms;
+    its dense operator takes a direct solve and applies its own K*K. The
     returned x is verified against the normal equations: a residual
     above 1e-10 (1 + ||rhs||), or not finite, raises, and so does a
     weight mu step that overflows, before any array work. The residual
     and the tolerance's ||rhs|| are both taken as in `scaled_norm`: one BLAS
     pass when the sum of squares is safe, scaled when it overflows or
-    underflows, so neither norm fails at large or tiny pixel values. A
-    convolution checks its residual in the transform domain, by
-    Parseval, so the call takes three real transforms; a dense operator
-    applies its own K*K.
+    underflows, so neither norm fails at large or tiny pixel values.
 
     With `out` given, which may be z itself, the right-hand side is
     formed there in blocks and x written over it, and a convolution
@@ -128,11 +127,11 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
         raise ContractViolationError("step and mu must be nonnegative")
     z = np.asarray(z, dtype=float)
     if mu == 0.0 or step == 0.0:
-        if out is None:
-            return z.copy()
-        np.copyto(output_vector(out, z.size, z, same_ok=True), z)
-        return out
-    if not isinstance(K, (ConvolutionOperator2D, MatrixOperator)):
+        x = output_vector(out, z.size, z, same_ok=True)
+        np.copyto(x, z)
+        return x
+    solve = getattr(K, "solve_shifted_checked", None)
+    if solve is None:
         raise ContractViolationError(
             "quadratic prox supports circular convolution and dense operators only"
         )
@@ -144,21 +143,13 @@ def prox_quadratic_primal(z, step: float, K, Ktb, mu: float, out=None) -> Array:
     if not math.isfinite(w):
         raise NumericalFailureError(
             f"quadratic prox weight mu * step = {mu!r} * {step!r} is not finite")
-    given = out is not None
     rhs = output_vector(out, z.size, z, same_ok=True)
     # rhs = w K* b + z, with w K* b formed in blocks; rhs may be z
     for blk, scaled in blocks(z.size, float):
         np.add(np.multiply(Ktb[blk], w, out=scaled), z[blk], out=rhs[blk])
     tolerance = 1e-10 * (1.0 + scaled_norm(rhs))
-    if isinstance(K, ConvolutionOperator2D):
-        x, residual = K.solve_shifted_checked(rhs, w, out=rhs if given else None)
-    else:
-        M = K.matrix
-        x = np.linalg.solve(w * (M.T @ M) + np.eye(K.dims[0]), rhs)
-        residual = scaled_norm(w * K.gram(x) + x - rhs)
-        if given:
-            np.copyto(rhs, x)
-            x = rhs
+    # a given out is rhs, and x is written over it
+    x, residual = solve(rhs, w, out=out)
     # `not <=`, so that a nan residual is refused too
     if not residual <= tolerance:
         raise NumericalFailureError(

@@ -197,12 +197,6 @@ def _all_finite(v: Array) -> bool:
     return math.isfinite(v.min()) and math.isfinite(v.max())
 
 
-def _add_weighted(acc: Array, v: Array, weight: float, scratch: Array) -> None:
-    """acc += weight * v, forming the product in `scratch` (an array the
-    caller may overwrite, other than v)."""
-    acc += np.multiply(v, weight, out=scratch)
-
-
 def accept_primal(state: SolverState, x_next: Array, weight: float,
                   scratch: Array) -> None:
     """Make `x_next` the primal iterate t + 1, add it to the primal
@@ -212,7 +206,7 @@ def accept_primal(state: SolverState, x_next: Array, weight: float,
     if not _all_finite(x_next):
         raise DivergenceError(f"primal iterate {state.t + 1} is not finite")
     state.x = x_next
-    _add_weighted(state.agg_num_x, x_next, weight, scratch)
+    state.agg_num_x += np.multiply(x_next, weight, out=scratch)
     state.agg_den += weight
     state.t += 1
 
@@ -238,7 +232,7 @@ def dual_step(state: SolverState, work: Workspace, tau: float, alpha: float,
     np.subtract(y_next, y_old, out=state.yhat)
     state.yhat *= alpha
     state.yhat += y_next
-    _add_weighted(state.agg_num_y, y_next, weight, y_old)
+    state.agg_num_y += np.multiply(y_next, weight, out=y_old)
     state.y = y_next
     work.y = y_old
     return state

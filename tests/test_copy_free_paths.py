@@ -434,15 +434,24 @@ def test_operator_out_paths_equal_the_fresh_paths(data, case, alpha, w, block):
             (StackedOperator([(alpha, D)]).adjoint, (y[: 2 * mn],), False),
         ]:
             assert_out_path(fn, args, alias)
-        x_fresh, r_fresh = K.solve_shifted_checked(y[:mn], w)
-        out = np.full(mn, np.nan)
-        x_out, r_out = K.solve_shifted_checked(y[:mn], w, out=out)
-        assert x_out is out and r_out == r_fresh
-        assert_bitwise(out, x_fresh)
-        rhs = y[:mn].copy()
-        x_alias, r_alias = K.solve_shifted_checked(rhs, w, out=rhs)
-        assert x_alias is rhs and r_alias == r_fresh
-        assert_bitwise(rhs, x_fresh)
+        # the dense solve is the direct solve of w M^T M + I, its residual
+        # the scaled norm of the residual vector
+        A = M.matrix
+        x_dense = np.linalg.solve(w * (A.T @ A) + np.eye(mn), y[:mn])
+        r_dense = scaled_norm(w * M.gram(x_dense) + x_dense - y[:mn])
+        for op in (K, M):
+            x_fresh, r_fresh = op.solve_shifted_checked(y[:mn], w)
+            if op is M:
+                assert_bitwise(x_fresh, x_dense)
+                assert r_fresh == r_dense
+            out = np.full(mn, np.nan)
+            x_out, r_out = op.solve_shifted_checked(y[:mn], w, out=out)
+            assert x_out is out and r_out == r_fresh
+            assert_bitwise(out, x_fresh)
+            rhs = y[:mn].copy()
+            x_alias, r_alias = op.solve_shifted_checked(rhs, w, out=rhs)
+            assert x_alias is rhs and r_alias == r_fresh
+            assert_bitwise(rhs, x_fresh)
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5])
