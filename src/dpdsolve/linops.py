@@ -311,7 +311,7 @@ class MatrixOperator:
         x = np.linalg.solve(w * (M.T @ M) + np.eye(self.dims[0]), rhs)
         residual = scaled_norm(w * self.gram(x) + x - rhs)
         if out is not None:
-            np.copyto(out, x)
+            np.copyto(output_vector(out, self.dims[0]), x)
             x = out
         return x, residual
 

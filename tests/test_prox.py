@@ -3,10 +3,16 @@ import warnings
 import numpy as np
 import pytest
 from conftest import dense_convolution_matrix
+from hypothesis import assume, given, reject, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dpdsolve import linops
+from dpdsolve.bench import make_ball_capped_saddle, make_quadratic_saddle
 from dpdsolve.errors import ContractViolationError, NumericalFailureError
+from dpdsolve.imaging import SaltPepperDeblurSpec, build_saltpepper_problem
 from dpdsolve.linops import (
+    ImageGrid,
     Kernel2D,
     MatrixOperator,
     make_average_kernel,
@@ -104,24 +110,72 @@ def test_smoothed_tv_dual_prox_beats_brute_force_grid():
     assert pair_norms(out)[0] <= 1.0 + 1e-15
 
 
-def _feasible_pairs(rng, size):
-    return project_ball2_pairs(rng.standard_normal(size) * 2.0)
+def _beats_feasible_perturbations(objective, p, project, seed):
+    """f(p) <= f(q) + 1e-12 (1 + |f(p)|) at 100 points q = project(p + d),
+    d normal and scaled log-uniformly in [1e-6, 1], so that q runs from
+    beside p to far from it and, through `project`, stays feasible."""
+    rng = np.random.default_rng(seed)
+    f_p = objective(p)
+    for _ in range(100):
+        q = project(p + 10.0 ** rng.uniform(-6.0, 0.0) * rng.standard_normal(p.size))
+        assert f_p <= objective(q) + 1e-12 * (1.0 + abs(f_p))
 
 
-def test_smoothed_tv_dual_prox_decrease_100_competitors():
-    rng = np.random.default_rng(29)
-    z = rng.standard_normal(10) * 2.0
-    step, mu_g = 0.7, 0.4
+def _in_unit_disks(y) -> bool:
+    return bool(np.all(pair_norms(y) <= 1.0 + 1e-15))
+
+
+def _onto_unit_disks(y):
+    """Each pair (y[i], y[half + i]) divided by max(1, its norm)."""
+    a, b = np.split(y, 2)
+    scale = np.maximum(np.hypot(a, b), 1.0)
+    return np.concatenate([a / scale, b / scale])
+
+
+def _onto_unit_box(u):
+    return np.clip(u, -1.0, 1.0)
+
+
+POINTS = st.integers(1, 12).flatmap(lambda n: arrays(
+    np.float64, n, elements=st.floats(-10.0, 10.0)))
+PAIRS = st.integers(1, 6).flatmap(lambda n: arrays(
+    np.float64, 2 * n, elements=st.floats(-10.0, 10.0)))
+STEPS = st.floats(1e-2, 1e2)
+WEIGHTS = st.floats(0.0, 10.0)
+SEEDS = st.integers(0, 2**32 - 1)
+PROPERTY = settings(max_examples=25, deadline=None)
+
+
+@PROPERTY
+@given(PAIRS, SEEDS)
+def test_ball_projection_beats_feasible_perturbations(y, seed):
+    p = project_ball2_pairs(y)
+    assert _in_unit_disks(p)
+    _beats_feasible_perturbations(lambda q: 0.5 * float((q - y) @ (q - y)), p,
+                                  _onto_unit_disks, seed)
+
+
+@PROPERTY
+@given(POINTS, st.floats(-5.0, 5.0), st.floats(0.0, 5.0), SEEDS)
+def test_box_projection_beats_feasible_perturbations(u, lo, width, seed):
+    hi = lo + width
+    p = project_box(u, lo, hi)
+    assert np.all((lo <= p) & (p <= hi))
+    _beats_feasible_perturbations(lambda q: 0.5 * float((q - u) @ (q - u)), p,
+                                  lambda q: np.clip(q, lo, hi), seed)
+
+
+@PROPERTY
+@given(PAIRS, STEPS, WEIGHTS, SEEDS)
+def test_smoothed_tv_dual_prox_decrease_100_competitors(z, step, mu_g, seed):
     out = prox_smoothed_tv_dual(z, step, mu_g)
 
     def objective(pt):
         return (0.5 * mu_g * float(pt @ pt)
                 + float((pt - z) @ (pt - z)) / (2.0 * step))
 
-    f_out = objective(out)
-    for _ in range(100):
-        q = _feasible_pairs(rng, 10)
-        assert f_out <= objective(q) + 1e-12
+    assert _in_unit_disks(out)
+    _beats_feasible_perturbations(objective, out, _onto_unit_disks, seed)
 
 
 def test_linear_plus_box_prox_known_point():
@@ -132,22 +186,77 @@ def test_linear_plus_box_prox_known_point():
     np.testing.assert_allclose(out2, [-0.35], atol=1e-15)
 
 
-def test_linear_plus_box_prox_decrease_100_competitors():
-    rng = np.random.default_rng(31)
-    z = rng.standard_normal(12) * 2.0
-    c = rng.standard_normal(12)
-    step, mu_g = 1.3, 0.2
+@PROPERTY
+@given(POINTS.flatmap(lambda z: st.tuples(st.just(z), arrays(
+    np.float64, z.size, elements=st.floats(-5.0, 5.0)))), STEPS, WEIGHTS, SEEDS)
+def test_linear_plus_box_prox_decrease_100_competitors(zc, step, mu_g, seed):
+    z, c = zc
     out = prox_linear_plus_box(z, step, c, mu_g=mu_g)
 
     def objective(pt):
         return (float(c @ pt) + 0.5 * mu_g * float(pt @ pt)
                 + float((pt - z) @ (pt - z)) / (2.0 * step))
 
-    f_out = objective(out)
-    assert np.max(np.abs(out)) <= 1.0 + 1e-15
-    for _ in range(100):
-        q = rng.uniform(-1.0, 1.0, 12)
-        assert f_out <= objective(q) + 1e-12
+    assert np.max(np.abs(out)) <= 1.0
+    _beats_feasible_perturbations(objective, out, _onto_unit_box, seed)
+
+
+@PROPERTY
+@given(st.integers(2, 5), st.integers(2, 5), st.floats(0.1, 10.0), st.floats(0.0, 1.0),
+       STEPS, SEEDS)
+def test_saltpepper_dual_prox_beats_feasible_perturbations(m, n, alpha, mu_g0, step, seed):
+    # g is the disk indicator on the TV pairs, the tilted box on the data
+    # block, and (mu_g0 / 2) ||y||^2; its prox takes the declared mu_g0
+    rng = np.random.default_rng(seed)
+    mn = m * n
+    problem = build_saltpepper_problem(SaltPepperDeblurSpec(
+        observed=ImageGrid(m, n, rng.uniform(0.0, 1.0, mn)),
+        kernel=make_average_kernel(1), alpha=alpha, mu_g0=mu_g0))
+    z = rng.uniform(-10.0, 10.0, 3 * mn)
+    p = problem.g.prox(z, step, problem.g.mu_g)
+    assert _in_unit_disks(p[: 2 * mn]) and np.max(np.abs(p[2 * mn :])) <= 1.0
+
+    def objective(q):
+        return problem.g.value(q) + float((q - z) @ (q - z)) / (2.0 * step)
+
+    _beats_feasible_perturbations(
+        objective, p, lambda q: np.concatenate([_onto_unit_disks(q[: 2 * mn]),
+                                                _onto_unit_box(q[2 * mn :])]), seed)
+
+
+@PROPERTY
+@given(st.integers(2, 10), st.integers(1, 10), SEEDS, st.floats(0.0, 10.0), STEPS)
+def test_dense_bench_primal_prox_beats_perturbations(n_primal, n_dual, seed, lam, step):
+    f = make_quadratic_saddle(n_primal, n_dual, seed=seed, lam=lam).problem.f
+    z = np.random.default_rng(seed).uniform(-10.0, 10.0, n_primal)
+    p = f.prox(z, step)
+    assert np.all(np.isfinite(p))
+    _beats_feasible_perturbations(
+        lambda q: f.value(q) + float((q - z) @ (q - z)) / (2.0 * step), p,
+        lambda q: q, seed)
+
+
+@PROPERTY
+@given(st.integers(2, 10), st.integers(1, 10), SEEDS, st.floats(1e-3, 1.0), STEPS)
+def test_ball_capped_dual_prox_beats_feasible_perturbations(n_primal, n_dual, seed,
+                                                            mu_g, step):
+    c_rows = max(2, 3 * n_primal // 5)
+    assume(c_rows + n_dual > n_primal)  # the CLI refuses degenerate dims
+    try:
+        inst = make_ball_capped_saddle(n_primal, n_dual, seed=seed, mu_g=mu_g,
+                                       c_rows=c_rows)
+    except NumericalFailureError:
+        reject()  # an instance it cannot certify
+    g = inst.problem.g
+    z = np.random.default_rng(seed).uniform(-10.0, 10.0, n_dual)
+    p = g.prox(z, step, g.mu_g)
+    assert g.value(p) < np.inf
+    # a hair inside the ball, whose radius make_ball_capped_saddle pins
+    # to ||y*|| within 1e-10
+    radius = (1.0 - 1e-9) * float(np.linalg.norm(inst.y_star))
+    _beats_feasible_perturbations(
+        lambda q: g.value(q) + float((q - z) @ (q - z)) / (2.0 * step), p,
+        lambda q: q * min(1.0, radius / np.linalg.norm(q)), seed)
 
 
 def test_quadratic_primal_prox_identity_returns_data():
@@ -161,6 +270,12 @@ def test_quadratic_primal_prox_zero_weight_is_identity():
     K = MatrixOperator(np.eye(2))
     z = np.array([1.0, -2.0])
     np.testing.assert_array_equal(prox_quadratic_primal(z, 3.0, K, K.adjoint(z), 0.0), z)
+
+
+def test_quadratic_primal_prox_refuses_an_operator_without_a_shifted_solve():
+    D = make_difference_operator(3, 4)
+    with pytest.raises(ContractViolationError, match="convolution and dense operators"):
+        prox_quadratic_primal(np.zeros(12), 1.0, D, np.zeros(12), 1.0)
 
 
 def test_quadratic_primal_prox_matches_dense_solve():
