@@ -28,7 +28,8 @@ from .diagnostics import (
     HistoryRecorder,
     fit_loglog_slope,
     read_history_csv,
-    theoretical_bound,
+    regime_bound,
+    regime_tag,
     write_history_csv,
 )
 from .errors import (
@@ -128,21 +129,31 @@ def _degrade(clean: ImageGrid, kernel, noise) -> ImageGrid:
     return _require_finite(observed, "the degraded image")
 
 
+def _run(problem, regime, iters, observer, mu_g=None):
+    """Run `regime`'s solver family on `problem` for `iters` iterations
+    from zeros, under the continuation `mu_g` when one is given (edpd
+    only). The solver is looked up on its module when called, so a
+    wrapper set there sees the run."""
+    x1, y1 = np.zeros(problem.primal_dim), np.zeros(problem.dual_dim)
+    if isinstance(regime, ldpd.LdpdRegime):
+        return ldpd.run_ldpd(problem, regime, x1, y1, iters, observer)
+    return edpd.run_edpd(problem, regime, x1, y1, iters, observer, mu_g=mu_g)
+
+
 def _deblur(args, build) -> int:
     """One deblurring run. `build(args, clean, observed)` returns the
-    model's (observed, problem, solve, label): the observed image, made
-    from `clean` when `observed` is None; the problem; solve(x1, y1,
-    iters, observer), which runs the model's solver, looked up on the
-    ldpd or edpd module when called, so a wrapper set there sees the run;
-    and the history's label, or None."""
+    model's (observed, problem, regime, mu_g): the observed image, made
+    from `clean` when `observed` is None; the problem; the regime `_run`
+    runs; and its continuation schedule, or None. A continuation run is
+    heuristic, and its history is labelled so."""
     clean, observed = _load_scene(args)
     degraded_here = observed is None
-    observed, problem, solve, label = build(args, clean, observed)
+    observed, problem, regime, mu_g = build(args, clean, observed)
+    label = None if mu_g is None else CONTINUATION_LABEL
     recorder = HistoryRecorder(x_true=clean, timing=args.timing)
     # Only the primal aggregate is kept, so the run's final state is freed
     # before the outputs are written.
-    x = solve(np.zeros(problem.primal_dim), np.zeros(problem.dual_dim),
-              args.iters, recorder).x
+    x = _run(problem, regime, args.iters, recorder, mu_g).x
     recovered = ImageGrid(observed.m, observed.n, x)
     os.makedirs(args.out_dir, exist_ok=True)
     write_pgm(os.path.join(args.out_dir, "recovered.pgm"), recovered)
@@ -181,7 +192,7 @@ def _gaussian_model(args, clean, observed):
     if args.solver == "edpd":
         regime = edpd.EdpdRegime(
             args.regime, tau=1.0 / problem.A.norm_bound if tau is None else tau)
-        return observed, problem, lambda *run: edpd.run_edpd(problem, regime, *run), None
+        return observed, problem, regime, None
     if args.regime == ldpd.SINGLE_STEP and tau is None:
         if not args.mu_g > 0.0:
             raise ConfigurationError("single-step needs --tau when mu_g is zero")
@@ -189,7 +200,7 @@ def _gaussian_model(args, clean, observed):
     # each regime reads only its own fields: horizon (weakly convex), tau
     # (single step)
     regime = ldpd.LdpdRegime(args.regime, horizon=args.iters, tau=tau or 0.0)
-    return observed, problem, lambda *run: ldpd.run_ldpd(problem, regime, *run), None
+    return observed, problem, regime, None
 
 
 def _saltpepper_model(args, clean, observed):
@@ -207,18 +218,16 @@ def _saltpepper_model(args, clean, observed):
                                 alpha=args.alpha, mu_g0=args.mu_g0,
                                 halve_every=args.halve_every)
     problem = build_saltpepper_problem(spec)
-    mu_g = label = None
+    mu_g = None
     if spec.mu_g0 > 0.0:
         regime = edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL)
         if spec.halve_every > 0:
-            label = CONTINUATION_LABEL
             mu_g = functools.partial(continuation_mu_g, mu_g0=spec.mu_g0,
                                      halve_every=spec.halve_every)
     else:
         tau = args.tau if args.tau is not None else 1.0 / problem.A.norm_bound
         regime = edpd.EdpdRegime(edpd.WEAKLY_CONVEX, tau=tau)
-    return (observed, problem,
-            lambda *run: edpd.run_edpd(problem, regime, *run, mu_g=mu_g), label)
+    return observed, problem, regime, mu_g
 
 
 def _bench_instances(args):
@@ -263,37 +272,17 @@ def _bench_runs(strong, weak, capped, iters):
     ]
 
 
-def _bench_tag(regime) -> str:
-    """The bound tag of a regime: its solver family, then its variant."""
-    family = "ldpd" if isinstance(regime, ldpd.LdpdRegime) else "edpd"
-    return f"{family}-{regime.variant}"
-
-
 def _run_bench_case(instance, regime, iters):
     problem = instance.problem
     consts = SolverConsts.from_problem(problem)
     dx2, dy2 = instance.initial_distances()
-    tag = _bench_tag(regime)
-    # The free tau of the constant-step regimes; the others leave it unset.
-    free_tau = regime.tau if regime.tau > 0.0 else None
-    horizon = getattr(regime, "horizon", 0) or None
-
-    def bound_fn(k):
-        if horizon is not None and k != horizon:
-            return None
-        return theoretical_bound(tag, k, consts, dx2, dy2,
-                                 tau=free_tau, horizon=horizon)
-
     recorder = HistoryRecorder(
         problem=problem,
         ref=GapReference(instance.x_star, instance.y_star),
-        bound_fn=bound_fn,
+        bound_fn=lambda k: regime_bound(regime, k, consts, dx2, dy2),
         y_star=instance.y_star,
     )
-    x1 = np.zeros(problem.primal_dim)
-    y1 = np.zeros(problem.dual_dim)
-    run = ldpd.run_ldpd if isinstance(regime, ldpd.LdpdRegime) else edpd.run_edpd
-    run(problem, regime, x1, y1, iters, recorder)
+    _run(problem, regime, iters, recorder)
     return recorder
 
 
@@ -304,7 +293,7 @@ def cmd_synth_bench(args) -> int:
     violations = []
     print(f"{'regime':32s} {'final gap':>13s} {'final bound':>13s} {'slope':>8s}")
     for inst, regime in _bench_runs(strong, weak, capped, args.iters):
-        tag = _bench_tag(regime)
+        tag = regime_tag(regime)
         recorder = _run_bench_case(inst, regime, args.iters)
         write_history_csv(os.path.join(args.out_dir, f"{tag}.csv"),
                           recorder.records)
@@ -343,7 +332,7 @@ def cmd_rates(args) -> int:
     else:
         strong, weak, capped = _bench_instances(args)
         for inst, regime in _bench_runs(strong, weak, capped, args.iters):
-            tag = _bench_tag(regime)
+            tag = regime_tag(regime)
             if tag in RATE_WINDOWS:
                 recorder = _run_bench_case(inst, regime, args.iters)
                 series[tag] = recorder.series("gap")
@@ -390,8 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--sigma", type=float, default=3e-3)
     pg.add_argument("--solver", choices=["ldpd", "edpd"], default="ldpd")
     pg.add_argument("--regime", default="strongly-convex-dual",
-                    choices=["weakly-convex", "strongly-convex-dual",
-                             "strongly-convex-primal", "single-step"])
+                    choices=ldpd.LDPD_VARIANTS)
     pg.add_argument("--tau", type=float, default=None,
                     help="free dual step for single-step / weakly convex "
                          "proximal regimes")

@@ -33,15 +33,17 @@ from .model import (
 )
 from .solver import dual_base_step, primal_base_step
 
-BOUND_TAGS = (
-    "ldpd-weakly-convex",
-    "ldpd-strongly-convex-dual",
-    "ldpd-strongly-convex-primal",
-    "ldpd-single-step",
-    "edpd-strongly-convex-primal",
-    "edpd-strongly-convex-dual",
-    "edpd-weakly-convex",
-)
+BOUND_TAGS = (tuple(f"ldpd-{v}" for v in ldpd.LDPD_VARIANTS)
+              + tuple(f"edpd-{v}" for v in edpd.EDPD_VARIANTS))
+
+# The base dual step of each schedule that fixes tau from the problem
+# constants; the schedules of the other tags take tau as a free parameter.
+_BASE_STEPS = {
+    "ldpd-strongly-convex-dual": lambda c: dual_base_step(ldpd.SCD_STEP_SCALE, c.mu_g),
+    "ldpd-strongly-convex-primal": primal_base_step,
+    "edpd-strongly-convex-primal": primal_base_step,
+    "edpd-strongly-convex-dual": lambda c: dual_base_step(edpd.SCD_STEP_SCALE, c.mu_g),
+}
 
 # Uniform floating-point slack for "guarantee dominates measurement" checks.
 BOUND_SLACK = 1e-9
@@ -115,37 +117,53 @@ def theoretical_bound(tag: str, k: int, consts: SolverConsts,
         return (2.0 * L * dx2 / (N * (N + 1.0))
                 + (nA**2 * dx2 + dy2) / (N + 1.0))
 
+    if tau is None and tag in _BASE_STEPS:
+        tau = _BASE_STEPS[tag](consts)
+    t = _require_positive("tau", tau)
+
     if tag == "ldpd-strongly-convex-dual":
-        t = dual_base_step(ldpd.SCD_STEP_SCALE, consts.mu_g) if tau is None else tau
-        t = _require_positive("tau", t)
         return ((2.0 * L + t * nA**2) * dx2 / (k * (k + 1.0))
                 + dy2 / (k * (k + 1.0) * t))
 
     if tag == "ldpd-strongly-convex-primal":
-        t = primal_base_step(consts) if tau is None else tau
-        t = _require_positive("tau", t)
         t0 = ldpd.scp_shift(consts)
         return ((t0 + 2.0) / (k * (k + 3.0 + 2.0 * t0))
                 * (dx2 * (L - consts.mu_f + 2.0 * t * nA**2)
                    + dy2 / (2.0 * t)))
 
     if tag == "ldpd-single-step":
-        t = _require_positive("tau", tau)
         return (L + t * nA**2) * dx2 / (2.0 * k) + dy2 / (2.0 * k * t)
 
     if tag == "edpd-strongly-convex-primal":
-        t = primal_base_step(consts) if tau is None else tau
-        t = _require_positive("tau", t)
         return (6.0 * t * nA**2 * dx2 + 1.5 * dy2 / t) / (k * (k + 5.0))
 
     if tag == "edpd-strongly-convex-dual":
-        t = dual_base_step(edpd.SCD_STEP_SCALE, consts.mu_g) if tau is None else tau
-        t = _require_positive("tau", t)
         return 2.0 / (k * (k + 3.0)) * (nA**2 * t * dx2 / 2.0 + 2.0 * dy2 / t)
 
     # edpd-weakly-convex
-    t = _require_positive("tau", tau)
     return (dx2 * nA**2 * t + dy2 / t) / (2.0 * k)
+
+
+def regime_tag(regime) -> str:
+    """The bound tag of a regime: its solver family, then its variant."""
+    family = "ldpd" if isinstance(regime, ldpd.LdpdRegime) else "edpd"
+    return f"{family}-{regime.variant}"
+
+
+def regime_bound(regime, k: int, consts: SolverConsts,
+                 dx2: float, dy2: float) -> Optional[float]:
+    """The guarantee of `regime`'s own schedule after k iterations, given
+    exactly the fields that schedule reads: the horizon of the
+    horizon-tuned schedule, which is stated only at k = horizon (None at
+    every other k), and the tau of a schedule that takes tau as a free
+    parameter. A schedule that fixes tau from the constants gets its own."""
+    tag = regime_tag(regime)
+    if tag == "ldpd-weakly-convex":
+        if k != regime.horizon:
+            return None
+        return theoretical_bound(tag, k, consts, dx2, dy2, horizon=regime.horizon)
+    tau = None if tag in _BASE_STEPS else regime.tau
+    return theoretical_bound(tag, k, consts, dx2, dy2, tau=tau)
 
 
 @dataclass(frozen=True)

@@ -379,11 +379,10 @@ class ConvolutionOperator2D:
     numpy's `rfft2`/`irfft2` formula bit for bit.
 
     Every method reads its input whole into a spectrum before it writes
-    its output, so `out` may be the input itself. A call with `out=`
-    forms its spectra, and `solve_shifted_checked` its real shift
-    w power + 1, in scratch arrays of the calling thread ("S", "R" and
-    "shift"), kept for the operator's lifetime; a call without allocates
-    them and keeps nothing.
+    its output, so `out` may be the input itself. Every call, with or
+    without `out=`, forms its spectra, and `solve_shifted_checked` its
+    real shift w power + 1, in scratch arrays of the calling thread ("S",
+    "R" and "shift"), kept for the operator's lifetime.
     """
 
     def __init__(self, kernel: Kernel2D, m: int, n: int):
@@ -392,7 +391,6 @@ class ConvolutionOperator2D:
                 f"kernel {kernel.height}x{kernel.width} does not fit the "
                 f"{m}x{n} grid"
             )
-        self.kernel = kernel
         self.m = m
         self.n = n
         self.dims = (m * n, m * n)
@@ -414,14 +412,10 @@ class ConvolutionOperator2D:
         self.spectral_norm = float(np.max(np.abs(self.spectrum)))
         self._scratch = _ThreadScratch()
 
-    def _spectrum_array(self, out, slot: str = "S", dtype=complex) -> Array:
-        """Where a call forms a spectrum, or with a float `dtype` the real
-        shift: this thread's scratch array `slot` when the call writes
-        into `out`, else a fresh array."""
-        shape = (self.m // 2 + 1, self.n)
-        if out is None:
-            return np.empty(shape, dtype=dtype, order="F")
-        return self._scratch.get(slot, shape, dtype)
+    def _spectrum_array(self, slot: str = "S", dtype=complex) -> Array:
+        """This thread's scratch array `slot`, where a call forms a
+        spectrum, or with a float `dtype` the real shift."""
+        return self._scratch.get(slot, (self.m // 2 + 1, self.n), dtype)
 
     def _forward(self, x, S=None) -> Array:
         """The half-spectrum of x: the real transform down the columns,
@@ -429,7 +423,7 @@ class ConvolutionOperator2D:
         column-major array when S is None)."""
         X = _to_grid(_as_vector(x, self.dims[0], "input"), self.m, self.n)
         if S is None:
-            S = self._spectrum_array(None)
+            S = np.empty((self.m // 2 + 1, self.n), dtype=complex, order="F")
         np.fft.rfft(X, axis=0, out=S)
         return np.fft.fft(S, axis=1, out=S)
 
@@ -442,12 +436,12 @@ class ConvolutionOperator2D:
         return out
 
     def apply(self, x, out=None) -> Array:
-        S = self._forward(x, self._spectrum_array(out))
+        S = self._forward(x, self._spectrum_array())
         S *= self.spectrum
         return self._inverse(S, out)
 
     def adjoint(self, y, out=None) -> Array:
-        S = self._forward(y, self._spectrum_array(out))
+        S = self._forward(y, self._spectrum_array())
         # S *= conj(spectrum), with the conjugate formed in blocks. The
         # product goes into scratch of its own: numpy rounds an in-place
         # complex product of one entry otherwise than the whole array's.
@@ -459,7 +453,7 @@ class ConvolutionOperator2D:
 
     def gram(self, x, out=None) -> Array:
         """K*K x, with one transform pair."""
-        S = self._forward(x, self._spectrum_array(out))
+        S = self._forward(x, self._spectrum_array())
         S *= self.power
         return self._inverse(S, out)
 
@@ -467,13 +461,12 @@ class ConvolutionOperator2D:
         """The x with (w K*K + I) x = rhs, a division in the transform
         domain, and the norm of its residual (w K*K + I) x - rhs, with
         three transforms: F(rhs) and the shift w power + 1 are formed once
-        and reused by the check. A call with `out=` keeps F(rhs) and the
-        shift in two more scratch arrays of the calling thread, "R" and
-        "shift"."""
-        R = self._forward(rhs, self._spectrum_array(out, "R"))
-        shift = np.multiply(self.power, w, out=self._spectrum_array(out, "shift", float))
+        and reused by the check. F(rhs) and the shift are kept in two more
+        scratch arrays of the calling thread, "R" and "shift"."""
+        R = self._forward(rhs, self._spectrum_array("R"))
+        shift = np.multiply(self.power, w, out=self._spectrum_array("shift", float))
         shift += 1.0
-        S = np.divide(R, shift, out=self._spectrum_array(out))
+        S = np.divide(R, shift, out=self._spectrum_array())
         x = self._inverse(S, out)
         return x, self._shifted_residual_norm(x, R, shift, S)
 
@@ -539,14 +532,12 @@ class StackedOperator:
     def adjoint(self, y, out=None) -> Array:
         """The sum of the parts' scaled adjoints, added in order to a sum
         that starts from zero (so a -0.0 entry of the first becomes
-        +0.0). With `out=`, which must not share memory with y, each part
-        after the first is formed in a scratch vector of the calling
-        thread."""
+        +0.0). `out` must not share memory with y. Every call, with or
+        without `out=`, forms each part after the first in a scratch
+        vector of the calling thread."""
         y = _as_vector(y, self.dims[1], "input")
         in_dim = self.dims[0]
-        scratch = None
-        if out is not None and len(self._calls) > 1:
-            scratch = self._scratch.get("part", in_dim)
+        scratch = self._scratch.get("part", in_dim) if len(self._calls) > 1 else None
         out = output_vector(out, in_dim, y)
         offset = 0
         for i, (s, _, adjoint, dim) in enumerate(self._calls):

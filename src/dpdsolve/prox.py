@@ -78,8 +78,7 @@ def prox_smoothed_tv_dual(z, step: float, mu_g: float, out=None) -> Array:
     if step < 0.0 or mu_g < 0.0:
         raise ContractViolationError("step and mu_g must be nonnegative")
     z = np.asarray(z, dtype=float)
-    if out is not None:
-        output_vector(out, z.size, z, same_ok=True)
+    out = output_vector(out, z.size, z, same_ok=True)
     u = np.divide(z, step * mu_g + 1.0, out=out)
     return project_ball2_pairs(u, out=u)
 

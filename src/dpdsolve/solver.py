@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
 from .linops import staggered_empty, sum_of_squares, with_out
-from .model import Array, IterationSnapshot, Observer, SaddleProblem, SolverConsts
+from .model import (Array, IterationSnapshot, Observer, SaddleProblem, SolverConsts,
+                    _check_point)
 
 
 @dataclass
@@ -386,10 +387,7 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
     """
     if iters < 1:
         raise ConfigurationError("iters must be at least 1")
-    x1 = np.asarray(x1, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    if x1.shape != (problem.primal_dim,) or y1.shape != (problem.dual_dim,):
-        raise ContractViolationError("start point shapes do not match the problem")
+    x1, y1 = _check_point(problem, x1, y1)
     consts = SolverConsts.from_problem(problem)
     params, mu_gs = _build_schedule(regime, iters, consts, schedule,
                                     alpha_shift, mu_g)

@@ -19,11 +19,12 @@ import pytest
 from conftest import explicit_anchor_ldpd
 
 from dpdsolve import edpd, ldpd
-from dpdsolve.cli import _bench_instances, _bench_runs, _bench_tag, _run_bench_case
+from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
 from dpdsolve.diagnostics import (
     HistoryRecorder,
     dual_distance_rate_check,
     fit_loglog_slope,
+    regime_tag,
     snr_db,
 )
 from dpdsolve.imaging import (
@@ -68,7 +69,7 @@ def bench():
     for inst, regime in _bench_runs(strong, weak, capped, BENCH_ITERS):
         start = time.perf_counter()
         recorder = _run_bench_case(inst, regime, BENCH_ITERS)
-        out[_bench_tag(regime)] = (inst, recorder, time.perf_counter() - start)
+        out[regime_tag(regime)] = (inst, recorder, time.perf_counter() - start)
     return out
 
 

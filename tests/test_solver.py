@@ -1,5 +1,6 @@
 """Properties of the run loop both solver families share."""
 
+import dataclasses
 import types
 
 import numpy as np
@@ -68,6 +69,27 @@ def test_every_regime_keeps_its_gap_under_the_bound_on_drawn_instances(data):
         for rec in _run_bench_case(inst, regime, iters).records:
             if rec.bound is not None:
                 assert rec.gap <= rec.bound + BOUND_SLACK, (regime, rec.t)
+
+
+def test_a_regime_with_the_cli_s_extra_fields_records_its_own_schedule_s_bound():
+    # deblur-gauss gives every ldpd regime horizon=iters and, with --tau,
+    # a positive tau, and every edpd regime tau = 1/||A||; a schedule
+    # that does not read a field must record the same bound with it set
+    args = types.SimpleNamespace(dims="8,6", seed=1)
+    iters = 20
+    for inst, regime in _bench_runs(*_bench_instances(args), iters):
+        if isinstance(regime, ldpd.LdpdRegime):
+            twin = dataclasses.replace(regime, horizon=iters, tau=regime.tau or 5.0)
+        else:
+            twin = dataclasses.replace(
+                regime, tau=regime.tau or 1.0 / inst.problem.A.norm_bound)
+        bounds = [rec.bound for rec in _run_bench_case(inst, regime, iters).records]
+        twin_bounds = [rec.bound for rec in _run_bench_case(inst, twin, iters).records]
+        assert twin_bounds == bounds, regime
+        horizon_tuned = (isinstance(regime, ldpd.LdpdRegime)
+                         and regime.variant == ldpd.WEAKLY_CONVEX)
+        recorded = [k for k, b in enumerate(bounds, start=1) if b is not None]
+        assert recorded == ([iters] if horizon_tuned else list(range(1, iters + 1)))
 
 
 def test_back_to_back_runs_on_one_problem_are_identical():
