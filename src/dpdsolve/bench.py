@@ -179,8 +179,11 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
     U diag(g) U' of A M0^{-1} A', the Woodbury identity gives
     A x(beta) = U diag(1 / (1 + (beta - beta0) g)) U' A M0^{-1} C'd, so each
     step is a diagonal scaling. x* and y* then come from one direct solve
-    at the final beta, and NumericalFailureError is raised unless
-    ||y*|| matches the radius to 1e-10 relative. The one exception is a
+    at the final beta. While ||y*|| misses the radius by more than 1e-10
+    relative, as rounding in the eigenvalues can make it do at small
+    mu_g, at most three Newton steps on ||y(beta)|| move beta, each with
+    two direct solves; NumericalFailureError is raised unless ||y*|| then
+    matches the radius to 1e-10 relative. The one exception is a
     degenerate instance (lam = 0 and n_dual <= n_primal - c_rows), whose
     unconstrained dual vanishes, so that its radius is rounding noise
     and is not checked.
@@ -223,17 +226,25 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
             else:
                 hi = mid
     beta = 0.5 * (lo + hi)
-    x_star = np.linalg.solve(H + beta * AtA, Ctd)
-    y_star = beta * (A @ x_star)
-    # Free an n-by-n array before the eigendecomposition in
-    # _problem_from_data allocates its workspace.
-    del AtA
     # With lam = 0 and n_dual <= n_primal - c_rows, generic data admit an
     # x with C x = d and A x = 0: the unconstrained dual is zero in exact
     # arithmetic, the radius is rounding noise and no ball can bind, so
     # there is nothing to check.
     degenerate = lam == 0.0 and C.shape[0] + A.shape[0] <= n_primal
-    y_norm = float(np.linalg.norm(y_star))
+    for newton in range(4):
+        x_star = np.linalg.solve(H + beta * AtA, Ctd)
+        y_star = beta * (A @ x_star)
+        y_norm = float(np.linalg.norm(y_star))
+        if degenerate or newton == 3 or abs(y_norm - radius) <= 1e-10 * radius:
+            break
+        # The eigenvalues' rounding can leave the bisection's beta off the
+        # radius; a Newton step on ||y(beta)|| mends it, with
+        # y'(beta) = A x - beta A (H + beta A'A)^{-1} A'A x.
+        dy = A @ x_star - beta * (A @ np.linalg.solve(H + beta * AtA, AtA @ x_star))
+        beta -= (y_norm - radius) * y_norm / float(y_star @ dy)
+    # Free an n-by-n array before the eigendecomposition in
+    # _problem_from_data allocates its workspace.
+    del AtA
     if not degenerate and abs(y_norm - radius) > 1e-10 * radius:
         raise NumericalFailureError(
             f"ball-capped certification missed the radius: ||y*|| = "

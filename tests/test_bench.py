@@ -220,10 +220,12 @@ def test_ball_capped_certification_makes_at_most_three_dense_solves(monkeypatch)
     assert len(calls) <= 3
 
 
-def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeypatch):
+def test_ball_capped_certification_mends_a_beta_that_misses_the_radius(monkeypatch):
     # Eigenvalues off by 1e-6 relative move the bisection's beta, and the
-    # direct solve at that beta then misses the radius by far more than
-    # the 1e-10 relative the check allows.
+    # direct solve at that beta misses the radius by far more than the
+    # 1e-10 relative the check allows; Newton steps on ||y(beta)|| bring
+    # it back onto the radius, which the eigenvalues do not enter.
+    exact = make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
     real_eigh = np.linalg.eigh
 
     def skewed(M):
@@ -231,8 +233,36 @@ def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeyp
         return w * (1.0 + 1e-6), U
 
     monkeypatch.setattr(np.linalg, "eigh", skewed)
-    with pytest.raises(NumericalFailureError):
+    inst = make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
+    radius = float(np.linalg.norm(exact.y_star))
+    assert abs(float(np.linalg.norm(inst.y_star)) - radius) <= 2e-10 * radius
+    assert np.linalg.norm(inst.x_star - exact.x_star) <= 1e-8 * np.linalg.norm(exact.x_star)
+
+
+def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeypatch):
+    # With 1e-6 relative noise on every direct solve, no Newton step can
+    # land within 1e-10 relative of the radius, and the check refuses.
+    real_solve = np.linalg.solve
+    rng = np.random.default_rng(0)
+
+    def noisy(a, b):
+        x = real_solve(a, b)
+        return x * (1.0 + 1e-6 * rng.standard_normal(x.shape))
+
+    monkeypatch.setattr(np.linalg, "solve", noisy)
+    with pytest.raises(NumericalFailureError, match="missed the radius"):
         make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
+
+
+def test_small_mu_g_ball_capped_instance_is_certified():
+    # the bisection's beta missed this radius by 1.9e-10 relative, and the
+    # instance was refused before a Newton step mended it
+    mu_g = 1e-4
+    inst = make_ball_capped_saddle(23, 11, seed=0, mu_g=mu_g, lam=0.0, c_rows=13)
+    A = inst.problem.A.matrix
+    y_free = A @ np.linalg.solve(inst.C.T @ inst.C + A.T @ A / mu_g, inst.C.T @ inst.d) / mu_g
+    radius = 0.5 * float(np.linalg.norm(y_free))
+    assert abs(float(np.linalg.norm(inst.y_star)) - radius) <= 1e-10 * radius
 
 
 def test_degenerate_ball_capped_instance_builds_quietly_without_the_check():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import dense_convolution_matrix
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -242,11 +242,8 @@ def test_ball_capped_dual_prox_beats_feasible_perturbations(n_primal, n_dual, se
                                                             mu_g, step):
     c_rows = max(2, 3 * n_primal // 5)
     assume(c_rows + n_dual > n_primal)  # the CLI refuses degenerate dims
-    try:
-        inst = make_ball_capped_saddle(n_primal, n_dual, seed=seed, mu_g=mu_g,
-                                       c_rows=c_rows)
-    except NumericalFailureError:
-        reject()  # an instance it cannot certify
+    inst = make_ball_capped_saddle(n_primal, n_dual, seed=seed, mu_g=mu_g,
+                                   c_rows=c_rows)
     g = inst.problem.g
     z = np.random.default_rng(seed).uniform(-10.0, 10.0, n_dual)
     p = g.prox(z, step, g.mu_g)
