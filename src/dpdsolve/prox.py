@@ -73,11 +73,13 @@ def prox_smoothed_tv_dual(z, step: float, mu_g: float, out=None) -> Array:
     mu_g) and the indicator then projects each pair onto the unit disk;
     the order matters and this composition is the exact minimizer.
     The result goes into `out` when one is given, which may be z itself;
-    the shrunk point is formed there and projected in place.
+    the shrunk point is formed there and projected in place. A z that is
+    not a flat vector of pairs is refused before anything is written.
     """
     if step < 0.0 or mu_g < 0.0:
         raise ContractViolationError("step and mu_g must be nonnegative")
     z = np.asarray(z, dtype=float)
+    _pair_split(z)
     out = output_vector(out, z.size, z, same_ok=True)
     u = np.divide(z, step * mu_g + 1.0, out=out)
     return project_ball2_pairs(u, out=u)

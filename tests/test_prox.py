@@ -311,6 +311,15 @@ def test_quadratic_primal_prox_decrease_100_competitors():
         assert f_out <= objective(q) + 1e-12
 
 
+@pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
+def test_smoothed_tv_dual_prox_refuses_a_point_that_is_not_a_flat_vector(with_out):
+    out = np.zeros(4) if with_out else None
+    with pytest.raises(ContractViolationError, match="flat vector"):
+        prox_smoothed_tv_dual(np.ones((2, 2)), 0.5, 0.1, out=out)
+    if with_out:
+        assert not out.any()
+
+
 def test_quadratic_primal_prox_rejects_unsupported_operator():
     D = make_difference_operator(2, 2)
     with pytest.raises(ContractViolationError):
