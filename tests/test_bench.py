@@ -255,8 +255,8 @@ def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeyp
 
 
 def test_small_mu_g_ball_capped_instance_is_certified():
-    # the bisection's beta missed this radius by 1.9e-10 relative, and the
-    # instance was refused before a Newton step mended it
+    # the bisection's beta alone misses this radius by 1.9e-10 relative,
+    # beyond the 1e-10 check; a Newton step brings it within
     mu_g = 1e-4
     inst = make_ball_capped_saddle(23, 11, seed=0, mu_g=mu_g, lam=0.0, c_rows=13)
     A = inst.problem.A.matrix
