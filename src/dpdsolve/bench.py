@@ -28,6 +28,11 @@ from .linops import MatrixOperator
 from .model import Array, DualProxOracle, PrimalOracle, SaddleProblem
 
 
+# The most secant steps, each one direct solve, that the ball-capped
+# certification takes after the solve that sets the radius.
+_SECANT_STEPS = 13
+
+
 @dataclass
 class QuadraticSaddle:
     """A generated instance bundled with its certified solution."""
@@ -51,15 +56,26 @@ class QuadraticSaddle:
 
 def _draw_instance_data(n_primal: int, n_dual: int, seed: int,
                         c_rows: Optional[int], mu_g: float, lam: float):
-    """Check mu_g and lam, then draw C, d and A and form f's Hessian
-    H = C'C + lam I and C'd, which both instance builders use."""
+    """Check mu_g, lam and the dimensions, then draw C, d and A and form
+    f's Hessian H = C'C + lam I and C'd, which both instance builders use.
+
+    With lam = 0 and rows + n_dual <= n_primal, generic data admit an x
+    with C x = d and A x = 0: the dual solution is zero, the primal one
+    need not be unique and no ball can bind, so such data are refused
+    before anything is drawn."""
     if not mu_g > 0.0:
         raise ConfigurationError("mu_g must be positive for a certified solution")
     if lam < 0.0:
         raise ConfigurationError("lam must be nonnegative")
     rows = n_primal if c_rows is None else int(c_rows)
-    if rows < 1:
-        raise ConfigurationError("C needs at least one row")
+    if min(n_primal, n_dual, rows) < 1:
+        raise ConfigurationError(
+            f"n_primal {n_primal}, n_dual {n_dual} and the {rows} rows of C "
+            "must each be at least 1")
+    if lam == 0.0 and rows + n_dual <= n_primal:
+        raise ConfigurationError(
+            f"with lam = 0, the {rows} rows of C plus n_dual {n_dual} must "
+            f"exceed n_primal {n_primal}, or the dual solution is zero")
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((rows, n_primal))
     d = rng.standard_normal(rows)
@@ -141,7 +157,8 @@ def make_quadratic_saddle(n_primal: int = 20, n_dual: int = 15, seed: int = 42,
         strictly positive.
     c_rows : int, optional
         Number of rows of C; fewer rows than n_primal together with
-        lam = 0 forces mu_f = 0 exactly.
+        lam = 0 forces mu_f = 0 exactly. With lam = 0, c_rows + n_dual
+        must exceed n_primal, or ConfigurationError is raised.
     ball_radius : float, optional
         Adds an inactive centered ball indicator to g; the radius must
         strictly exceed ||y*||.
@@ -173,20 +190,18 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
 
     Certification: with the constraint active, x* solves
     (C'C + lam I + beta A'A) x = C'd and y* = beta A x*, where the scalar
-    beta in (0, 1/mu_g) is pinned by ||y*|| = radius. The bisection on
-    that monotone scalar equation needs no solve per step: with
-    beta0 = 1/mu_g, M0 = C'C + lam I + beta0 A'A and the eigendecomposition
-    U diag(g) U' of A M0^{-1} A', the Woodbury identity gives
-    A x(beta) = U diag(1 / (1 + (beta - beta0) g)) U' A M0^{-1} C'd, so each
-    step is a diagonal scaling. x* and y* then come from one direct solve
-    at the final beta. While ||y*|| misses the radius by more than 1e-10
-    relative, as rounding in the eigenvalues can make it do at small
-    mu_g, at most three Newton steps on ||y(beta)|| move beta, each with
-    two direct solves; NumericalFailureError is raised unless ||y*|| then
-    matches the radius to 1e-10 relative. The one exception is a
-    degenerate instance (lam = 0 and n_dual <= n_primal - c_rows), whose
-    unconstrained dual vanishes, so that its radius is rounding noise
-    and is not checked.
+    beta in (0, 1/mu_g) is pinned by ||y*|| = radius. In u = 1/beta this
+    is the trust-region secular equation, and g(u) = 1/||y(u)|| - 1/radius
+    is nearly linear in u (J. J. More and D. C. Sorensen, "Computing a
+    trust region step", SIAM J. Sci. Stat. Comput. 4(3), 1983). So secant
+    steps on g, each one direct solve, start from u = mu_g, whose solve
+    also sets the radius, and u = mu_g / radius_scale; a step that lands
+    at or below mu_g falls back to the midpoint of the last u and mu_g.
+    They stop once ||y|| misses the radius by at most 1e-13 relative, once
+    a step fails to shrink |g|, or after _SECANT_STEPS steps, and keep the
+    best iterate. NumericalFailureError is raised unless its ||y*|| then
+    matches the radius to 1e-10 relative. Degenerate data, which
+    _draw_instance_data describes, are refused before any solve.
     """
     if not 0.0 < radius_scale < 1.0:
         raise ConfigurationError(
@@ -194,61 +209,39 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
         )
     C, d, A, H, Ctd = _draw_instance_data(n_primal, n_dual, seed, c_rows, mu_g, lam)
     AtA = A.T @ A
-    M0 = H + AtA / mu_g
-    a0 = A @ np.linalg.solve(M0, Ctd)
-    y_unconstrained = a0 / mu_g
-    radius = radius_scale * float(np.linalg.norm(y_unconstrained))
+    x_star = np.linalg.solve(H + AtA / mu_g, Ctd)
+    y_star = A @ x_star / mu_g
+    y_norm = float(np.linalg.norm(y_star))
+    radius = radius_scale * y_norm
     if not radius > 0.0:
         raise ConfigurationError(
             "the unconstrained dual solution is zero; no radius can bind"
         )
-    # A M0^{-1} A', symmetrised; M0 and the M0^{-1} A' block are freed
-    # before eigh allocates its workspace.
-    G = A @ np.linalg.solve(M0, A.T)
-    del M0
-    g, U = np.linalg.eigh(0.5 * (G + G.T))
-    del G
-    c = U.T @ a0
-    del U
-    beta0 = 1.0 / mu_g
-
-    def dual_norm(beta: float) -> float:
-        return beta * float(np.linalg.norm(c / (1.0 + (beta - beta0) * g)))
-
-    lo, hi = 0.0, beta0
-    # Only a degenerate instance (see below) can make a scaling divide by
-    # zero; its inf or nan norm then just moves the upper end down.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if dual_norm(mid) < radius:
-                lo = mid
-            else:
-                hi = mid
-    beta = 0.5 * (lo + hi)
-    # With lam = 0 and n_dual <= n_primal - c_rows, generic data admit an
-    # x with C x = d and A x = 0: the unconstrained dual is zero in exact
-    # arithmetic, the radius is rounding noise and no ball can bind, so
-    # there is nothing to check.
-    degenerate = lam == 0.0 and C.shape[0] + A.shape[0] <= n_primal
-    for newton in range(4):
-        x_star = np.linalg.solve(H + beta * AtA, Ctd)
-        y_star = beta * (A @ x_star)
-        y_norm = float(np.linalg.norm(y_star))
-        if degenerate or newton == 3 or abs(y_norm - radius) <= 1e-10 * radius:
+    # Secant steps on g(u) = 1/||y(u)|| - 1/radius, u = 1/beta. A step that
+    # does not shrink |g| ends them: the kept iterate is then the best
+    # one, and no secant step divides by zero.
+    u_prev, g_prev, miss = mu_g, 1.0 / y_norm - 1.0 / radius, y_norm - radius
+    u = mu_g / radius_scale
+    for _ in range(_SECANT_STEPS):
+        x = np.linalg.solve(H + AtA / u, Ctd)
+        y = A @ x / u
+        y_norm = float(np.linalg.norm(y))
+        g = 1.0 / y_norm - 1.0 / radius
+        if not abs(g) < abs(g_prev):
             break
-        # The eigenvalues' rounding can leave the bisection's beta off the
-        # radius; a Newton step on ||y(beta)|| mends it, with
-        # y'(beta) = A x - beta A (H + beta A'A)^{-1} A'A x.
-        dy = A @ x_star - beta * (A @ np.linalg.solve(H + beta * AtA, AtA @ x_star))
-        beta -= (y_norm - radius) * y_norm / float(y_star @ dy)
+        x_star, y_star, miss = x, y, abs(y_norm - radius)
+        if miss <= 1e-13 * radius:
+            break
+        u, u_prev, g_prev = u - g * (u - u_prev) / (g - g_prev), u, g
+        if u <= mu_g:
+            u = 0.5 * (u_prev + mu_g)
     # Free an n-by-n array before the eigendecomposition in
     # _problem_from_data allocates its workspace.
     del AtA
-    if not degenerate and abs(y_norm - radius) > 1e-10 * radius:
+    if not miss <= 1e-10 * radius:
         raise NumericalFailureError(
-            f"ball-capped certification missed the radius: ||y*|| = "
-            f"{y_norm!r}, radius {radius!r}"
+            f"ball-capped certification missed the radius {radius!r} by "
+            f"{miss!r}"
         )
 
     problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), radius)

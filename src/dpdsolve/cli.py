@@ -236,20 +236,12 @@ def _bench_instances(args):
     except ValueError as exc:
         raise ConfigurationError(f"bad --dims {args.dims!r}, expected N,M") from exc
     wide_rows = max(2, (3 * n_primal) // 5)
-    # With n_dual + wide_rows <= n_primal, some x has C x = d and A x = 0:
-    # the lam = 0 instances then have a zero dual solution, a primal one
-    # that is not unique, and a ball radius that is rounding noise.
-    if wide_rows + n_dual <= n_primal:
-        raise ConfigurationError(
-            f"--dims {args.dims!r}: the dual dimension must exceed "
-            f"{n_primal - wide_rows} (the primal dimension minus its "
-            f"{wide_rows} constraint rows), or the weakly convex instances "
-            "have no unique saddle point"
-        )
-    strong = make_quadratic_saddle(n_primal, n_dual, seed=args.seed,
-                                   mu_g=0.5, lam=1.0)
+    # The weak instance comes first: its builder refuses degenerate dims
+    # before any instance is assembled.
     weak = make_quadratic_saddle(n_primal, n_dual, seed=args.seed,
                                  mu_g=0.5, lam=0.0, c_rows=wide_rows)
+    strong = make_quadratic_saddle(n_primal, n_dual, seed=args.seed,
+                                   mu_g=0.5, lam=1.0)
     # Constant-step runs are measured on an instance whose dual solution
     # sits on a binding ball, where the averaged gap genuinely decays
     # like 1/k instead of collapsing quadratically.

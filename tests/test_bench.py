@@ -1,8 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
+from dpdsolve import bench
 from dpdsolve.bench import make_ball_capped_saddle, make_quadratic_saddle
 from dpdsolve.errors import ConfigurationError, NumericalFailureError
 from dpdsolve.model import SolverConsts, kkt_residual
@@ -166,8 +165,8 @@ def test_ball_capped_validation_and_determinism():
 
 
 def _direct_bisection(inst, mu_g, radius_scale=0.5):
-    """The ball-capped certification with one dense solve per bisection
-    step: the reference for the single-factorisation evaluation."""
+    """The ball-capped certification by 200 bisection steps on beta, each
+    with one dense solve: the reference for the secant."""
     A = inst.problem.A.matrix
     H = inst.C.T @ inst.C + inst.lam * np.eye(inst.C.shape[1])
     Ctd = inst.C.T @ inst.d
@@ -207,7 +206,7 @@ def test_ball_capped_certification_matches_the_direct_bisection(shape, seed):
     assert np.linalg.norm(inst.y_star - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
 
 
-def test_ball_capped_certification_makes_at_most_three_dense_solves(monkeypatch):
+def test_ball_capped_certification_makes_one_dense_solve_per_secant_step(monkeypatch):
     calls = []
     real_solve = np.linalg.solve
 
@@ -217,30 +216,12 @@ def test_ball_capped_certification_makes_at_most_three_dense_solves(monkeypatch)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     make_ball_capped_saddle(40, 30, seed=3, c_rows=24)
-    assert len(calls) <= 3
-
-
-def test_ball_capped_certification_mends_a_beta_that_misses_the_radius(monkeypatch):
-    # Eigenvalues off by 1e-6 relative move the bisection's beta, and the
-    # direct solve at that beta misses the radius by far more than the
-    # 1e-10 relative the check allows; Newton steps on ||y(beta)|| bring
-    # it back onto the radius, which the eigenvalues do not enter.
-    exact = make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
-    real_eigh = np.linalg.eigh
-
-    def skewed(M):
-        w, U = real_eigh(M)
-        return w * (1.0 + 1e-6), U
-
-    monkeypatch.setattr(np.linalg, "eigh", skewed)
-    inst = make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
-    radius = float(np.linalg.norm(exact.y_star))
-    assert abs(float(np.linalg.norm(inst.y_star)) - radius) <= 2e-10 * radius
-    assert np.linalg.norm(inst.x_star - exact.x_star) <= 1e-8 * np.linalg.norm(exact.x_star)
+    # the solve that sets the radius, then one per secant step (9 here)
+    assert len(calls) <= 1 + bench._SECANT_STEPS
 
 
 def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeypatch):
-    # With 1e-6 relative noise on every direct solve, no Newton step can
+    # With 1e-6 relative noise on every direct solve, no secant step can
     # land within 1e-10 relative of the radius, and the check refuses.
     real_solve = np.linalg.solve
     rng = np.random.default_rng(0)
@@ -255,8 +236,9 @@ def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeyp
 
 
 def test_small_mu_g_ball_capped_instance_is_certified():
-    # the bisection's beta alone misses this radius by 1.9e-10 relative,
-    # beyond the 1e-10 check; a Newton step brings it within
+    # ill-conditioned at this mu_g: a bisection over eigenvalues of
+    # A M0^{-1} A' once missed this radius by 1.9e-10 relative, beyond
+    # the 1e-10 check, where the secant's direct solves land within
     mu_g = 1e-4
     inst = make_ball_capped_saddle(23, 11, seed=0, mu_g=mu_g, lam=0.0, c_rows=13)
     A = inst.problem.A.matrix
@@ -265,12 +247,31 @@ def test_small_mu_g_ball_capped_instance_is_certified():
     assert abs(float(np.linalg.norm(inst.y_star)) - radius) <= 1e-10 * radius
 
 
-def test_degenerate_ball_capped_instance_builds_quietly_without_the_check():
-    # lam = 0 and n_dual <= n_primal - c_rows: some x has C x = d and
-    # A x = 0, so the unconstrained dual is zero and the radius is rounding
-    # noise. The build skips the radius check, and the bisection's
-    # divisions by zero on this instance raise no warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        inst = make_ball_capped_saddle(10, 3, seed=0, c_rows=6)
-    assert float(np.linalg.norm(inst.y_star)) < 1e-10
+@pytest.mark.parametrize("build, n_primal, n_dual, rows", [
+    (make_ball_capped_saddle, 10, 3, 6),
+    (make_ball_capped_saddle, 5, 1, 3),
+    (make_quadratic_saddle, 4, 1, 2),
+    (make_quadratic_saddle, 4, 2, 2),
+], ids=["capped-10-3", "capped-5-1", "quadratic-4-1", "quadratic-4-2"])
+@pytest.mark.parametrize("seed", [0, 1, 4, 42])
+def test_degenerate_data_is_refused_by_both_builders(build, n_primal, n_dual, rows, seed):
+    # lam = 0 and rows + n_dual <= n_primal: some x has C x = d and A x = 0,
+    # so the dual solution is zero and no radius can bind. Seeds 1 and 42
+    # of the 5,1 capped call and seed 4 of the 4,1 quadratic one used to
+    # end in numpy's LinAlgError.
+    with pytest.raises(ConfigurationError,
+                       match=f"the {rows} rows of C plus n_dual {n_dual} must "
+                             f"exceed n_primal {n_primal}"):
+        build(n_primal, n_dual, seed=seed, lam=0.0, c_rows=rows)
+    # a ridge or one more dual row makes the same data sound
+    build(n_primal, n_dual, seed=seed, lam=0.1, c_rows=rows)
+    build(n_primal, n_primal - rows + 1, seed=seed, lam=0.0, c_rows=rows)
+
+
+@pytest.mark.parametrize("build", [make_quadratic_saddle, make_ball_capped_saddle])
+@pytest.mark.parametrize("n_primal, n_dual, c_rows", [
+    (0, 3, None), (4, 0, None), (-3, 2, None), (4, -1, 3), (4, 3, 0),
+])
+def test_a_dimension_below_one_is_refused(build, n_primal, n_dual, c_rows):
+    with pytest.raises(ConfigurationError, match=f"n_primal {n_primal}, n_dual {n_dual}"):
+        build(n_primal, n_dual, lam=0.5, c_rows=c_rows)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dpdsolve.cli as cli
-from dpdsolve import edpd, ldpd
+from dpdsolve import bench, edpd, ldpd
 from dpdsolve.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -215,28 +215,31 @@ def test_degenerate_bench_dims_are_refused_before_any_instance(tmp_path, monkeyp
     # 3 + 1 <= 5 and 7 + 5 <= 13 constraint-plus-dual rows: 5,1 used to end
     # in a LinAlgError traceback with rc=1
     def refuse(*args, **kwargs):
-        raise AssertionError("an instance was built")
+        raise AssertionError("an instance was assembled")
 
-    monkeypatch.setattr(cli, "make_quadratic_saddle", refuse)
-    monkeypatch.setattr(cli, "make_ball_capped_saddle", refuse)
+    monkeypatch.setattr(bench, "_problem_from_data", refuse)
     argv = [command, "--dims", dims, "--iters", "10"]
     if command == "synth-bench":
         argv += ["--out-dir", str(tmp_path / "x")]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "--dims" in err and "Traceback" not in err
+    n_primal, n_dual = dims.split(",")
+    rows = {"5,1": 3, "13,5": 7}[dims]
+    assert (f"the {rows} rows of C plus n_dual {n_dual} must exceed "
+            f"n_primal {n_primal}") in err
+    assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("dims", ["400,300", "20,15"])
 def test_default_and_benchmark_dims_pass_the_degeneracy_check(monkeypatch, dims):
-    built = []
-    monkeypatch.setattr(cli, "make_quadratic_saddle",
-                        lambda *a, **k: built.append("quadratic"))
-    monkeypatch.setattr(cli, "make_ball_capped_saddle",
-                        lambda *a, **k: built.append("capped"))
+    # the check is the builders' shared prologue, which runs before any
+    # instance is assembled
+    assembled = []
+    monkeypatch.setattr(bench, "_problem_from_data",
+                        lambda *a, **k: assembled.append(a[5]))
     cli._bench_instances(argparse.Namespace(dims=dims, seed=42))
-    assert built == ["quadratic", "quadratic", "capped"]
+    assert assembled == [0.0, 1.0, 0.0]
 
 
 def test_rates_from_dir_passes_on_conforming_series(tmp_path):

@@ -241,7 +241,7 @@ def test_dense_bench_primal_prox_beats_perturbations(n_primal, n_dual, seed, lam
 def test_ball_capped_dual_prox_beats_feasible_perturbations(n_primal, n_dual, seed,
                                                             mu_g, step):
     c_rows = max(2, 3 * n_primal // 5)
-    assume(c_rows + n_dual > n_primal)  # the CLI refuses degenerate dims
+    assume(c_rows + n_dual > n_primal)  # the builders refuse degenerate dims
     inst = make_ball_capped_saddle(n_primal, n_dual, seed=seed, mu_g=mu_g,
                                    c_rows=c_rows)
     g = inst.problem.g

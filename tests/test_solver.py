@@ -26,7 +26,7 @@ from dpdsolve.linops import make_average_kernel
 def test_every_regime_keeps_its_gap_under_the_bound_at_every_iteration(seed):
     rng = np.random.default_rng(seed)
     n_primal, n_dual = (int(v) for v in rng.integers(5, 16, size=2))
-    # the CLI refuses dims whose weakly convex instances are degenerate
+    # the builders refuse dims whose weakly convex instances are degenerate
     # (seed 3 draws 13,5); take the smallest dual dimension it accepts
     n_dual = max(n_dual, n_primal - max(2, 3 * n_primal // 5) + 1)
     args = types.SimpleNamespace(dims=f"{n_primal},{n_dual}", seed=seed)
