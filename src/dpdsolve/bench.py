@@ -14,6 +14,7 @@ which exercises the weakly convex schedules honestly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,10 +64,11 @@ def _draw_instance_data(n_primal: int, n_dual: int, seed: int,
     with C x = d and A x = 0: the dual solution is zero, the primal one
     need not be unique and no ball can bind, so such data are refused
     before anything is drawn."""
-    if not mu_g > 0.0:
-        raise ConfigurationError("mu_g must be positive for a certified solution")
-    if lam < 0.0:
-        raise ConfigurationError("lam must be nonnegative")
+    if not 0.0 < mu_g < math.inf:
+        raise ConfigurationError(
+            f"mu_g must be positive and finite for a certified solution, got {mu_g!r}")
+    if not 0.0 <= lam < math.inf:
+        raise ConfigurationError(f"lam must be nonnegative and finite, got {lam!r}")
     rows = n_primal if c_rows is None else int(c_rows)
     if min(n_primal, n_dual, rows) < 1:
         raise ConfigurationError(
@@ -167,7 +169,7 @@ def make_quadratic_saddle(n_primal: int = 20, n_dual: int = 15, seed: int = 42,
     problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), ball_radius)
     x_star = np.linalg.solve(H + (A.T @ A) / mu_g, Ctd)
     y_star = A @ x_star / mu_g
-    if ball_radius is not None and np.linalg.norm(y_star) >= ball_radius:
+    if ball_radius is not None and not np.linalg.norm(y_star) < ball_radius:
         raise ConfigurationError(
             "ball_radius must strictly exceed ||y*|| so the indicator is inactive"
         )

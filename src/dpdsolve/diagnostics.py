@@ -64,8 +64,8 @@ def primal_dual_gap(problem: SaddleProblem, x, y, ref: GapReference) -> float:
 
 
 def _require_positive(name: str, value: Optional[float]) -> float:
-    if value is None or not value > 0.0:
-        raise ConfigurationError(f"{name} must be provided and positive")
+    if value is None or not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be provided, positive and finite")
     return float(value)
 
 

@@ -590,8 +590,10 @@ def make_motion_kernel(length: float, theta_degrees: float) -> Kernel2D:
     the arc length of the segment inside that pixel's unit square, so the
     edges of slanted segments come out anti-aliased. Weights sum to one.
     """
-    if length < 1:
-        raise ContractViolationError("motion length must be at least 1")
+    if not (1 <= length < math.inf and math.isfinite(theta_degrees)):
+        raise ContractViolationError(
+            f"motion length must be finite and at least 1, and the angle finite, "
+            f"got {length!r} and {theta_degrees!r}")
     if length == 1:
         return Kernel2D(np.ones((1, 1)))
     rad = math.radians(theta_degrees)

@@ -247,6 +247,22 @@ def test_small_mu_g_ball_capped_instance_is_certified():
     assert abs(float(np.linalg.norm(inst.y_star)) - radius) <= 1e-10 * radius
 
 
+@pytest.mark.parametrize("build", [make_quadratic_saddle, make_ball_capped_saddle])
+@pytest.mark.parametrize("kwargs", [
+    dict(lam=float("nan")), dict(lam=float("inf")),
+    dict(mu_g=float("nan")), dict(mu_g=float("inf")),
+], ids=["lam-nan", "lam-inf", "mu_g-nan", "mu_g-inf"])
+def test_a_non_finite_weight_is_refused(build, kwargs):
+    # a nan or infinite lam used to end in numpy's LinAlgError
+    with pytest.raises(ConfigurationError, match="finite"):
+        build(4, 3, **kwargs)
+
+
+def test_a_nan_ball_radius_is_refused():
+    with pytest.raises(ConfigurationError, match="ball_radius"):
+        make_quadratic_saddle(8, 5, seed=2, ball_radius=float("nan"))
+
+
 @pytest.mark.parametrize("build, n_primal, n_dual, rows", [
     (make_ball_capped_saddle, 10, 3, 6),
     (make_ball_capped_saddle, 5, 1, 3),

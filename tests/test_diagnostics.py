@@ -100,6 +100,19 @@ def test_bound_rejects_bad_inputs():
         theoretical_bound("ldpd-single-step", 1, consts, -1.0, 1.0, tau=1.0)
 
 
+@pytest.mark.parametrize("tag, kwargs", [
+    ("ldpd-weakly-convex", dict(horizon=float("inf"))),
+    ("ldpd-weakly-convex", dict(horizon=float("nan"))),
+    ("ldpd-single-step", dict(tau=float("inf"))),
+    ("edpd-strongly-convex-dual", dict(tau=float("inf"))),
+], ids=["horizon-inf", "horizon-nan", "single-step-tau-inf", "edpd-dual-tau-inf"])
+def test_bound_refuses_a_non_finite_horizon_or_tau(tag, kwargs):
+    # an infinite horizon used to end in int()'s OverflowError
+    consts = SolverConsts(L_f=1.0, mu_f=0.0, mu_g=0.5, norm_A=1.0)
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        theoretical_bound(tag, 5, consts, 1.0, 1.0, **kwargs)
+
+
 def test_dual_distance_rate_check_on_a_real_run():
     inst = make_quadratic_saddle(12, 8, seed=9, mu_g=0.5, lam=0.0, c_rows=7)
     dx2, dy2 = inst.initial_distances()

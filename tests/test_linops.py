@@ -151,6 +151,17 @@ def test_motion_kernel_degenerate_length_one():
     np.testing.assert_array_equal(k.weights, [[1.0]])
 
 
+@pytest.mark.parametrize("length, theta", [
+    (float("nan"), 0.0), (float("inf"), 0.0), (3.0, float("inf")),
+    (3.0, float("nan")), (0.5, 0.0),
+])
+def test_motion_kernel_refuses_a_non_finite_or_short_segment(length, theta):
+    # nan and infinite lengths and infinite angles used to end in
+    # ValueError or OverflowError from the math module
+    with pytest.raises(ContractViolationError, match="motion length"):
+        make_motion_kernel(length, theta)
+
+
 def test_motion_kernel_horizontal_thirds():
     k = make_motion_kernel(3, 0.0)
     assert k.weights.shape == (1, 3)
