@@ -26,6 +26,7 @@ from dpdsolve.diagnostics import (
 )
 from dpdsolve.imaging import make_phantom, read_dpdf, write_dpdf, write_pgm
 from dpdsolve.linops import ImageGrid, make_motion_kernel
+from dpdsolve.solver import dual_base_step
 
 
 def test_missing_subcommand_exits_via_argparse():
@@ -477,6 +478,44 @@ def test_problems_too_large_to_allocate_are_config_errors(tmp_path, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_single_step_without_tau_takes_the_strongly_convex_dual_base_step(tmp_path,
+                                                                         monkeypatch):
+    regimes = []
+    run = ldpd.run_ldpd
+
+    def recorded(problem, regime, *args):
+        regimes.append(regime)
+        return run(problem, regime, *args)
+
+    monkeypatch.setattr(ldpd, "run_ldpd", recorded)
+    assert main(["deblur-gauss", "--size", "16", "--iters", "2", "--kernel", "3,0",
+                 "--regime", "single-step", "--mu-g", "0.02",
+                 "--out-dir", str(tmp_path / "x")]) == EXIT_OK
+    assert [r.tau for r in regimes] == [dual_base_step(ldpd.SCD_STEP_SCALE, 0.02)]
+
+
+def test_single_step_without_tau_refuses_a_zero_mu_g(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["deblur-gauss", "--size", "16", "--iters", "2", "--kernel", "3,0",
+                 "--regime", "single-step", "--mu-g", "0",
+                 "--out-dir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: single-step needs --tau when mu_g is zero\n"
+    assert not out.exists()
+
+
+def test_synth_bench_reports_at_most_ten_violations_and_exits_5(tmp_path, monkeypatch,
+                                                                  capsys):
+    # a bound below every gap: each of the 7 x 20 records violates it
+    monkeypatch.setattr(cli, "regime_bound", lambda *args: -1.0)
+    assert main(["synth-bench", "--dims", "8,6", "--iters", "20",
+                 "--out-dir", str(tmp_path / "x")]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("guarantee violated: ") for line in lines)
+    assert "all guarantees hold" not in captured.out
 
 
 def test_memory_running_out_during_a_run_is_a_config_error(tmp_path, monkeypatch,

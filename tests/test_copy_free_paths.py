@@ -234,6 +234,37 @@ def test_stacked_adjoint_keeps_the_positive_zero_of_a_sum_from_zeros(scale):
                    ref_stacked_adjoint(parts, y, 4))
 
 
+class _WithoutOut:
+    """An operator whose calls take no `out=` and return fresh arrays."""
+
+    def __init__(self, op):
+        self.dims, self.norm_bound, self._op = op.dims, op.norm_bound, op
+
+    def apply(self, x):
+        return self._op.apply(x)
+
+    def adjoint(self, y):
+        return self._op.adjoint(y)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("given_out", [False, True], ids=["fresh", "out"])
+def test_stacked_parts_without_out_give_the_bits_of_parts_with_it(scale, given_out):
+    # The first part, at scale 1, is the one whose fresh block the stack
+    # copies into place; on this 2x2 grid its adjoint has a -0.0 at pixel 3.
+    D = make_difference_operator(2, 2)
+    K = make_convolution_operator(make_average_kernel(1), 2, 2)
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    y = np.array([-0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 1.0, -1.0, 2.0, 0.25])
+    wrapped = StackedOperator([(1.0, _WithoutOut(D)), (scale, _WithoutOut(K))])
+    plain = StackedOperator([(1.0, D), (scale, K)])
+    for call, v, dim in (("apply", x, 12), ("adjoint", y, 4)):
+        out = np.full(dim, np.nan) if given_out else None
+        got = getattr(wrapped, call)(v, out=out)
+        assert_bitwise(got, getattr(plain, call)(v))
+        assert out is None or got is out
+
+
 @SETTINGS
 @given(st.data(), shapes(), st.floats(0.01, 100.0), st.floats(0.0, 1.0),
        st.booleans(), BLOCKS)
