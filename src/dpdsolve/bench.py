@@ -221,14 +221,15 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
         )
     # Secant steps on g(u) = 1/||y(u)|| - 1/radius, u = 1/beta. A step that
     # does not shrink |g| ends them: the kept iterate is then the best
-    # one, and no secant step divides by zero.
+    # one, and no secant step divides by zero. A ||y|| of zero, as an
+    # infinite u gives, counts as an infinite |g|.
     u_prev, g_prev, miss = mu_g, 1.0 / y_norm - 1.0 / radius, y_norm - radius
     u = mu_g / radius_scale
     for _ in range(_SECANT_STEPS):
         x = np.linalg.solve(H + AtA / u, Ctd)
         y = A @ x / u
         y_norm = float(np.linalg.norm(y))
-        g = 1.0 / y_norm - 1.0 / radius
+        g = 1.0 / y_norm - 1.0 / radius if y_norm > 0.0 else math.inf
         if not abs(g) < abs(g_prev):
             break
         x_star, y_star, miss = x, y, abs(y_norm - radius)

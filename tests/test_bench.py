@@ -235,6 +235,14 @@ def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeyp
         make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
 
 
+@pytest.mark.parametrize("radius_scale", [1e-200, 1e-320])
+def test_a_radius_too_small_to_certify_is_refused(radius_scale):
+    # the secant's u runs off to infinity, where ||y|| is zero; that used
+    # to end in a ZeroDivisionError
+    with pytest.raises(NumericalFailureError, match="missed the radius"):
+        make_ball_capped_saddle(5, 4, radius_scale=radius_scale)
+
+
 def test_small_mu_g_ball_capped_instance_is_certified():
     # ill-conditioned at this mu_g: a bisection over eigenvalues of
     # A M0^{-1} A' once missed this radius by 1.9e-10 relative, beyond
