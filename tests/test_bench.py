@@ -237,16 +237,16 @@ def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeyp
 
 @pytest.mark.parametrize("radius_scale", [1e-200, 1e-320])
 def test_a_radius_too_small_to_certify_is_refused(radius_scale):
-    # the secant's u runs off to infinity, where ||y|| is zero; that used
-    # to end in a ZeroDivisionError
+    # the secant's u runs off to infinity, where ||y|| is zero: the steps
+    # end there without dividing by zero, and the radius check refuses
     with pytest.raises(NumericalFailureError, match="missed the radius"):
         make_ball_capped_saddle(5, 4, radius_scale=radius_scale)
 
 
 def test_small_mu_g_ball_capped_instance_is_certified():
-    # ill-conditioned at this mu_g: a bisection over eigenvalues of
-    # A M0^{-1} A' once missed this radius by 1.9e-10 relative, beyond
-    # the 1e-10 check, where the secant's direct solves land within
+    # H + A'A / mu_g is ill-conditioned at this mu_g (an evaluation through
+    # the eigenvalues of A M0^{-1} A' missed the radius by 1.9e-10
+    # relative); the certification must still land within the 1e-10 check
     mu_g = 1e-4
     inst = make_ball_capped_saddle(23, 11, seed=0, mu_g=mu_g, lam=0.0, c_rows=13)
     A = inst.problem.A.matrix
