@@ -67,6 +67,10 @@ def _draw_instance_data(n_primal: int, n_dual: int, seed: int,
     if not 0.0 < mu_g < math.inf:
         raise ConfigurationError(
             f"mu_g must be positive and finite for a certified solution, got {mu_g!r}")
+    # The solution divides by mu_g; a subnormal one overflows 1 / mu_g.
+    if not math.isfinite(1.0 / float(mu_g)):
+        raise ConfigurationError(
+            f"mu_g {mu_g!r} is too small: its reciprocal is not finite")
     if not 0.0 <= lam < math.inf:
         raise ConfigurationError(f"lam must be nonnegative and finite, got {lam!r}")
     rows = n_primal if c_rows is None else int(c_rows)

@@ -277,6 +277,36 @@ class HistoryRecord:
 CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(HistoryRecord))
 
 
+# HistoryRecorder evaluates the pending gaps once their aggregates hold at
+# least this many bytes. A gap's f.value streams f's data (C, 0.77 MB and
+# 1.28 MB on synth-bench's 400 x 300 instances), and the step between two
+# observer calls streams A and, in edpd, f's eigenbasis (1.28 MB): with
+# one gap per call, each evicted the other from L2. A batch reads C once
+# for many pairs. A 400 x 300 pair takes 5600 B, so 93 fit; a pair of at
+# least the budget, as an imaging problem's, is evaluated in the call
+# that sees it. Histories are bit for bit the same at every budget.
+# synth-bench --dims 400,300 through perfbench/child.py, one BLAS thread,
+# on a 2-vCPU Xeon VM with 2 MiB of L2 per core; alternating children,
+# three sets of medians of 9, 15 and 15 (iter_ms_p50 in ms, solve_s in s):
+#
+#   budget     set 1           set 2           set 3
+#   0          0.265  0.926    0.257  0.916
+#   16 KiB     0.235  0.881
+#   128 KiB    0.183  0.761
+#   256 KiB                    0.189  0.771
+#   384 KiB                                    0.214  0.889
+#   512 KiB    0.155  0.688    0.170  0.751    0.215  0.873
+#   768 KiB                                    0.212  0.866
+#   1 MiB      0.187  0.792    0.189  0.796    0.211  0.838
+#   2 MiB      0.178  0.741    0.193  0.789
+#   4 MiB      0.172  0.680
+#
+# Budget 0 evaluates every gap in its own call. From 128 KiB up the
+# budgets differ by less than the sets do; 512 KiB keeps a batch and the
+# larger C within one L2.
+GAP_BATCH_BYTES = 512 * 1024
+
+
 class HistoryRecorder:
     """Observer that turns iteration snapshots into HistoryRecords.
 
@@ -293,6 +323,17 @@ class HistoryRecorder:
     error, bit for bit as `snr_db(snap.x, x_true)`. So a call allocates
     nothing image-sized, and reads no `snap.x`, which stays a fresh
     array for any other observer.
+
+    With a GapReference, the gap, whose `f.value` streams f's data, is
+    evaluated in batches: a call fills every other field at once and
+    keeps the record with `snap.x` and `snap.y`, fresh arrays that
+    outlive the run, until the pending pairs reach GAP_BATCH_BYTES; then
+    that call evaluates every pending gap, oldest first. Reading
+    `records` or `series` evaluates the rest, so both are complete
+    whenever read. A pair of at least the budget is evaluated in the call
+    that sees it. An exception from `f.value` or `g.value` surfaces at
+    that later call or read, and its pair stays pending with those after
+    it, so every later read raises it again.
     """
 
     def __init__(self, problem: Optional[SaddleProblem] = None,
@@ -312,7 +353,10 @@ class HistoryRecorder:
             self._error = staggered_empty(self.x_true.shape)
         self.y_star = None if y_star is None else np.asarray(y_star, dtype=float)
         self.timing = timing
-        self.records: list[HistoryRecord] = []
+        self._records: list[HistoryRecord] = []
+        # (record, x, y) whose gap is not evaluated yet, oldest first
+        self._pending: list = []
+        self._pending_bytes = 0
         self._t_prev = time.perf_counter() if timing else None
         if ref is not None:
             # Everything in the gap that depends on the reference alone,
@@ -336,7 +380,9 @@ class HistoryRecorder:
     def __call__(self, snap: IterationSnapshot) -> None:
         rec = HistoryRecord(t=snap.t)
         if self.ref is not None:
-            rec.gap = self._gap(snap.x, snap.y)
+            x, y = snap.x, snap.y
+            self._pending.append((rec, x, y))
+            self._pending_bytes += x.nbytes + y.nbytes
         if self.bound_fn is not None:
             value = self.bound_fn(snap.t)
             rec.bound = None if value is None else float(value)
@@ -357,7 +403,28 @@ class HistoryRecorder:
             now = time.perf_counter()
             rec.wall_ms = (now - self._t_prev) * 1e3
             self._t_prev = now
-        self.records.append(rec)
+        self._records.append(rec)
+        if self._pending_bytes >= GAP_BATCH_BYTES:
+            self._evaluate_pending_gaps()
+
+    def _evaluate_pending_gaps(self) -> None:
+        """Fill the gap of every pending record, oldest first. A gap that
+        raises stays pending, with every pair after it."""
+        done = 0
+        try:
+            for rec, x, y in self._pending:
+                rec.gap = self._gap(x, y)
+                done += 1
+        finally:
+            del self._pending[:done]
+            self._pending_bytes = sum(x.nbytes + y.nbytes
+                                      for _, x, y in self._pending)
+
+    @property
+    def records(self) -> list[HistoryRecord]:
+        """Every record so far, each gap evaluated."""
+        self._evaluate_pending_gaps()
+        return self._records
 
     def series(self, field: str) -> list[tuple[int, float]]:
         """(t, value) pairs for one recorded field, skipping Nones."""

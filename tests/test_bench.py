@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,16 @@ def test_a_non_finite_weight_is_refused(build, kwargs):
     # a nan or infinite lam used to end in numpy's LinAlgError
     with pytest.raises(ConfigurationError, match="finite"):
         build(4, 3, **kwargs)
+
+
+@pytest.mark.parametrize("build", [make_quadratic_saddle, make_ball_capped_saddle])
+def test_a_mu_g_whose_reciprocal_overflows_is_refused(build):
+    # a subnormal mu_g used to give y* = nan with an overflow warning, or
+    # the claim that the unconstrained dual solution is zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="reciprocal"):
+            build(5, 4, mu_g=1e-310)
 
 
 def test_a_nan_ball_radius_is_refused():

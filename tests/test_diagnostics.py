@@ -1,10 +1,13 @@
+import dataclasses
 import types
+import weakref
 
 import numpy as np
 import pytest
 
+from dpdsolve import diagnostics
 from dpdsolve.bench import make_quadratic_saddle
-from dpdsolve.cli import _bench_instances, _bench_runs
+from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
 from dpdsolve.diagnostics import (
     BOUND_TAGS,
     GapReference,
@@ -18,7 +21,7 @@ from dpdsolve.diagnostics import (
     theoretical_bound,
     write_history_csv,
 )
-from dpdsolve.errors import ConfigurationError, ContractViolationError
+from dpdsolve.errors import ConfigurationError, ContractViolationError, DivergenceError
 from dpdsolve.edpd import run_edpd
 from dpdsolve.ldpd import LdpdRegime, STRONGLY_CONVEX_DUAL, run_ldpd
 from dpdsolve.imaging import (
@@ -26,7 +29,7 @@ from dpdsolve.imaging import (
     build_gaussian_problem,
     make_phantom,
 )
-from dpdsolve.linops import make_average_kernel
+from dpdsolve.linops import make_average_kernel, make_motion_kernel
 from dpdsolve.model import SolverConsts
 
 
@@ -363,3 +366,108 @@ def test_snr_is_minus_infinite_when_the_error_norm_overflows(scale):
     truth = make_phantom(8, 8)
     assert snr_db(np.full(64, scale), truth) == -np.inf
     assert snr_db(np.full(64, -scale), truth) == -np.inf
+
+
+# A pair of 20-vector and 15-vector aggregates at synth-bench --dims 20,15.
+_PAIR_BYTES_20_15 = (20 + 15) * 8
+
+
+@pytest.mark.parametrize("pairs", [3, None], ids=["three pairs", "default budget"])
+def test_batched_gaps_equal_gaps_evaluated_in_every_call(monkeypatch, pairs):
+    args = types.SimpleNamespace(dims="20,15", seed=42)
+    runs = _bench_runs(*_bench_instances(args), 60)
+
+    def histories(budget):
+        monkeypatch.setattr(diagnostics, "GAP_BATCH_BYTES", budget)
+        return [[dataclasses.astuple(rec)
+                 for rec in _run_bench_case(inst, regime, 60).records]
+                for inst, regime in runs]
+
+    per_call = histories(0)
+    batched = histories(diagnostics.GAP_BATCH_BYTES if pairs is None
+                        else pairs * _PAIR_BYTES_20_15)
+    assert batched == per_call
+    assert all(rec[1] is not None for history in batched for rec in history)
+
+
+def test_a_second_observer_reading_the_records_mid_run_sees_every_gap():
+    inst = make_quadratic_saddle(20, 15, seed=3, mu_g=0.5, lam=1.0)
+    recorder = HistoryRecorder(problem=inst.problem,
+                               ref=GapReference(inst.x_star, inst.y_star))
+    seen = []
+
+    def reader(snap):
+        recorder(snap)
+        seen.append([rec.gap for rec in recorder.records])
+
+    run_ldpd(inst.problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+             np.zeros(20), np.zeros(15), 12, reader)
+    assert [len(gaps) for gaps in seen] == list(range(1, 13))
+    assert all(g is not None for gaps in seen for g in gaps)
+
+
+def test_a_diverging_run_leaves_every_gap_before_the_failure():
+    args = types.SimpleNamespace(dims="20,15", seed=42)
+    inst, regime = _bench_runs(*_bench_instances(args), 30)[1]
+    g = inst.problem.g
+    calls = []
+
+    def nan_at_5(z, step, mu_g):
+        calls.append(None)
+        y = g.prox(z, step, mu_g)
+        return np.full_like(y, np.nan) if len(calls) == 5 else y
+
+    broken = dataclasses.replace(inst, problem=dataclasses.replace(
+        inst.problem, g=dataclasses.replace(g, prox=nan_at_5)))
+    recorder = HistoryRecorder(problem=broken.problem,
+                               ref=GapReference(inst.x_star, inst.y_star))
+    with pytest.raises(DivergenceError):
+        run_ldpd(broken.problem, regime, np.zeros(20), np.zeros(15), 30, recorder)
+    assert [rec.t for rec in recorder.records] == [1, 2, 3, 4]
+    assert all(rec.gap is not None for rec in recorder.records)
+
+
+def test_a_gap_that_raises_stays_pending_and_raises_at_every_read():
+    inst = make_quadratic_saddle(8, 5, seed=2)
+    f = inst.problem.f
+
+    def value(x):
+        if not np.array_equal(x, inst.x_star):
+            raise FloatingPointError("f is undefined here")
+        return f.value(x)
+
+    problem = dataclasses.replace(inst.problem, f=dataclasses.replace(f, value=value))
+    recorder = HistoryRecorder(problem=problem,
+                               ref=GapReference(inst.x_star, inst.y_star))
+    recorder(types.SimpleNamespace(t=1, x=inst.x_star + 1.0, y=inst.y_star,
+                                   params=None))
+    for _ in range(2):
+        with pytest.raises(FloatingPointError):
+            recorder.records
+        with pytest.raises(FloatingPointError):
+            recorder.series("t")
+
+
+@pytest.mark.parametrize("pairs_kept", [0, 1])
+def test_a_pair_over_the_budget_is_not_kept_past_its_call(monkeypatch, pairs_kept):
+    truth = make_phantom(64, 64)
+    problem = build_gaussian_problem(GaussianDeblurSpec(
+        observed=truth, kernel=make_motion_kernel(9, 30.0), mu=3000.0, mu_g=0.01))
+    pair_bytes = 8 * (problem.primal_dim + problem.dual_dim)
+    # below one pair, every call evaluates its own; with room for two, each
+    # call but every second keeps its pair, which the check must see
+    monkeypatch.setattr(diagnostics, "GAP_BATCH_BYTES",
+                        pair_bytes // 2 if pairs_kept == 0 else 2 * pair_bytes)
+    recorder = HistoryRecorder(problem=problem, ref=GapReference(
+        np.zeros(problem.primal_dim), np.zeros(problem.dual_dim)))
+    refs, alive = [], []
+
+    def observer(snap):
+        alive.append(sum(r() is not None for r in refs))
+        recorder(snap)
+        refs.append(weakref.ref(snap.x))
+
+    run_ldpd(problem, LdpdRegime(STRONGLY_CONVEX_DUAL),
+             np.zeros(problem.primal_dim), np.zeros(problem.dual_dim), 6, observer)
+    assert alive == ([0] * 6 if pairs_kept == 0 else [0, 1, 0, 1, 0, 1])
+    assert len(recorder.records) == 6
