@@ -7,7 +7,8 @@ guarantee on seeded dense instances; `rates` fits log-log slopes to the
 measured gap histories and compares them against the expected decay.
 
 Exit codes: 0 success, 2 bad configuration, 3 file I/O failure,
-4 divergence or numerical failure, 5 a guarantee or rate check failed.
+4 divergence or numerical failure, 5 a guarantee or rate check failed,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import edpd, ldpd
 from .bench import make_ball_capped_saddle, make_quadratic_saddle
 from .diagnostics import (
     BOUND_SLACK,
+    REGIMES,
     GapReference,
     HistoryRecorder,
     fit_loglog_slope,
@@ -61,6 +63,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGED = 4
 EXIT_VIOLATION = 5
+EXIT_INTERRUPTED = 130
 
 CONTINUATION_LABEL = "heuristic continuation"
 
@@ -306,11 +309,7 @@ def cmd_synth_bench(args) -> int:
     return EXIT_OK
 
 
-RATE_WINDOWS = {
-    "ldpd-strongly-convex-dual": (None, -1.8),
-    "edpd-strongly-convex-dual": (None, -1.8),
-    "edpd-weakly-convex": (-1.3, -0.7),
-}
+RATE_WINDOWS = {tag: rule.rate for tag, rule in REGIMES.items() if rule.rate}
 
 
 def cmd_rates(args) -> int:
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--sigma", type=float, default=3e-3)
     pg.add_argument("--solver", choices=["ldpd", "edpd"], default="ldpd")
     pg.add_argument("--regime", default="strongly-convex-dual",
-                    choices=ldpd.LDPD_VARIANTS)
+                    choices=ldpd.REGIMES)
     pg.add_argument("--tau", type=float, default=None,
                     help="free dual step for single-step / weakly convex "
                          "proximal regimes")
@@ -436,6 +435,9 @@ def main(argv=None) -> int:
     except (DivergenceError, NumericalFailureError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -31,19 +31,12 @@ from .model import (
     _check_point,
     lagrangian,
 )
-from .solver import dual_base_step, primal_base_step
 
-BOUND_TAGS = (tuple(f"ldpd-{v}" for v in ldpd.LDPD_VARIANTS)
-              + tuple(f"edpd-{v}" for v in edpd.EDPD_VARIANTS))
-
-# The base dual step of each schedule that fixes tau from the problem
-# constants; the schedules of the other tags take tau as a free parameter.
-_BASE_STEPS = {
-    "ldpd-strongly-convex-dual": lambda c: dual_base_step(ldpd.SCD_STEP_SCALE, c.mu_g),
-    "ldpd-strongly-convex-primal": primal_base_step,
-    "edpd-strongly-convex-primal": primal_base_step,
-    "edpd-strongly-convex-dual": lambda c: dual_base_step(edpd.SCD_STEP_SCALE, c.mu_g),
-}
+# The seven published results keyed by bound tag, the solver family then
+# its variant, each family in the paper's order.
+REGIMES = {f"{family}-{variant}": rule
+           for family, rules in (("ldpd", ldpd.REGIMES), ("edpd", edpd.REGIMES))
+           for variant, rule in rules.items()}
 
 # Uniform floating-point slack for "guarantee dominates measurement" checks.
 BOUND_SLACK = 1e-9
@@ -78,7 +71,8 @@ def theoretical_bound(tag: str, k: int, consts: SolverConsts,
     Parameters
     ----------
     tag : str
-        One of BOUND_TAGS, naming solver and regime.
+        The solver family and the regime variant, as in
+        "ldpd-strongly-convex-dual".
     k : int
         Completed iterations (for the horizon-tuned weakly convex
         schedule of the linearized solver, k must equal the horizon,
@@ -100,48 +94,23 @@ def theoretical_bound(tag: str, k: int, consts: SolverConsts,
         than float slack. A constant the regime needs that is zero
         (mu_g, mu_f, the coupling) raises ConfigurationError.
     """
-    if tag not in BOUND_TAGS:
+    rule = REGIMES.get(tag) if isinstance(tag, str) else None
+    if rule is None:
         raise ConfigurationError(f"unknown bound tag {tag!r}")
     if k < 1:
         raise ContractViolationError("k must be at least 1")
     if dx2 < 0.0 or dy2 < 0.0:
         raise ContractViolationError("squared distances must be nonnegative")
-    L, nA = consts.L_f, consts.norm_A
-
-    if tag == "ldpd-weakly-convex":
-        N = _require_positive("horizon", horizon)
-        if k != int(N):
+    if rule.reads == "horizon":
+        p = _require_positive("horizon", horizon)
+        if k != int(p):
             raise ContractViolationError(
                 "the horizon-tuned guarantee is only stated at k = horizon"
             )
-        return (2.0 * L * dx2 / (N * (N + 1.0))
-                + (nA**2 * dx2 + dy2) / (N + 1.0))
-
-    if tau is None and tag in _BASE_STEPS:
-        tau = _BASE_STEPS[tag](consts)
-    t = _require_positive("tau", tau)
-
-    if tag == "ldpd-strongly-convex-dual":
-        return ((2.0 * L + t * nA**2) * dx2 / (k * (k + 1.0))
-                + dy2 / (k * (k + 1.0) * t))
-
-    if tag == "ldpd-strongly-convex-primal":
-        t0 = ldpd.scp_shift(consts)
-        return ((t0 + 2.0) / (k * (k + 3.0 + 2.0 * t0))
-                * (dx2 * (L - consts.mu_f + 2.0 * t * nA**2)
-                   + dy2 / (2.0 * t)))
-
-    if tag == "ldpd-single-step":
-        return (L + t * nA**2) * dx2 / (2.0 * k) + dy2 / (2.0 * k * t)
-
-    if tag == "edpd-strongly-convex-primal":
-        return (6.0 * t * nA**2 * dx2 + 1.5 * dy2 / t) / (k * (k + 5.0))
-
-    if tag == "edpd-strongly-convex-dual":
-        return 2.0 / (k * (k + 3.0)) * (nA**2 * t * dx2 / 2.0 + 2.0 * dy2 / t)
-
-    # edpd-weakly-convex
-    return (dx2 * nA**2 * t + dy2 / t) / (2.0 * k)
+    else:
+        p = _require_positive("tau", rule.base_tau(consts)
+                              if tau is None and rule.base_tau is not None else tau)
+    return rule.bound(k, consts, p, dx2, dy2)
 
 
 def regime_tag(regime) -> str:
@@ -158,12 +127,11 @@ def regime_bound(regime, k: int, consts: SolverConsts,
     every other k), and the tau of a schedule that takes tau as a free
     parameter. A schedule that fixes tau from the constants gets its own."""
     tag = regime_tag(regime)
-    if tag == "ldpd-weakly-convex":
-        if k != regime.horizon:
-            return None
-        return theoretical_bound(tag, k, consts, dx2, dy2, horizon=regime.horizon)
-    tau = None if tag in _BASE_STEPS else regime.tau
-    return theoretical_bound(tag, k, consts, dx2, dy2, tau=tau)
+    reads = REGIMES[tag].reads
+    if reads == "horizon" and k != regime.horizon:
+        return None
+    given = {} if reads is None else {reads: getattr(regime, reads)}
+    return theoretical_bound(tag, k, consts, dx2, dy2, **given)
 
 
 @dataclass(frozen=True)

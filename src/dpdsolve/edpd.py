@@ -6,7 +6,8 @@ dual for the next iteration (see solver.py for the recursion this family
 shares with the linearized one). No smoothness of f is assumed, only that
 its prox is available in closed form. Three step-size regimes are
 provided, mirroring the linearized solver's strongly convex and weakly
-convex cases.
+convex cases; `REGIMES` states each one's step sizes, aggregation
+weights and gap guarantee once.
 """
 
 from __future__ import annotations
@@ -16,18 +17,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError
 from .model import Observer, SaddleProblem, SolverConsts
-from .solver import (RunResult, SolverState, Workspace, accept_primal,
-                     dual_base_step, dual_step, primal_base_step, run)
+from .solver import (RegimeRule, RunResult, SolverState, Workspace, accept_primal,
+                     dual_base_step, dual_step, find_rule, primal_base_step, run)
 # The shared init under this family's public name.
 from .solver import init_state as init_edpd_state  # noqa: F401
 
 WEAKLY_CONVEX = "weakly-convex"
 STRONGLY_CONVEX_DUAL = "strongly-convex-dual"
 STRONGLY_CONVEX_PRIMAL = "strongly-convex-primal"
-
-EDPD_VARIANTS = (WEAKLY_CONVEX, STRONGLY_CONVEX_DUAL, STRONGLY_CONVEX_PRIMAL)
 SCD_STEP_SCALE = 2.5  # c in the strongly convex dual base step c / mu_g
 
 
@@ -40,12 +39,7 @@ class EdpdRegime:
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in EDPD_VARIANTS:
-            raise ConfigurationError(f"unknown regime variant {self.variant!r}")
-        if self.variant == WEAKLY_CONVEX and not self.tau > 0.0:
-            raise ConfigurationError(
-                "the weakly convex regime needs a positive dual step tau"
-            )
+        find_rule(REGIMES, self)
 
 
 @dataclass(frozen=True)
@@ -61,30 +55,42 @@ class EdpdParams:
     eta: float
 
 
+# The three published regimes, in the paper's order (see
+# solver.RegimeRule). The weakly convex schedule takes constant steps on
+# the boundary the analysis permits.
+REGIMES = {
+    STRONGLY_CONVEX_PRIMAL: RegimeRule(
+        base_tau=primal_base_step,
+        params=lambda t, c, tau: EdpdParams(
+            alpha=(t + 2.0) / (t + 3.0), tau=(t + 1.0) * tau,
+            eta=1.0 / ((t + 1.0) * tau * c.norm_A**2)),
+        weight=lambda t, c: float(t + 2),
+        bound=lambda k, c, tau, dx2, dy2: (
+            (6.0 * tau * c.norm_A**2 * dx2 + 1.5 * dy2 / tau) / (k * (k + 5.0)))),
+    STRONGLY_CONVEX_DUAL: RegimeRule(
+        base_tau=lambda c: dual_base_step(SCD_STEP_SCALE, c.mu_g),
+        params=lambda t, c, tau: EdpdParams(
+            alpha=(t + 1.0) / (t + 2.0), tau=tau / (t + 1.0),
+            eta=(t + 1.0) / (tau * c.norm_A**2)),
+        weight=lambda t, c: float(t + 1),
+        bound=lambda k, c, tau, dx2, dy2: (
+            2.0 / (k * (k + 3.0)) * (c.norm_A**2 * tau * dx2 / 2.0 + 2.0 * dy2 / tau)),
+        rate=(None, -1.8)),
+    WEAKLY_CONVEX: RegimeRule(
+        reads="tau",
+        params=lambda t, c, tau: EdpdParams(alpha=1.0, tau=tau,
+                                            eta=1.0 / (tau * c.norm_A**2)),
+        weight=lambda t, c: 1.0,
+        bound=lambda k, c, tau, dx2, dy2: (dx2 * c.norm_A**2 * tau + dy2 / tau) / (2.0 * k),
+        rate=(-1.3, -0.7)),
+}
+
+
 def edpd_schedule(regime: EdpdRegime, t: int, consts: SolverConsts) -> EdpdParams:
     """Step sizes for iteration t (1-based) under the given regime."""
-    if t < 1:
-        raise ContractViolationError("iteration counter starts at 1")
-    nA = consts.norm_A
-    if not nA > 0.0:
+    if not consts.norm_A > 0.0:
         raise ConfigurationError("the coupling operator must be nonzero")
-    if regime.variant == STRONGLY_CONVEX_PRIMAL:
-        tau_t = (t + 1.0) * primal_base_step(consts)
-        return EdpdParams(
-            alpha=(t + 2.0) / (t + 3.0),
-            tau=tau_t,
-            eta=1.0 / (tau_t * nA**2),
-        )
-    if regime.variant == STRONGLY_CONVEX_DUAL:
-        tau = dual_base_step(SCD_STEP_SCALE, consts.mu_g)
-        return EdpdParams(
-            alpha=(t + 1.0) / (t + 2.0),
-            tau=tau / (t + 1.0),
-            eta=(t + 1.0) / (tau * nA**2),
-        )
-    # weakly convex: constant steps on the boundary the analysis permits
-    tau = regime.tau
-    return EdpdParams(alpha=1.0, tau=tau, eta=1.0 / (tau * nA**2))
+    return REGIMES[regime.variant].step_sizes(regime, t, consts)
 
 
 def edpd_step(state: SolverState, problem: SaddleProblem, params: EdpdParams,
@@ -115,14 +121,6 @@ def edpd_step(state: SolverState, problem: SaddleProblem, params: EdpdParams,
     return dual_step(state, work, params.tau, alpha, mu_g, weight)
 
 
-def _edpd_weight(regime: EdpdRegime, t: int, consts: SolverConsts) -> float:
-    if regime.variant == STRONGLY_CONVEX_PRIMAL:
-        return float(t + 2)
-    if regime.variant == STRONGLY_CONVEX_DUAL:
-        return float(t + 1)
-    return 1.0
-
-
 def run_edpd(problem: SaddleProblem, regime: EdpdRegime, x1, y1, iters: int,
              observer: Optional[Observer] = None,
              mu_g: Optional[Callable[[int], float]] = None) -> RunResult:
@@ -148,6 +146,6 @@ def run_edpd(problem: SaddleProblem, regime: EdpdRegime, x1, y1, iters: int,
         shrinking weight voids the fixed-constant guarantees, so such
         runs are heuristic.
     """
-    return run(problem, regime, x1, y1, iters, observer,
-               schedule=edpd_schedule, step=edpd_step, weight=_edpd_weight,
+    return run(problem, regime, x1, y1, iters, observer, schedule=edpd_schedule,
+               step=edpd_step, weight=REGIMES[regime.variant].weight,
                alpha_shift=0, mu_g=mu_g)

@@ -8,7 +8,8 @@ shares with the exact one). Four published step-size regimes are
 provided; they differ in how the blending weight theta, the dual
 extrapolation alpha, and the step sizes tau (dual) and eta (primal)
 evolve with the iteration counter, and each comes with its own
-non-asymptotic gap guarantee (see diagnostics.theoretical_bound).
+non-asymptotic gap guarantee. `REGIMES` states each regime's step sizes,
+aggregation weights and guarantee once (see solver.RegimeRule).
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError
 from .model import Array, Observer, SaddleProblem, SolverConsts
-from .solver import (RunResult, SolverState, Workspace, accept_primal,
-                     dual_base_step, dual_step, primal_base_step, run)
+from .solver import (RegimeRule, RunResult, SolverState, Workspace, accept_primal,
+                     dual_base_step, dual_step, find_rule, primal_base_step, run)
 # The shared init and reference aggregate under this family's public names.
 from .solver import aggregate_closed_form, init_state as init_ldpd_state  # noqa: F401
 
@@ -30,13 +31,6 @@ WEAKLY_CONVEX = "weakly-convex"
 STRONGLY_CONVEX_DUAL = "strongly-convex-dual"
 STRONGLY_CONVEX_PRIMAL = "strongly-convex-primal"
 SINGLE_STEP = "single-step"
-
-LDPD_VARIANTS = (
-    WEAKLY_CONVEX,
-    STRONGLY_CONVEX_DUAL,
-    STRONGLY_CONVEX_PRIMAL,
-    SINGLE_STEP,
-)
 SCD_STEP_SCALE = 3.0  # c in the strongly convex dual base step c / mu_g
 
 
@@ -54,16 +48,7 @@ class LdpdRegime:
     tau: float = 0.0
 
     def __post_init__(self):
-        if self.variant not in LDPD_VARIANTS:
-            raise ConfigurationError(f"unknown regime variant {self.variant!r}")
-        if self.variant == WEAKLY_CONVEX and self.horizon < 1:
-            raise ConfigurationError(
-                "the weakly convex regime needs a positive iteration horizon"
-            )
-        if self.variant == SINGLE_STEP and not self.tau > 0.0:
-            raise ConfigurationError(
-                "the single-step regime needs a positive dual step tau"
-            )
+        find_rule(REGIMES, self)
 
 
 @dataclass(frozen=True)
@@ -87,6 +72,54 @@ def scp_shift(consts: SolverConsts) -> int:
     return math.ceil(2.0 * (consts.L_f - consts.mu_f) / consts.mu_f)
 
 
+def _scp_params(t: int, c: SolverConsts, tau: float) -> LdpdParams:
+    t0 = scp_shift(c)
+    tau_t = (t + 1.0) * tau
+    return LdpdParams(theta=1.0, alpha=(t + t0) / (t + t0 + 1.0), tau=tau_t,
+                      eta=1.0 / (c.L_f + tau_t * c.norm_A**2))
+
+
+def _scp_bound(k: int, c: SolverConsts, tau: float, dx2: float, dy2: float) -> float:
+    t0 = scp_shift(c)
+    return ((t0 + 2.0) / (k * (k + 3.0 + 2.0 * t0))
+            * (dx2 * (c.L_f - c.mu_f + 2.0 * tau * c.norm_A**2) + dy2 / (2.0 * tau)))
+
+
+# The four published regimes, in the paper's order (see solver.RegimeRule).
+# The t-weighted average equals the theta = 2 / (t + 1) blend of the
+# weakly convex and strongly convex dual schedules.
+REGIMES = {
+    WEAKLY_CONVEX: RegimeRule(
+        reads="horizon",
+        params=lambda t, c, N: LdpdParams(
+            theta=2.0 / (t + 1.0), alpha=(t - 1.0) / t, tau=t / N,
+            eta=t / (2.0 * c.L_f + N * c.norm_A**2)),
+        weight=lambda t, c: float(t),
+        bound=lambda k, c, N, dx2, dy2: (
+            2.0 * c.L_f * dx2 / (N * (N + 1.0)) + (c.norm_A**2 * dx2 + dy2) / (N + 1.0))),
+    STRONGLY_CONVEX_DUAL: RegimeRule(
+        base_tau=lambda c: dual_base_step(SCD_STEP_SCALE, c.mu_g),
+        params=lambda t, c, tau: LdpdParams(
+            theta=2.0 / (t + 1.0), alpha=(t - 1.0) / t, tau=tau / t,
+            eta=t / (2.0 * c.L_f + tau * c.norm_A**2)),
+        weight=lambda t, c: float(t),
+        bound=lambda k, c, tau, dx2, dy2: (
+            (2.0 * c.L_f + tau * c.norm_A**2) * dx2 / (k * (k + 1.0))
+            + dy2 / (k * (k + 1.0) * tau)),
+        rate=(None, -1.8)),
+    STRONGLY_CONVEX_PRIMAL: RegimeRule(
+        base_tau=primal_base_step, params=_scp_params,
+        weight=lambda t, c: float(t + scp_shift(c) + 1), bound=_scp_bound),
+    SINGLE_STEP: RegimeRule(
+        reads="tau",
+        params=lambda t, c, tau: LdpdParams(
+            theta=1.0, alpha=1.0, tau=tau, eta=1.0 / (c.L_f + tau * c.norm_A**2)),
+        weight=lambda t, c: 1.0,
+        bound=lambda k, c, tau, dx2, dy2: (
+            (c.L_f + tau * c.norm_A**2) * dx2 / (2.0 * k) + dy2 / (2.0 * k * tau))),
+}
+
+
 def ldpd_schedule(regime: LdpdRegime, t: int, consts: SolverConsts) -> LdpdParams:
     """Step sizes for iteration t (1-based) under the given regime.
 
@@ -106,44 +139,12 @@ def ldpd_schedule(regime: LdpdRegime, t: int, consts: SolverConsts) -> LdpdParam
         dual extrapolation that forms the point iteration t's gradient
         step sees, so it is applied at the end of iteration t - 1; the
         first iteration sees the dual start itself.
+
+    Step sizes that divide by zero (L_f = 0 with a zero coupling, in
+    every regime but the strongly convex primal one, which refuses a
+    zero coupling itself) or overflow raise ConfigurationError.
     """
-    if t < 1:
-        raise ContractViolationError("iteration counter starts at 1")
-    L, nA = consts.L_f, consts.norm_A
-    if regime.variant == WEAKLY_CONVEX:
-        N = regime.horizon
-        return LdpdParams(
-            theta=2.0 / (t + 1.0),
-            alpha=(t - 1.0) / t,
-            tau=t / N,
-            eta=t / (2.0 * L + N * nA**2),
-        )
-    if regime.variant == STRONGLY_CONVEX_DUAL:
-        tau = dual_base_step(SCD_STEP_SCALE, consts.mu_g)
-        return LdpdParams(
-            theta=2.0 / (t + 1.0),
-            alpha=(t - 1.0) / t,
-            tau=tau / t,
-            eta=t / (2.0 * L + tau * nA**2),
-        )
-    if regime.variant == STRONGLY_CONVEX_PRIMAL:
-        tau = primal_base_step(consts)
-        t0 = scp_shift(consts)
-        tau_t = (t + 1.0) * tau
-        return LdpdParams(
-            theta=1.0,
-            alpha=(t + t0) / (t + t0 + 1.0),
-            tau=tau_t,
-            eta=1.0 / (L + tau_t * nA**2),
-        )
-    # single step
-    tau = regime.tau
-    return LdpdParams(
-        theta=1.0,
-        alpha=1.0,
-        tau=tau,
-        eta=1.0 / (L + tau * nA**2),
-    )
+    return REGIMES[regime.variant].step_sizes(regime, t, consts)
 
 
 def gradient_point(state: SolverState, params: LdpdParams, out: Array,
@@ -196,17 +197,6 @@ def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
     return dual_step(state, work, params.tau, alpha, mu_g, weight)
 
 
-def _ldpd_weight(regime: LdpdRegime, t: int, consts: SolverConsts) -> float:
-    """Aggregation weight of iterate t. The t-weighted average equals the
-    theta = 2 / (t + 1) blend of the weakly convex and strongly convex
-    dual schedules."""
-    if regime.variant == STRONGLY_CONVEX_PRIMAL:
-        return float(t + scp_shift(consts) + 1)
-    if regime.variant == SINGLE_STEP:
-        return 1.0
-    return float(t)
-
-
 def run_ldpd(problem: SaddleProblem, regime: LdpdRegime, x1, y1, iters: int,
              observer: Optional[Observer] = None) -> RunResult:
     """Run the linearized solver for `iters` iterations from (x1, y1).
@@ -226,11 +216,11 @@ def run_ldpd(problem: SaddleProblem, regime: LdpdRegime, x1, y1, iters: int,
         Called once per iteration with an IterationSnapshot whose (x, y)
         is the weighted aggregate pair the guarantees refer to.
     """
-    if regime.variant == WEAKLY_CONVEX and iters != regime.horizon:
+    if REGIMES[regime.variant].reads == "horizon" and iters != regime.horizon:
         raise ConfigurationError(
             f"the weakly convex schedule is tuned for its horizon; "
             f"got iters={iters} but horizon={regime.horizon}"
         )
-    return run(problem, regime, x1, y1, iters, observer,
-               schedule=ldpd_schedule, step=ldpd_step, weight=_ldpd_weight,
+    return run(problem, regime, x1, y1, iters, observer, schedule=ldpd_schedule,
+               step=ldpd_step, weight=REGIMES[regime.variant].weight,
                alpha_shift=1, grad_point=gradient_point)

@@ -10,10 +10,11 @@ extrapolates the dual for the next iteration:
 
 The two families differ only in the primal update, their step-size
 schedules, their aggregation weights, and which schedule entry supplies
-alpha. This module holds everything else: the state record a run
-updates in place, the buffers and oracle calls a run owns, the primal
-bookkeeping and the dual half of the step, and the run loop, which
-builds and validates the whole schedule before the first iteration.
+alpha. This module holds everything else: the record type in which each
+family states its published regimes, the state record a run updates in
+place, the buffers and oracle calls a run owns, the primal bookkeeping
+and the dual half of the step, and the run loop, which builds and
+validates the whole schedule before the first iteration.
 """
 
 from __future__ import annotations
@@ -273,6 +274,59 @@ def primal_base_step(consts: SolverConsts) -> float:
     return consts.mu_f / (2.0 * consts.norm_A**2)
 
 
+@dataclass(frozen=True)
+class RegimeRule:
+    """One published (solver, regime) result, stated once.
+
+    The schedule's one parameter p is the regime field named by `reads`
+    ("horizon" or "tau"), or, where `reads` is None, the base dual step
+    `base_tau(consts)` that the problem constants fix.
+
+    - `params(t, consts, p)`: the step sizes of iteration t;
+    - `weight(t, consts)`: iterate t's aggregation weight;
+    - `bound(k, consts, p, dx2, dy2)`: the gap guarantee after k
+      iterations, given the squared distances from the start pair to the
+      reference pair;
+    - `rate`: the window (lo, hi) the log-log slope of the gap must lie
+      in (lo None for no lower end), where the paper states one.
+    """
+
+    params: Callable
+    weight: Callable[[int, SolverConsts], float]
+    bound: Callable
+    reads: Optional[str] = None
+    base_tau: Optional[Callable[[SolverConsts], float]] = None
+    rate: Optional[tuple] = None
+
+    def step_sizes(self, regime, t: int, consts: SolverConsts):
+        """`params` of iteration t (1-based) under `regime` and `consts`.
+        A step size whose formula overflows or divides by zero (say, ldpd
+        with L_f = 0 and a zero coupling, or an ||A||^2 that overflows or
+        underflows) raises ConfigurationError."""
+        if t < 1:
+            raise ContractViolationError("iteration counter starts at 1")
+        try:
+            p = self.base_tau(consts) if self.reads is None else getattr(regime, self.reads)
+            return self.params(t, consts, p)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ConfigurationError(
+                f"step sizes overflow or divide by zero at iteration {t} (L_f = "
+                f"{consts.L_f!r}, norm_A = {consts.norm_A!r}): {exc}"
+            ) from exc
+
+
+def find_rule(rules: dict, regime) -> RegimeRule:
+    """`regime`'s record in `rules`, a family's records keyed by variant.
+    Refuses an unknown variant, and a field the record reads (the
+    horizon, or a free dual step tau) that is not positive."""
+    rule = rules.get(regime.variant) if isinstance(regime.variant, str) else None
+    if rule is None:
+        raise ConfigurationError(f"unknown regime variant {regime.variant!r}")
+    if rule.reads is not None and not getattr(regime, rule.reads) > 0:
+        raise ConfigurationError(f"the {regime.variant} regime needs a positive {rule.reads}")
+    return rule
+
+
 # A linearized run takes each next gradient on a second thread when the
 # problem has at least this many primal unknowns; below, each step calls
 # f.grad itself. Handing a call over costs GIL switches, and the short
@@ -314,7 +368,8 @@ def _build_schedule(regime, iters: int, consts: SolverConsts, schedule,
 
     Raises ConfigurationError at the first of iterations 1 .. iters whose
     dual weight is not finite and nonnegative, or whose step sizes are not
-    finite and positive or overflow.
+    finite and positive, and at any iteration whose step sizes the
+    schedule refuses (see `RegimeRule.step_sizes`).
     """
     params, mu_gs = [], []
     for t in range(1, iters + alpha_shift + 1):
@@ -325,12 +380,7 @@ def _build_schedule(regime, iters: int, consts: SolverConsts, schedule,
                 raise ConfigurationError(
                     f"mu_g({t}) = {consts_t.mu_g!r} is not finite and nonnegative"
                 )
-        try:
-            p = schedule(regime, t, consts_t)
-        except OverflowError as exc:
-            raise ConfigurationError(
-                f"step sizes overflow at iteration {t}: {exc}"
-            ) from exc
+        p = schedule(regime, t, consts_t)
         for name in ("tau", "eta"):
             value = getattr(p, name)
             if t <= iters and not (math.isfinite(value) and value > 0.0):
@@ -360,7 +410,7 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
         step(state, problem, params, alpha, mu_g, weight) updates the
         state by one iteration in place.
     weight : callable
-        weight(regime, t, consts) -> iterate t's aggregation weight.
+        weight(t, consts) -> iterate t's aggregation weight.
     alpha_shift : int
         Iteration t extrapolates the dual with the alpha of schedule
         entry t + alpha_shift.
@@ -391,7 +441,7 @@ def run(problem: SaddleProblem, regime, x1, y1, iters: int,
     consts = SolverConsts.from_problem(problem)
     params, mu_gs = _build_schedule(regime, iters, consts, schedule,
                                     alpha_shift, mu_g)
-    weights = [weight(regime, t, consts) for t in range(1, iters + 1)]
+    weights = [weight(t, consts) for t in range(1, iters + 1)]
     state = init_state(x1, y1)
     # no local name holds the workspace, so that its buffers are freed
     # before the aggregates below are formed

@@ -143,6 +143,15 @@ def test_ball_capped_constraint_binds_strictly():
     assert ax_norm > 0.05 * r * 1.5
 
 
+def test_ball_capped_indicator_tolerance_sits_between_1e_10_and_1e_8():
+    # ||y*|| matches the radius to 1e-10 relative; g's domain test allows
+    # 1e-9 relative beyond it, and no more
+    inst = make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, lam=0.0, c_rows=12)
+    g_value = inst.problem.g.value
+    assert np.isfinite(g_value(inst.y_star * (1.0 + 1e-10)))
+    assert g_value(inst.y_star * (1.0 + 1e-8)) == np.inf
+
+
 def test_ball_capped_gradient_refuses_the_boundary():
     from dpdsolve.errors import UnsupportedPointError
 

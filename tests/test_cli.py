@@ -12,6 +12,7 @@ from dpdsolve import bench, edpd, ldpd
 from dpdsolve.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_INTERRUPTED,
     EXIT_IO,
     EXIT_OK,
     EXIT_VIOLATION,
@@ -534,6 +535,19 @@ def test_memory_running_out_during_a_run_is_a_config_error(tmp_path, monkeypatch
     assert main(["deblur-gauss", "--size", "16", "--iters", "2", "--kernel", "3,0",
                  "--out-dir", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: out of memory at iteration 1\n"
+    assert not out.exists()
+
+
+def test_an_interrupted_run_prints_one_line_and_exits_130(tmp_path, monkeypatch,
+                                                          capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ldpd, "run_ldpd", interrupted)
+    out = tmp_path / "x"
+    assert main(["deblur-gauss", "--size", "16", "--iters", "2", "--kernel", "3,0",
+                 "--out-dir", str(out)]) == EXIT_INTERRUPTED == 130
+    assert capsys.readouterr().err == "interrupted\n"
     assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from dpdsolve import diagnostics
 from dpdsolve.bench import make_quadratic_saddle
 from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
 from dpdsolve.diagnostics import (
-    BOUND_TAGS,
+    REGIMES,
     GapReference,
     HistoryRecord,
     HistoryRecorder,
@@ -77,9 +77,35 @@ def test_bound_value_weakly_convex_horizon_only():
                           horizon=100)
 
 
+# The three below are worked by hand from the theorems, with L_f = 1,
+# mu_f = 0.5, mu_g = 0, ||A|| = 1 and dx2 = dy2 = 1. The strongly convex
+# primal schedules fix tau = mu_f / (2 ||A||^2) = 0.25.
+SCP_CONSTS = SolverConsts(L_f=1.0, mu_f=0.5, mu_g=0.0, norm_A=1.0)
+
+
+def test_bound_value_ldpd_strongly_convex_primal():
+    # t0 = ceil(2 (L_f - mu_f) / mu_f) = 2, so at k = 1:
+    # (t0 + 2) / (k (k + 3 + 2 t0)) = 4 / 8, times
+    # dx2 (L_f - mu_f + 2 tau ||A||^2) + dy2 / (2 tau) = 1 + 2
+    got = theoretical_bound("ldpd-strongly-convex-primal", 1, SCP_CONSTS, 1.0, 1.0)
+    assert got == pytest.approx(1.5, rel=1e-14)
+
+
+def test_bound_value_edpd_strongly_convex_primal():
+    # (6 tau ||A||^2 dx2 + 1.5 dy2 / tau) / (k (k + 5)) = (1.5 + 6) / 6
+    got = theoretical_bound("edpd-strongly-convex-primal", 1, SCP_CONSTS, 1.0, 1.0)
+    assert got == pytest.approx(1.25, rel=1e-14)
+
+
+def test_bound_value_edpd_weakly_convex():
+    # (dx2 ||A||^2 tau + dy2 / tau) / (2 k) = (0.5 + 2) / 4 at k = 2
+    got = theoretical_bound("edpd-weakly-convex", 2, SCP_CONSTS, 1.0, 1.0, tau=0.5)
+    assert got == pytest.approx(0.625, rel=1e-14)
+
+
 def test_bound_decreases_in_k_for_anytime_tags():
     consts = SolverConsts(L_f=1.0, mu_f=0.5, mu_g=0.2, norm_A=1.0)
-    for tag in BOUND_TAGS:
+    for tag in REGIMES:
         if tag == "ldpd-weakly-convex":
             continue
         kw = {"tau": 0.7} if tag in ("ldpd-single-step", "edpd-weakly-convex") \

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import explicit_anchor_ldpd
 
-from dpdsolve import ldpd, solver
+from dpdsolve import edpd, ldpd, solver
 from dpdsolve.bench import make_quadratic_saddle
 from dpdsolve.errors import (
     ConfigurationError,
@@ -92,6 +92,50 @@ def test_schedule_rejects_bad_inputs():
         LdpdRegime(SINGLE_STEP)
     with pytest.raises(ConfigurationError):
         LdpdRegime("made-up")
+
+
+def _zero_coupling_problem(n_primal=2, n_dual=3):
+    # L_f = 0 and A = 0: every eta but the strongly convex primal one
+    # divides by 2 L_f + (something) ||A||^2 = 0
+    f = PrimalOracle(value=lambda x: 0.0, grad=lambda x: np.zeros_like(x))
+    g = DualProxOracle(prox=lambda z, step, mu_g: z / (1.0 + step * mu_g),
+                       value=lambda y: 0.5 * float(y @ y), mu_g=1.0)
+    return SaddleProblem(f=f, g=g, A=MatrixOperator(np.zeros((n_dual, n_primal))),
+                         primal_dim=n_primal, dual_dim=n_dual)
+
+
+@pytest.mark.parametrize("regime", [
+    LdpdRegime(WEAKLY_CONVEX, horizon=5),
+    LdpdRegime(STRONGLY_CONVEX_DUAL),
+    LdpdRegime(SINGLE_STEP, tau=1.0),
+], ids=["weakly-convex", "strongly-convex-dual", "single-step"])
+def test_a_zero_L_f_and_a_zero_coupling_are_refused_before_any_iteration(regime):
+    # these used to end in a bare ZeroDivisionError
+    problem = _zero_coupling_problem()
+    consts = SolverConsts.from_problem(problem)
+    assert consts.L_f == 0.0 and consts.norm_A == 0.0
+    with pytest.raises(ConfigurationError, match="divide by zero at iteration 1"):
+        ldpd_schedule(regime, 1, consts)
+    seen = []
+    with pytest.raises(ConfigurationError, match="divide by zero at iteration 1"):
+        run_ldpd(problem, regime, np.ones(2), np.ones(3), 5, observer=seen.append)
+    assert seen == []
+
+
+def test_step_sizes_whose_denominator_underflows_are_refused_before_any_iteration():
+    # ||A||^2 underflows to zero although ||A|| does not
+    problem = _zero_coupling_problem()
+    problem.A.norm_bound = 1e-200
+    consts = SolverConsts.from_problem(problem)
+    with pytest.raises(ConfigurationError, match="divide by zero at iteration 3"):
+        ldpd_schedule(LdpdRegime(SINGLE_STEP, tau=1.0), 3, consts)
+    with pytest.raises(ConfigurationError, match="divide by zero at iteration 3"):
+        edpd.edpd_schedule(edpd.EdpdRegime(edpd.WEAKLY_CONVEX, tau=1.0), 3, consts)
+    seen = []
+    with pytest.raises(ConfigurationError, match="divide by zero at iteration 1"):
+        run_ldpd(problem, LdpdRegime(SINGLE_STEP, tau=1.0), np.ones(2), np.ones(3), 5,
+                 observer=seen.append)
+    assert seen == []
 
 
 def test_weakly_convex_schedule_admissibility_over_horizon():
