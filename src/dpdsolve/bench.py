@@ -45,14 +45,10 @@ class QuadraticSaddle:
     d: Array
     lam: float
 
-    def initial_distances(self, x1=None, y1=None) -> tuple[float, float]:
-        """Squared distances from a start pair (default zeros) to the
-        certified solution."""
-        x1 = np.zeros_like(self.x_star) if x1 is None else np.asarray(x1, float)
-        y1 = np.zeros_like(self.y_star) if y1 is None else np.asarray(y1, float)
-        dx = self.x_star - x1
-        dy = self.y_star - y1
-        return float(dx @ dx), float(dy @ dy)
+    def initial_distances(self) -> tuple[float, float]:
+        """Squared distances from the zero start pair, where every run
+        starts, to the certified solution."""
+        return float(self.x_star @ self.x_star), float(self.y_star @ self.y_star)
 
 
 def _draw_instance_data(n_primal: int, n_dual: int, seed: int,
@@ -92,7 +88,8 @@ def _draw_instance_data(n_primal: int, n_dual: int, seed: int,
 def _problem_from_data(C, d, A, H, Ctd, lam: float, mu_g: float,
                        ball_radius: Optional[float]) -> SaddleProblem:
     """Assemble oracles and the coupling operator for one dense instance,
-    with f's Hessian H and C'd."""
+    with f's Hessian H and C'd; g is capped by the centred ball of radius
+    `ball_radius` when one is given."""
     n_primal = C.shape[1]
     # H = V diag(eigs) V^T, factored once so that every prox is a
     # diagonal scaling in the eigenbasis.
@@ -145,8 +142,7 @@ def _problem_from_data(C, d, A, H, Ctd, lam: float, mu_g: float,
 
 def make_quadratic_saddle(n_primal: int = 20, n_dual: int = 15, seed: int = 42,
                           mu_g: float = 0.5, lam: float = 1.0,
-                          c_rows: Optional[int] = None,
-                          ball_radius: Optional[float] = None) -> QuadraticSaddle:
+                          c_rows: Optional[int] = None) -> QuadraticSaddle:
     """Build a seeded dense instance with a certified saddle point.
 
     Parameters
@@ -165,18 +161,11 @@ def make_quadratic_saddle(n_primal: int = 20, n_dual: int = 15, seed: int = 42,
         Number of rows of C; fewer rows than n_primal together with
         lam = 0 forces mu_f = 0 exactly. With lam = 0, c_rows + n_dual
         must exceed n_primal, or ConfigurationError is raised.
-    ball_radius : float, optional
-        Adds an inactive centered ball indicator to g; the radius must
-        strictly exceed ||y*||.
     """
     C, d, A, H, Ctd = _draw_instance_data(n_primal, n_dual, seed, c_rows, mu_g, lam)
-    problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), ball_radius)
+    problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), None)
     x_star = np.linalg.solve(H + (A.T @ A) / mu_g, Ctd)
     y_star = A @ x_star / mu_g
-    if ball_radius is not None and not np.linalg.norm(y_star) < ball_radius:
-        raise ConfigurationError(
-            "ball_radius must strictly exceed ||y*|| so the indicator is inactive"
-        )
     return QuadraticSaddle(problem=problem, x_star=x_star, y_star=y_star,
                            C=C, d=d, lam=float(lam))
 

@@ -210,6 +210,8 @@ def _saltpepper_model(args, clean, observed):
     """deblur-sp: box blur and salt-and-pepper noise, an L1 fit, and edpd,
     under the smoothing continuation when --mu-g0 and --halve-every are
     positive."""
+    if args.halve_every < 0:
+        raise ConfigurationError(f"--halve-every must be nonnegative, got {args.halve_every}")
     _check_kernel_fits(args.kernel, args.kernel,
                        clean if observed is None else observed,
                        f"a {args.kernel}x{args.kernel} averaging kernel")
@@ -218,15 +220,14 @@ def _saltpepper_model(args, clean, observed):
         observed = _degrade(clean, kernel, lambda blurred: add_salt_pepper(
             blurred, args.fraction, args.seed))
     spec = SaltPepperDeblurSpec(observed=observed, kernel=kernel,
-                                alpha=args.alpha, mu_g0=args.mu_g0,
-                                halve_every=args.halve_every)
+                                alpha=args.alpha, mu_g0=args.mu_g0)
     problem = build_saltpepper_problem(spec)
     mu_g = None
     if spec.mu_g0 > 0.0:
         regime = edpd.EdpdRegime(edpd.STRONGLY_CONVEX_DUAL)
-        if spec.halve_every > 0:
+        if args.halve_every > 0:
             mu_g = functools.partial(continuation_mu_g, mu_g0=spec.mu_g0,
-                                     halve_every=spec.halve_every)
+                                     halve_every=args.halve_every)
     else:
         tau = args.tau if args.tau is not None else 1.0 / problem.A.norm_bound
         regime = edpd.EdpdRegime(edpd.WEAKLY_CONVEX, tau=tau)
@@ -369,8 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="motion kernel as LENGTH,THETA")
     pg.add_argument("--sigma", type=float, default=3e-3)
     pg.add_argument("--solver", choices=["ldpd", "edpd"], default="ldpd")
+    # Both imaging builders set mu_f = 0 (the blur need not be injective),
+    # so the strongly convex primal schedules cannot run on them.
     pg.add_argument("--regime", default="strongly-convex-dual",
-                    choices=ldpd.REGIMES)
+                    choices=[v for v in ldpd.REGIMES
+                             if v != ldpd.STRONGLY_CONVEX_PRIMAL])
     pg.add_argument("--tau", type=float, default=None,
                     help="free dual step for single-step / weakly convex "
                          "proximal regimes")

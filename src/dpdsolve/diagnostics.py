@@ -143,10 +143,11 @@ class RateCheckResult:
 
 
 def dual_distance_rate_check(history: Sequence[tuple[int, float]],
-                             consts: SolverConsts, dx2: float, dy2: float,
-                             tau: Optional[float] = None) -> RateCheckResult:
+                             consts: SolverConsts, dx2: float,
+                             dy2: float) -> RateCheckResult:
     """Check the dual convergence guarantee of the strongly convex dual
-    linearized schedule against measured distances.
+    linearized schedule, at the tau its constants fix, against measured
+    distances.
 
     `history` holds (k, ||y_k - y_star||) pairs, y_k the aggregate dual
     point after k iterations. The guarantee says
@@ -156,8 +157,7 @@ def dual_distance_rate_check(history: Sequence[tuple[int, float]],
     if not consts.mu_g > 0.0:
         raise ConfigurationError("this check needs mu_g > 0")
     for k, dist in history:
-        bound = theoretical_bound("ldpd-strongly-convex-dual", int(k), consts,
-                                  dx2, dy2, tau=tau)
+        bound = theoretical_bound("ldpd-strongly-convex-dual", int(k), consts, dx2, dy2)
         if 0.5 * consts.mu_g * float(dist) ** 2 > bound + BOUND_SLACK:
             return RateCheckResult(passed=False, first_violation=int(k))
     return RateCheckResult(passed=True)

@@ -79,24 +79,21 @@ class GaussianDeblurSpec:
 class SaltPepperDeblurSpec:
     """L1-fit deblurring model description.
 
-    `alpha` weighs the data term against the total variation, `mu_g0` is
-    the initial dual smoothing weight, and `halve_every` controls the
-    continuation schedule (0 keeps mu_g fixed at mu_g0).
+    `alpha` weighs the data term against the total variation, and
+    `mu_g0` is the dual smoothing weight (the initial one under a
+    continuation, see `continuation_mu_g`).
     """
 
     observed: ImageGrid
     kernel: Kernel2D
     alpha: float
     mu_g0: float
-    halve_every: int = 0
 
     def __post_init__(self):
         if not self.alpha > 0.0:
             raise ConfigurationError("alpha must be positive")
         if self.mu_g0 < 0.0:
             raise ConfigurationError("mu_g0 must be nonnegative")
-        if self.halve_every < 0:
-            raise ConfigurationError("halve_every must be nonnegative")
         _validate_blur_kernel(self.kernel)
 
 

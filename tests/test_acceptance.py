@@ -298,8 +298,7 @@ def test_criterion_09_continuation_reaches_plateau_sooner():
 
     def run(mu_g0, halve_every):
         spec = SaltPepperDeblurSpec(observed=observed, kernel=kernel,
-                                    alpha=4.0, mu_g0=mu_g0,
-                                    halve_every=halve_every)
+                                    alpha=4.0, mu_g0=mu_g0)
         problem = build_saltpepper_problem(spec)
         mu_g = None
         if mu_g0 > 0.0:

@@ -53,7 +53,7 @@ def _saltpepper(clean):
     blurred = make_convolution_operator(kernel, SIZE, SIZE).apply(clean.data)
     observed = add_salt_pepper(ImageGrid(SIZE, SIZE, blurred), 0.2, 0)
     return build_saltpepper_problem(SaltPepperDeblurSpec(observed, kernel, alpha=4.0,
-                                                         mu_g0=0.03, halve_every=5))
+                                                         mu_g0=0.03))
 
 
 def _excess_per_iteration(run):

@@ -37,8 +37,6 @@ def test_initial_distances():
     dx2, dy2 = inst.initial_distances()
     assert dx2 == pytest.approx(float(inst.x_star @ inst.x_star))
     assert dy2 == pytest.approx(float(inst.y_star @ inst.y_star))
-    dx2b, dy2b = inst.initial_distances(inst.x_star, inst.y_star)
-    assert dx2b == 0.0 and dy2b == 0.0
 
 
 def test_same_seed_reproduces_the_instance():
@@ -50,25 +48,6 @@ def test_same_seed_reproduces_the_instance():
     assert np.array_equal(a.x_star, b.x_star)
     c = make_quadratic_saddle(9, 6, seed=124)
     assert not np.array_equal(a.C, c.C)
-
-
-def test_inactive_ball_leaves_the_solution_alone():
-    plain = make_quadratic_saddle(8, 5, seed=2)
-    r = float(np.linalg.norm(plain.y_star)) * 2.0
-    balled = make_quadratic_saddle(8, 5, seed=2, ball_radius=r)
-    assert np.array_equal(balled.x_star, plain.x_star)
-    assert kkt_residual(balled.problem, balled.x_star, balled.y_star) <= 1e-8
-    # prox output stays strictly inside, so the indicator never binds
-    z = balled.y_star * 1.5
-    out = balled.problem.g.prox(z, 0.1, balled.problem.g.mu_g)
-    assert np.linalg.norm(out) <= r
-
-
-def test_ball_radius_must_clear_the_solution():
-    plain = make_quadratic_saddle(8, 5, seed=2)
-    r = float(np.linalg.norm(plain.y_star)) * 0.5
-    with pytest.raises(ConfigurationError):
-        make_quadratic_saddle(8, 5, seed=2, ball_radius=r)
 
 
 def test_parameter_validation():
@@ -285,11 +264,6 @@ def test_a_mu_g_whose_reciprocal_overflows_is_refused(build):
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError, match="reciprocal"):
             build(5, 4, mu_g=1e-310)
-
-
-def test_a_nan_ball_radius_is_refused():
-    with pytest.raises(ConfigurationError, match="ball_radius"):
-        make_quadratic_saddle(8, 5, seed=2, ball_radius=float("nan"))
 
 
 @pytest.mark.parametrize("build, n_primal, n_dual, rows", [

@@ -106,18 +106,23 @@ def test_deblur_gauss_with_clean_input_pgm(tmp_path):
     assert all(r.snr_db is not None for r in records)
 
 
-def test_deblur_gauss_rejects_regimes_the_model_cannot_satisfy(tmp_path):
+def test_deblur_gauss_rejects_regimes_the_model_cannot_satisfy(tmp_path, capsys):
     # the quadratic data term has no strong convexity, so the strongly
-    # convex primal schedules must refuse to run
-    code = main(["deblur-gauss", "--size", "16", "--iters", "2",
-                 "--kernel", "3,0", "--regime", "strongly-convex-primal",
-                 "--out-dir", str(tmp_path / "x")])
-    assert code == EXIT_CONFIG
-    code = main(["deblur-gauss", "--size", "16", "--iters", "2",
-                 "--kernel", "3,0", "--solver", "edpd",
-                 "--regime", "strongly-convex-primal",
-                 "--out-dir", str(tmp_path / "y")])
-    assert code == EXIT_CONFIG
+    # convex primal schedules are not offered: argparse refuses them
+    three = "{weakly-convex,strongly-convex-dual,single-step}"
+    for solver in ("ldpd", "edpd"):
+        with pytest.raises(SystemExit) as exc:
+            main(["deblur-gauss", "--solver", solver,
+                  "--regime", "strongly-convex-primal",
+                  "--out-dir", str(tmp_path / solver)])
+        assert exc.value.code == EXIT_CONFIG
+        assert three in capsys.readouterr().err
+        assert not (tmp_path / solver).exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["deblur-gauss", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert three in capsys.readouterr().out
+    # single-step is an ldpd schedule only
     code = main(["deblur-gauss", "--size", "16", "--iters", "2",
                  "--kernel", "3,0", "--solver", "edpd",
                  "--regime", "single-step",
@@ -152,6 +157,17 @@ def test_deblur_sp_continuation_labels_the_history(tmp_path, capsys):
     # the dual step tracks the halved smoothing weight: tau jumps up
     # when mu_g halves at t = 3
     assert records[2].tau > records[1].tau
+
+
+def test_deblur_sp_refuses_a_negative_halve_every_before_the_build(tmp_path,
+                                                                  monkeypatch):
+    def build(spec):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr(cli, "build_saltpepper_problem", build)
+    code = main(["deblur-sp", "--size", "16", "--kernel", "3",
+                 "--halve-every", "-1", "--out-dir", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
 
 
 def test_deblur_sp_fixed_smoothing_has_no_label(tmp_path):

@@ -1,12 +1,15 @@
 import dataclasses
+import math
 import types
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdsolve import diagnostics
-from dpdsolve.bench import make_quadratic_saddle
+from dpdsolve.bench import make_ball_capped_saddle, make_quadratic_saddle
 from dpdsolve.cli import _bench_instances, _bench_runs, _run_bench_case
 from dpdsolve.diagnostics import (
     REGIMES,
@@ -17,6 +20,7 @@ from dpdsolve.diagnostics import (
     fit_loglog_slope,
     primal_dual_gap,
     read_history_csv,
+    regime_tag,
     snr_db,
     theoretical_bound,
     write_history_csv,
@@ -103,6 +107,88 @@ def test_bound_value_edpd_weakly_convex():
     assert got == pytest.approx(0.625, rel=1e-14)
 
 
+# The seven published bounds, written apart from the package's regime
+# tables: each takes (k, consts, dx2, dy2, tau, N) and ignores what its
+# theorem does not read. A strongly convex dual schedule fixes tau = c /
+# mu_g (c = 3 for ldpd, 2.5 for edpd), and a strongly convex primal one
+# tau = mu_f / (2 ||A||^2), which turns its 2 tau ||A||^2 into mu_f and
+# its 1 / tau into 2 ||A||^2 / mu_f. The ldpd one shifts its index by
+# t0 = ceil(2 (L_f - mu_f) / mu_f). The horizon-tuned ldpd bound speaks
+# only of k = N. The hand-worked values above are this table's too.
+def _t0(c):
+    return math.ceil(2.0 * (c.L_f - c.mu_f) / c.mu_f)
+
+
+BOUND_TABLE = {
+    "ldpd-weakly-convex": lambda k, c, dx2, dy2, tau, N: (
+        (2.0 * c.L_f * dx2 / N + c.norm_A**2 * dx2 + dy2) / (N + 1.0)),
+    "ldpd-strongly-convex-dual": lambda k, c, dx2, dy2, tau, N: (
+        ((2.0 * c.L_f + 3.0 / c.mu_g * c.norm_A**2) * dx2 + c.mu_g * dy2 / 3.0)
+        / (k * (k + 1.0))),
+    "ldpd-strongly-convex-primal": lambda k, c, dx2, dy2, tau, N: (
+        (_t0(c) + 2.0) * (c.L_f * dx2 + c.norm_A**2 * dy2 / c.mu_f)
+        / (k * (k + 2.0 * _t0(c) + 3.0))),
+    "ldpd-single-step": lambda k, c, dx2, dy2, tau, N: (
+        ((c.L_f + tau * c.norm_A**2) * dx2 + dy2 / tau) / (2.0 * k)),
+    "edpd-strongly-convex-primal": lambda k, c, dx2, dy2, tau, N: (
+        3.0 * (c.mu_f * dx2 + c.norm_A**2 * dy2 / c.mu_f) / (k * (k + 5.0))),
+    "edpd-strongly-convex-dual": lambda k, c, dx2, dy2, tau, N: (
+        (2.5 / c.mu_g * c.norm_A**2 * dx2 + 1.6 * c.mu_g * dy2) / (k * (k + 3.0))),
+    "edpd-weakly-convex": lambda k, c, dx2, dy2, tau, N: (
+        (c.norm_A**2 * tau * dx2 + dy2 / tau) / (2.0 * k)),
+}
+
+_POSITIVE = st.floats(1e-3, 1e3)
+
+
+def test_the_bound_table_names_every_published_regime():
+    assert list(BOUND_TABLE) == list(REGIMES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tag=st.sampled_from(sorted(BOUND_TABLE)),
+       k=st.integers(1, 10**4), L_f=_POSITIVE, mu_f_share=st.floats(1e-3, 1.0),
+       mu_g=_POSITIVE, norm_A=_POSITIVE, tau=_POSITIVE,
+       dx2=st.floats(0.0, 1e3), dy2=st.floats(0.0, 1e3))
+def test_every_bound_matches_the_table_at_drawn_parameters(
+        tag, k, L_f, mu_f_share, mu_g, norm_A, tau, dx2, dy2):
+    consts = SolverConsts(L_f=L_f, mu_f=mu_f_share * L_f, mu_g=mu_g, norm_A=norm_A)
+    given_ = {}
+    if tag == "ldpd-weakly-convex":
+        given_["horizon"] = k  # stated only at k = horizon
+    elif REGIMES[tag].reads == "tau":
+        given_["tau"] = tau
+    got = theoretical_bound(tag, k, consts, dx2, dy2, **given_)
+    want = BOUND_TABLE[tag](k, consts, dx2, dy2, tau, k)
+    assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+
+
+# max_k gap / bound of each regime's synth-bench run, 500 iterations, in
+# REGIMES order, as measured when these floors were set. A bound made 2x
+# looser halves its ratio, so each (instance, tag) must keep at least 0.7
+# of its own value; the ratios differ too much between instances for one
+# floor per tag.
+TIGHTNESS = {
+    ("20,15", 42): (0.04515, 0.2767, 0.09652, 0.3046, 0.3009, 0.3637, 0.5934),
+    ("20,15", 0): (0.08535, 0.3099, 0.1210, 0.2736, 0.2912, 0.3730, 0.4735),
+    ("20,15", 7): (0.04909, 0.2795, 0.1040, 0.2981, 0.2591, 0.3679, 0.5111),
+    ("40,30", 42): (0.03336, 0.2710, 0.09664, 0.2862, 0.2679, 0.3617, 0.5018),
+    ("40,30", 0): (0.05091, 0.2521, 0.09315, 0.2923, 0.2557, 0.3516, 0.5138),
+    ("40,30", 7): (0.01193, 0.3092, 0.07530, 0.2842, 0.2606, 0.3965, 0.5095),
+}
+
+
+@pytest.mark.parametrize("dims, seed", list(TIGHTNESS))
+def test_every_bound_stays_within_reach_of_its_measured_gaps(dims, seed):
+    floors = dict(zip(REGIMES, TIGHTNESS[dims, seed]))
+    args = types.SimpleNamespace(dims=dims, seed=seed)
+    for inst, regime in _bench_runs(*_bench_instances(args), 500):
+        records = _run_bench_case(inst, regime, 500).records
+        ratio = max(r.gap / r.bound for r in records if r.bound is not None)
+        tag = regime_tag(regime)
+        assert ratio >= 0.7 * floors[tag], (tag, ratio, floors[tag])
+
+
 def test_bound_decreases_in_k_for_anytime_tags():
     consts = SolverConsts(L_f=1.0, mu_f=0.5, mu_g=0.2, norm_A=1.0)
     for tag in REGIMES:
@@ -163,6 +249,12 @@ def test_dual_distance_rate_check_reports_first_violation():
     result = dual_distance_rate_check(bad, consts, 1.0, 1.0)
     assert not result.passed
     assert result.first_violation == 7
+    # (mu_g / 2) dist^2 is held to the bound itself: 0.99 of it passes,
+    # 1.5 times it fails
+    bound = theoretical_bound("ldpd-strongly-convex-dual", 3, consts, 1.0, 1.0)
+    for share, passed in ((0.99, True), (1.5, False)):
+        dist = math.sqrt(2.0 * share * bound / consts.mu_g)
+        assert dual_distance_rate_check([(3, dist)], consts, 1.0, 1.0).passed is passed
 
 
 def test_dual_distance_rate_check_needs_mu_g():
@@ -297,12 +389,11 @@ def test_recorder_gap_matches_primal_dual_gap_in_every_regime():
 
 
 def test_recorder_gap_is_infinite_outside_the_dual_domain():
-    inst = make_quadratic_saddle(8, 5, seed=2)
-    r = float(np.linalg.norm(inst.y_star)) * 2.0
-    balled = make_quadratic_saddle(8, 5, seed=2, ball_radius=r)
+    balled = make_ball_capped_saddle(8, 5, seed=2)
     recorder = HistoryRecorder(problem=balled.problem,
                                ref=GapReference(balled.x_star, balled.y_star))
-    outside = balled.y_star / np.linalg.norm(balled.y_star) * r * 1.5
+    # y* sits on the ball, so 1.5 y* lies outside it
+    outside = 1.5 * balled.y_star
     recorder(types.SimpleNamespace(t=1, x=balled.x_star, y=outside, params=None))
     assert recorder.records[0].gap == np.inf
     assert primal_dual_gap(balled.problem, balled.x_star, outside,

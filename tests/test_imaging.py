@@ -164,7 +164,7 @@ def test_spec_parameter_validation():
                              mu_g0=0.0)
     with pytest.raises(ConfigurationError):
         SaltPepperDeblurSpec(observed=blurred, kernel=kernel, alpha=1.0,
-                             mu_g0=0.0, halve_every=-1)
+                             mu_g0=-1.0)
 
 
 def test_continuation_schedule_values():
