@@ -29,11 +29,6 @@ from .linops import MatrixOperator
 from .model import Array, DualProxOracle, PrimalOracle, SaddleProblem
 
 
-# The most secant steps, each one direct solve, that the ball-capped
-# certification takes after the solve that sets the radius.
-_SECANT_STEPS = 13
-
-
 @dataclass
 class QuadraticSaddle:
     """A generated instance bundled with its certified solution."""
@@ -140,6 +135,26 @@ def _problem_from_data(C, d, A, H, Ctd, lam: float, mu_g: float,
                          primal_dim=n_primal, dual_dim=A.shape[0])
 
 
+def _saddle_point(H, A, Ctd, u: float):
+    """x = (H + A'A / u)^{-1} C'd and y = A x / u, from one dense solve.
+
+    For u = mu_g this is the unconstrained saddle point; for u > mu_g it
+    is the saddle point on the ball of radius ||y||. The pair is refused
+    with NumericalFailureError unless it meets primal stationarity,
+    ||H x + A'y - C'd|| <= 1e-9 (||H x|| + ||A'y|| + ||C'd||), which a
+    nan fails too: a tiny u leaves the solve no accurate digit, or
+    overflows A'A / u, so that the pair is wrong or not finite."""
+    with np.errstate(all="ignore"):
+        x = np.linalg.solve(H + (A.T @ A) / u, Ctd)
+        y = A @ x / u
+        terms = (H @ x, A.T @ y, -Ctd)
+        miss = float(np.linalg.norm(sum(terms)))
+        scale = sum(float(np.linalg.norm(t)) for t in terms)
+    if not miss <= 1e-9 * scale:
+        raise NumericalFailureError(f"stationarity missed by {miss!r} of {scale!r}")
+    return x, y
+
+
 def make_quadratic_saddle(n_primal: int = 20, n_dual: int = 15, seed: int = 42,
                           mu_g: float = 0.5, lam: float = 1.0,
                           c_rows: Optional[int] = None) -> QuadraticSaddle:
@@ -161,85 +176,47 @@ def make_quadratic_saddle(n_primal: int = 20, n_dual: int = 15, seed: int = 42,
         Number of rows of C; fewer rows than n_primal together with
         lam = 0 forces mu_f = 0 exactly. With lam = 0, c_rows + n_dual
         must exceed n_primal, or ConfigurationError is raised.
+
+    NumericalFailureError is raised when the solution misses primal
+    stationarity by more than 1e-9 relative, as it can for a tiny mu_g.
     """
     C, d, A, H, Ctd = _draw_instance_data(n_primal, n_dual, seed, c_rows, mu_g, lam)
+    x_star, y_star = _saddle_point(H, A, Ctd, mu_g)
     problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), None)
-    x_star = np.linalg.solve(H + (A.T @ A) / mu_g, Ctd)
-    y_star = A @ x_star / mu_g
     return QuadraticSaddle(problem=problem, x_star=x_star, y_star=y_star,
                            C=C, d=d, lam=float(lam))
 
 
 def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
                             seed: int = 42, mu_g: float = 0.05,
-                            lam: float = 0.0, c_rows: Optional[int] = None,
-                            radius_scale: float = 0.5) -> QuadraticSaddle:
+                            lam: float = 0.0,
+                            c_rows: Optional[int] = None) -> QuadraticSaddle:
     """Build a dense instance whose dual solution sits ON the ball boundary.
 
-    Same data family as make_quadratic_saddle, but the ball radius is set
-    to `radius_scale` times the unconstrained dual norm, so the indicator
-    binds at the saddle with a strict multiplier. That makes the gap at
-    averaged iterates decay like the dual averaging error itself (order
-    1/k) rather than its square, which is the regime the constant-step
-    schedules are tuned for.
+    Same data family as make_quadratic_saddle, but g is capped by a ball
+    that binds at the saddle with a strict multiplier. That makes the gap
+    at averaged iterates decay like the dual averaging error itself
+    (order 1/k) rather than its square, which is the regime the
+    constant-step schedules are tuned for.
 
-    Certification: with the constraint active, x* solves
-    (C'C + lam I + beta A'A) x = C'd and y* = beta A x*, where the scalar
-    beta in (0, 1/mu_g) is pinned by ||y*|| = radius. In u = 1/beta this
-    is the trust-region secular equation, and g(u) = 1/||y(u)|| - 1/radius
-    is nearly linear in u (J. J. More and D. C. Sorensen, "Computing a
-    trust region step", SIAM J. Sci. Stat. Comput. 4(3), 1983). So secant
-    steps on g, each one direct solve, start from u = mu_g, whose solve
-    also sets the radius, and u = mu_g / radius_scale; a step that lands
-    at or below mu_g falls back to the midpoint of the last u and mu_g.
-    They stop once ||y|| misses the radius by at most 1e-13 relative, once
-    a step fails to shrink |g|, or after _SECANT_STEPS steps, and keep the
-    best iterate. NumericalFailureError is raised unless its ||y*|| then
-    matches the radius to 1e-10 relative. Degenerate data, which
-    _draw_instance_data describes, are refused before any solve.
+    Construction: the saddle point on a ball of radius r solves
+    (C'C + lam I + A'A / u) x* = C'd, y* = A x* / u, for the u > mu_g
+    with ||y*|| = r. So the radius is derived rather than fixed: u is
+    8 mu_g, one dense solve gives x* and y*, and the radius is ||y*||,
+    roughly half the unconstrained dual norm (0.38 to 0.63 over the
+    synth sizes 20x15 to 400x300 at seeds 0, 7 and 42). The ball's
+    multiplier is then (u - mu_g) ||y*|| = 7 mu_g ||y*|| > 0.
+
+    Refusals: degenerate data, which _draw_instance_data describes, and
+    a zero radius raise ConfigurationError; a solution that misses
+    primal stationarity by more than 1e-9 relative, as a tiny mu_g
+    gives, raises NumericalFailureError.
     """
-    if not 0.0 < radius_scale < 1.0:
-        raise ConfigurationError(
-            "radius_scale must lie in (0, 1) so the ball binds at the saddle"
-        )
     C, d, A, H, Ctd = _draw_instance_data(n_primal, n_dual, seed, c_rows, mu_g, lam)
-    AtA = A.T @ A
-    x_star = np.linalg.solve(H + AtA / mu_g, Ctd)
-    y_star = A @ x_star / mu_g
-    y_norm = float(np.linalg.norm(y_star))
-    radius = radius_scale * y_norm
+    x_star, y_star = _saddle_point(H, A, Ctd, 8.0 * mu_g)
+    radius = float(np.linalg.norm(y_star))
     if not radius > 0.0:
-        raise ConfigurationError(
-            "the unconstrained dual solution is zero; no radius can bind"
-        )
-    # Secant steps on g(u) = 1/||y(u)|| - 1/radius, u = 1/beta. A step that
-    # does not shrink |g| ends them: the kept iterate is then the best
-    # one, and no secant step divides by zero. A ||y|| of zero, as an
-    # infinite u gives, counts as an infinite |g|.
-    u_prev, g_prev, miss = mu_g, 1.0 / y_norm - 1.0 / radius, y_norm - radius
-    u = mu_g / radius_scale
-    for _ in range(_SECANT_STEPS):
-        x = np.linalg.solve(H + AtA / u, Ctd)
-        y = A @ x / u
-        y_norm = float(np.linalg.norm(y))
-        g = 1.0 / y_norm - 1.0 / radius if y_norm > 0.0 else math.inf
-        if not abs(g) < abs(g_prev):
-            break
-        x_star, y_star, miss = x, y, abs(y_norm - radius)
-        if miss <= 1e-13 * radius:
-            break
-        u, u_prev, g_prev = u - g * (u - u_prev) / (g - g_prev), u, g
-        if u <= mu_g:
-            u = 0.5 * (u_prev + mu_g)
-    # Free an n-by-n array before the eigendecomposition in
-    # _problem_from_data allocates its workspace.
-    del AtA
-    if not miss <= 1e-10 * radius:
-        raise NumericalFailureError(
-            f"ball-capped certification missed the radius {radius!r} by "
-            f"{miss!r}"
-        )
-
+        raise ConfigurationError("the dual solution is zero; no radius can bind")
     problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), radius)
     return QuadraticSaddle(problem=problem, x_star=x_star, y_star=y_star,
                            C=C, d=d, lam=float(lam))

@@ -426,8 +426,8 @@ def _check_args(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         return args.func(args)
     except (ConfigurationError, ContractViolationError, MemoryError) as exc:

@@ -77,6 +77,15 @@ MUTANTS = [
            "EdpdParams(alpha=1.0, tau=tau,", "EdpdParams(alpha=0.5, tau=tau,"),
     Mutant("ldpd strongly-convex-dual dy2 over k", "src/dpdsolve/ldpd.py",
            "+ dy2 / (k * (k + 1.0) * tau)),", "+ dy2 / (k * tau)),"),
+    # The ball-capped construction and the certificate of both builders.
+    Mutant("capped factor 8 -> 1", "src/dpdsolve/bench.py",
+           "_saddle_point(H, A, Ctd, 8.0 * mu_g)", "_saddle_point(H, A, Ctd, 1.0 * mu_g)"),
+    Mutant("certificate tolerance 1e-9 -> 1e-1", "src/dpdsolve/bench.py",
+           "if not miss <= 1e-9 * scale:", "if not miss <= 1e-1 * scale:"),
+    Mutant("radius guard removed", "src/dpdsolve/bench.py",
+           "    if not radius > 0.0:\n"
+           "        raise ConfigurationError(\"the dual solution is zero; no radius can bind\")\n",
+           ""),
     # The dual distance check made 2x more lenient.
     Mutant("dual distance check 2x lenient", "src/dpdsolve/diagnostics.py",
            "0.5 * consts.mu_g * float(dist) ** 2", "0.25 * consts.mu_g * float(dist) ** 2"),

@@ -109,22 +109,24 @@ def test_ball_capped_dual_is_a_prox_fixed_point():
 
 
 def test_ball_capped_constraint_binds_strictly():
-    inst = make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
-    # the radius equals radius_scale times the unconstrained dual norm
+    mu_g = 0.05
+    inst = make_ball_capped_saddle(20, 15, seed=42, mu_g=mu_g, c_rows=12)
+    # the radius ||y*|| lies well inside the unconstrained dual norm
     A = inst.problem.A.matrix
     H = inst.C.T @ inst.C + inst.lam * np.eye(inst.C.shape[1])
-    y_free = A @ np.linalg.solve(H + A.T @ A / 0.05, inst.C.T @ inst.d) / 0.05
-    r = 0.5 * float(np.linalg.norm(y_free))
-    assert float(np.linalg.norm(inst.y_star)) == pytest.approx(r, rel=1e-10)
-    # strict multiplier: the smoothed maximizer A x*/mu_g lies outside
-    # the ball, so the indicator is active with margin
+    y_free = A @ np.linalg.solve(H + A.T @ A / mu_g, inst.C.T @ inst.d) / mu_g
+    y_norm = float(np.linalg.norm(inst.y_star))
+    assert 0.3 < y_norm / float(np.linalg.norm(y_free)) < 0.8
+    # strict multiplier: A x* = 8 mu_g y*, so the smoothed maximizer
+    # A x*/mu_g lies outside the ball and the indicator is active with
+    # the margin (8 - 1) mu_g ||y*||
     ax_norm = float(np.linalg.norm(inst.problem.A.apply(inst.x_star)))
-    assert ax_norm > 0.05 * r * 1.5
+    assert ax_norm - mu_g * y_norm == pytest.approx(7.0 * mu_g * y_norm, rel=1e-12)
 
 
 def test_ball_capped_indicator_tolerance_sits_between_1e_10_and_1e_8():
-    # ||y*|| matches the radius to 1e-10 relative; g's domain test allows
-    # 1e-9 relative beyond it, and no more
+    # ||y*|| is the radius; g's domain test allows 1e-9 relative beyond
+    # it, and no more
     inst = make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, lam=0.0, c_rows=12)
     g_value = inst.problem.g.value
     assert np.isfinite(g_value(inst.y_star * (1.0 + 1e-10)))
@@ -143,10 +145,6 @@ def test_ball_capped_validation_and_determinism():
     with pytest.raises(ConfigurationError):
         make_ball_capped_saddle(6, 4, mu_g=0.0)
     with pytest.raises(ConfigurationError):
-        make_ball_capped_saddle(6, 4, radius_scale=0.0)
-    with pytest.raises(ConfigurationError):
-        make_ball_capped_saddle(6, 4, radius_scale=1.0)
-    with pytest.raises(ConfigurationError):
         make_ball_capped_saddle(6, 4, lam=-0.5)
     a = make_ball_capped_saddle(9, 6, seed=11, c_rows=5)
     b = make_ball_capped_saddle(9, 6, seed=11, c_rows=5)
@@ -154,29 +152,15 @@ def test_ball_capped_validation_and_determinism():
     assert np.array_equal(a.y_star, b.y_star)
 
 
-def _direct_bisection(inst, mu_g, radius_scale=0.5):
-    """The ball-capped certification by 200 bisection steps on beta, each
-    with one dense solve: the reference for the secant."""
-    A = inst.problem.A.matrix
-    H = inst.C.T @ inst.C + inst.lam * np.eye(inst.C.shape[1])
-    Ctd = inst.C.T @ inst.d
-    AtA = A.T @ A
-    y_free = A @ np.linalg.solve(H + AtA / mu_g, Ctd) / mu_g
-    radius = radius_scale * float(np.linalg.norm(y_free))
-
-    def dual_norm(beta):
-        return beta * float(np.linalg.norm(A @ np.linalg.solve(H + beta * AtA, Ctd)))
-
-    lo, hi = 0.0, 1.0 / mu_g
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dual_norm(mid) < radius:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
-    x = np.linalg.solve(H + beta * AtA, Ctd)
-    return beta, x, beta * (A @ x)
+def _stationarity_ratio(inst):
+    """||grad f(x*) + A'y*|| over ||H x*|| + ||A'y*|| + ||C'd||, computed
+    apart from the builders."""
+    C, x = inst.C, inst.x_star
+    Hx = C.T @ (C @ x) + inst.lam * x
+    Aty = inst.problem.A.matrix.T @ inst.y_star
+    Ctd = C.T @ inst.d
+    miss = np.linalg.norm(inst.problem.f.grad(x) + Aty)
+    return miss / (np.linalg.norm(Hx) + np.linalg.norm(Aty) + np.linalg.norm(Ctd))
 
 
 @pytest.mark.parametrize("shape", [
@@ -185,18 +169,30 @@ def _direct_bisection(inst, mu_g, radius_scale=0.5):
     dict(n_primal=12, n_dual=25, lam=0.0),              # more duals than primals
 ], ids=["wide-singular", "square-ridge", "tall-dual"])
 @pytest.mark.parametrize("seed", range(6))
-def test_ball_capped_certification_matches_the_direct_bisection(shape, seed):
+def test_ball_capped_construction_is_a_certified_saddle_point(shape, seed, monkeypatch):
     mu_g = 0.05
+    radii = []
+    assemble = bench._problem_from_data
+
+    def recording(*args):
+        radii.append(args[-1])
+        return assemble(*args)
+
+    monkeypatch.setattr(bench, "_problem_from_data", recording)
     inst = make_ball_capped_saddle(seed=seed, mu_g=mu_g, **shape)
-    beta_ref, x_ref, y_ref = _direct_bisection(inst, mu_g)
+    assert _stationarity_ratio(inst) <= 1e-9
+    # the chosen multiplier: A x* = u y* with u = 8 mu_g
     ax = inst.problem.A.apply(inst.x_star)
-    beta = float(inst.y_star @ ax) / float(ax @ ax)
-    assert abs(beta - beta_ref) <= 1e-12 * beta_ref
-    assert np.linalg.norm(inst.x_star - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
-    assert np.linalg.norm(inst.y_star - y_ref) <= 1e-10 * np.linalg.norm(y_ref)
+    assert np.linalg.norm(ax - 8.0 * mu_g * inst.y_star) <= 1e-12 * np.linalg.norm(ax)
+    # the derived radius is ||y*||, bit for bit
+    assert radii == [float(np.linalg.norm(inst.y_star))]
+    # y* maximizes <Ax*, y> - g(y): y* = prox_{tau g}(y* + tau A x*)
+    for tau in (0.01, 1.0, 100.0):
+        moved = inst.problem.g.prox(inst.y_star + tau * ax, tau, mu_g)
+        assert np.linalg.norm(moved - inst.y_star) <= 1e-10 * np.linalg.norm(inst.y_star)
 
 
-def test_ball_capped_certification_makes_one_dense_solve_per_secant_step(monkeypatch):
+def test_ball_capped_certification_makes_one_dense_solve(monkeypatch):
     calls = []
     real_solve = np.linalg.solve
 
@@ -206,13 +202,12 @@ def test_ball_capped_certification_makes_one_dense_solve_per_secant_step(monkeyp
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     make_ball_capped_saddle(40, 30, seed=3, c_rows=24)
-    # the solve that sets the radius, then one per secant step (9 here)
-    assert len(calls) <= 1 + bench._SECANT_STEPS
+    assert calls == [(40, 40)]
 
 
-def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeypatch):
-    # With 1e-6 relative noise on every direct solve, no secant step can
-    # land within 1e-10 relative of the radius, and the check refuses.
+def test_ball_capped_certification_refuses_a_noisy_solve(monkeypatch):
+    # 1e-6 relative noise on the solve misses stationarity far beyond the
+    # certificate's 1e-9 relative
     real_solve = np.linalg.solve
     rng = np.random.default_rng(0)
 
@@ -221,28 +216,49 @@ def test_ball_capped_certification_refuses_a_beta_that_misses_the_radius(monkeyp
         return x * (1.0 + 1e-6 * rng.standard_normal(x.shape))
 
     monkeypatch.setattr(np.linalg, "solve", noisy)
-    with pytest.raises(NumericalFailureError, match="missed the radius"):
+    with pytest.raises(NumericalFailureError, match="stationarity missed"):
         make_ball_capped_saddle(20, 15, seed=42, mu_g=0.05, c_rows=12)
 
 
-@pytest.mark.parametrize("radius_scale", [1e-200, 1e-320])
-def test_a_radius_too_small_to_certify_is_refused(radius_scale):
-    # the secant's u runs off to infinity, where ||y|| is zero: the steps
-    # end there without dividing by zero, and the radius check refuses
-    with pytest.raises(NumericalFailureError, match="missed the radius"):
-        make_ball_capped_saddle(5, 4, radius_scale=radius_scale)
+@pytest.mark.parametrize("build", [make_quadratic_saddle, make_ball_capped_saddle])
+@pytest.mark.parametrize("kwargs", [
+    dict(n_primal=5, n_dual=4, mu_g=1e-300),
+    dict(n_primal=20, n_dual=15, mu_g=1e-307, lam=0.0, c_rows=12),
+    dict(n_primal=23, n_dual=11, seed=0, mu_g=1e-12, lam=0.0, c_rows=13),
+], ids=["5x4-1e-300", "20x15-1e-307", "23x11-1e-12"])
+def test_a_mu_g_too_small_to_certify_is_refused(build, kwargs):
+    # A'A / mu_g swamps H, or overflows at 1e-307, so the solve keeps no
+    # accurate digit of x*. The quadratic builder used to return such
+    # pairs: at 1e-12 it missed stationarity by 1.6e-3 relative, at
+    # 1e-300 by up to 6.2, and at 1e-307 it warned of an overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match="stationarity missed"):
+            build(**kwargs)
+
+
+def test_a_zero_dual_solution_is_refused(monkeypatch):
+    # a coupling that maps every x to zero gives y* = 0, which satisfies
+    # the certificate but leaves no radius for the ball
+    draw = bench._draw_instance_data
+
+    def uncoupled(*args):
+        C, d, A, H, Ctd = draw(*args)
+        return C, d, np.zeros_like(A), H, Ctd
+
+    monkeypatch.setattr(bench, "_draw_instance_data", uncoupled)
+    with pytest.raises(ConfigurationError, match="no radius can bind"):
+        make_ball_capped_saddle(6, 4, seed=1, lam=0.5)
 
 
 def test_small_mu_g_ball_capped_instance_is_certified():
-    # H + A'A / mu_g is ill-conditioned at this mu_g (an evaluation through
-    # the eigenvalues of A M0^{-1} A' missed the radius by 1.9e-10
-    # relative); the certification must still land within the 1e-10 check
+    # H + A'A / u is ill-conditioned at this mu_g, yet the pair still
+    # meets the certificate with room to spare
     mu_g = 1e-4
     inst = make_ball_capped_saddle(23, 11, seed=0, mu_g=mu_g, lam=0.0, c_rows=13)
-    A = inst.problem.A.matrix
-    y_free = A @ np.linalg.solve(inst.C.T @ inst.C + A.T @ A / mu_g, inst.C.T @ inst.d) / mu_g
-    radius = 0.5 * float(np.linalg.norm(y_free))
-    assert abs(float(np.linalg.norm(inst.y_star)) - radius) <= 1e-10 * radius
+    assert _stationarity_ratio(inst) <= 1e-10
+    ax = inst.problem.A.apply(inst.x_star)
+    assert np.linalg.norm(ax - 8.0 * mu_g * inst.y_star) <= 1e-12 * np.linalg.norm(ax)
 
 
 @pytest.mark.parametrize("build", [make_quadratic_saddle, make_ball_capped_saddle])

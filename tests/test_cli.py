@@ -1,7 +1,9 @@
 import argparse
 import math
+import signal
 import subprocess
 import sys
+import time
 import weakref
 
 import numpy as np
@@ -565,6 +567,35 @@ def test_an_interrupted_run_prints_one_line_and_exits_130(tmp_path, monkeypatch,
                  "--out-dir", str(out)]) == EXIT_INTERRUPTED == 130
     assert capsys.readouterr().err == "interrupted\n"
     assert not out.exists()
+
+
+def test_a_real_sigint_during_a_threaded_run_exits_130_cleanly(tmp_path):
+    # SIGINT from outside, at seeded delays, while a 384 x 384 run parses,
+    # builds or iterates; at that size the gradient worker runs. The child
+    # says `ready` once the package is imported, and the delay starts
+    # then: a SIGINT during `import dpdsolve` still ends in a traceback.
+    # The run is long (about 13 s) so that a parent slowed by a loaded
+    # machine still signals it before it ends; each trial ends at the
+    # signal, after at most 0.4 s.
+    for trial, delay in enumerate(np.random.default_rng(130).uniform(0.0, 0.4, 3)):
+        out = tmp_path / f"run-{trial}"
+        argv = ["deblur-gauss", "--size", "384", "--iters", "2000", "--out-dir", str(out)]
+        # a child of a shell's background job inherits an ignored SIGINT;
+        # the default handler is restored, as an interactive run has it
+        script = ("import signal, sys\nfrom dpdsolve.cli import main\n"
+                  "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+                  "print('ready', flush=True)\n"
+                  f"sys.exit(main({argv!r}))\n")
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(delay)
+        proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_INTERRUPTED, (delay, stderr)
+        assert stderr.endswith("interrupted\n"), (delay, stderr)
+        assert "Traceback" not in stderr
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, family, run_name", [

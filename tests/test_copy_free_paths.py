@@ -559,7 +559,7 @@ def test_oracle_closure_out_paths_equal_the_fresh_paths(data, shape, step, mu_g)
     m, n = shape
     problems = list(_imaging_problems(m, n, data))
     problems.append(make_quadratic_saddle(6, 4, seed=3, lam=0.5).problem)
-    problems.append(make_ball_capped_saddle(6, 4, seed=3, radius_scale=0.3).problem)
+    problems.append(make_ball_capped_saddle(6, 4, seed=3).problem)
     for problem in problems:
         x = data.draw(arrays(np.float64, problem.primal_dim,
                              elements=st.one_of(ENTRY, st.floats(-5.0, 5.0))))
