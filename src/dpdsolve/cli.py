@@ -3,8 +3,10 @@
 Four subcommands: `deblur-gauss` and `deblur-sp` run the two imaging
 models and write the recovered image (PGM plus exact float sidecar) and
 a per-iteration history CSV; `synth-bench` checks every published gap
-guarantee on seeded dense instances; `rates` fits log-log slopes to the
-measured gap histories and compares them against the expected decay.
+guarantee on seeded dense instances and writes their gap histories;
+`rates` reads a directory of those histories, fits each log-log slope
+from k = max(10, T // 10) on (T the history's last iteration), as
+synth-bench's slope column does, and compares it with its window.
 
 Exit codes: 0 success, 2 bad configuration, 3 file I/O failure,
 4 divergence or numerical failure, 5 a guarantee or rate check failed,
@@ -109,13 +111,17 @@ def _require_finite(image: ImageGrid, what: str) -> ImageGrid:
 
 def _load_scene(args):
     """The clean image (None when only a degraded one is given) and the
-    --degraded-input image (None when the run degrades the clean one)."""
+    --degraded-input image (None when the run degrades the clean one),
+    refused when both are given on different grids."""
     clean = None
     if args.input:
         clean = _require_finite(_read_image(args.input), args.input)
     if args.degraded_input:
-        return clean, _require_finite(_read_image(args.degraded_input),
-                                      args.degraded_input)
+        observed = _require_finite(_read_image(args.degraded_input), args.degraded_input)
+        if clean is not None and (clean.m, clean.n) != (observed.m, observed.n):
+            raise ConfigurationError(f"--input is {clean.m}x{clean.n} but --degraded-input "
+                                     f"is {observed.m}x{observed.n}")
+        return clean, observed
     if clean is None:
         clean = make_phantom(args.size, args.size)
     return clean, None
@@ -282,6 +288,13 @@ def _run_bench_case(instance, regime, iters):
     return recorder
 
 
+def _slope(gaps) -> float:
+    """The log-log slope of a (t, gap) history from k = max(10, T // 10)
+    on, T its last iteration; an empty history is refused as too short."""
+    horizon = gaps[-1][0] if gaps else 0
+    return fit_loglog_slope(gaps, k_min=max(10, horizon // 10))
+
+
 def cmd_synth_bench(args) -> int:
     """Run every regime on certified dense instances and check the bounds."""
     strong, weak, capped = _bench_instances(args)
@@ -297,8 +310,7 @@ def cmd_synth_bench(args) -> int:
             if rec.bound is not None and rec.gap > rec.bound + BOUND_SLACK:
                 violations.append((tag, rec.t))
         gaps = recorder.series("gap")
-        slope = fit_loglog_slope(gaps, k_min=max(10, args.iters // 10)) \
-            if len(gaps) >= 20 else float("nan")
+        slope = _slope(gaps) if len(gaps) >= 20 else float("nan")
         final = recorder.records[-1]
         bound_txt = f"{final.bound:13.5e}" if final.bound is not None else " " * 13
         print(f"{tag:32s} {final.gap:13.5e} {bound_txt} {slope:8.3f}")
@@ -314,23 +326,15 @@ RATE_WINDOWS = {tag: rule.rate for tag, rule in REGIMES.items() if rule.rate}
 
 
 def cmd_rates(args) -> int:
-    """Fit gap decay slopes and compare them with the expected windows."""
+    """Fit the gap decay slopes of a synth-bench directory and compare
+    them with the expected windows."""
     series = {}
-    if args.from_dir:
-        for tag in RATE_WINDOWS:
-            path = os.path.join(args.from_dir, f"{tag}.csv")
-            records = read_history_csv(path)
-            series[tag] = [(r.t, r.gap) for r in records if r.gap is not None]
-    else:
-        strong, weak, capped = _bench_instances(args)
-        for inst, regime in _bench_runs(strong, weak, capped, args.iters):
-            tag = regime_tag(regime)
-            if tag in RATE_WINDOWS:
-                recorder = _run_bench_case(inst, regime, args.iters)
-                series[tag] = recorder.series("gap")
+    for tag in RATE_WINDOWS:
+        records = read_history_csv(os.path.join(args.from_dir, f"{tag}.csv"))
+        series[tag] = [(r.t, r.gap) for r in records if r.gap is not None]
     failed = []
     for tag, (lo, hi) in RATE_WINDOWS.items():
-        slope = fit_loglog_slope(series[tag], k_min=args.k_min)
+        slope = _slope(series[tag])
         ok = (lo is None or slope >= lo) and slope <= hi
         window = f"[{lo}, {hi}]" if lo is not None else f"<= {hi}"
         print(f"{tag:32s} slope {slope:8.3f}  expected {window:16s} "
@@ -402,27 +406,25 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--out-dir", default="synth-bench-out")
     pb.set_defaults(func=cmd_synth_bench)
 
-    pr = sub.add_parser("rates", help="fit and check gap decay slopes")
-    pr.add_argument("--from-dir",
-                    help="read synth-bench CSVs instead of running inline")
-    pr.add_argument("--dims", default="20,15")
-    pr.add_argument("--seed", type=int, default=42)
-    pr.add_argument("--iters", type=int, default=500)
-    pr.add_argument("--k-min", type=int, default=50)
+    pr = sub.add_parser("rates", help="fit and check a synth-bench run's gap slopes")
+    pr.add_argument("--from-dir", required=True, help="a synth-bench --out-dir")
     pr.set_defaults(func=cmd_rates)
 
     return parser
 
 
 def _check_args(args) -> None:
-    """Refuse a non-finite float option or a negative --seed, which numpy's
-    generators reject, before anything is built."""
+    """Refuse a non-finite float option, a negative --seed, which numpy's
+    generators reject, or an --iters below 1, before anything is built.
+    `rates` has neither --seed nor --iters."""
     for name, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             flag = "--" + name.replace("_", "-")
             raise ConfigurationError(f"{flag} must be finite, got {value!r}")
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise ConfigurationError(f"--seed must be nonnegative, got {args.seed}")
+    if getattr(args, "iters", 1) < 1:
+        raise ConfigurationError(f"--iters must be at least 1, got {args.iters}")
 
 
 def main(argv=None) -> int:

@@ -89,6 +89,16 @@ MUTANTS = [
     # The dual distance check made 2x more lenient.
     Mutant("dual distance check 2x lenient", "src/dpdsolve/diagnostics.py",
            "0.5 * consts.mu_g * float(dist) ** 2", "0.25 * consts.mu_g * float(dist) ** 2"),
+    # The CLI's slope window and two of its refusals before anything is built.
+    Mutant("slope window T // 20", "src/dpdsolve/cli.py",
+           "k_min=max(10, horizon // 10)", "k_min=max(10, horizon // 20)"),
+    Mutant("iters guard < 0", "src/dpdsolve/cli.py",
+           'if getattr(args, "iters", 1) < 1:', 'if getattr(args, "iters", 1) < 0:'),
+    Mutant("input size check removed", "src/dpdsolve/cli.py",
+           "        if clean is not None and (clean.m, clean.n) != (observed.m, observed.n):\n"
+           "            raise ConfigurationError(f\"--input is {clean.m}x{clean.n} but --degraded-input \"\n"
+           "                                     f\"is {observed.m}x{observed.n}\")\n",
+           ""),
 ]
 
 

@@ -106,7 +106,7 @@ COMMANDS = {
         "--fraction": floats("0.2"),
     },
     "synth-bench": {"--seed": ints(0, -1, 1)},
-    "rates": {"--seed": ints(0, -1, 1), "--k-min": ints(2, -1, 0, 1, 5)},
+    "rates": {},
 }
 
 # drawn on every deblur-gauss line: the default kernel does not fit 16 x 16
@@ -119,12 +119,13 @@ ITERS = ints(5, -1, 0, 1)
 @st.composite
 def command_lines(draw, paths):
     command = draw(st.sampled_from(sorted(COMMANDS)))
-    flags = draw(st.fixed_dictionaries({"--iters": ITERS},
-                                       optional=COMMANDS[command]))
+    # rates reads a synth-bench directory and takes no other flag
+    required = {} if command == "rates" else {"--iters": ITERS}
+    flags = draw(st.fixed_dictionaries(required, optional=COMMANDS[command]))
     root = paths["root"]
     if command == "deblur-gauss":
         flags["--kernel"] = draw(MOTION)
-    if command in ("synth-bench", "rates"):
+    if command == "synth-bench":
         flags["--dims"] = draw(DIMS)
     if command == "rates":
         if draw(st.booleans()):

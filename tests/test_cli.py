@@ -228,7 +228,7 @@ def test_synth_bench_bad_dims_is_a_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("command", ["synth-bench", "rates"])
+@pytest.mark.parametrize("command", ["synth-bench"])
 @pytest.mark.parametrize("dims", ["5,1", "13,5"])
 def test_degenerate_bench_dims_are_refused_before_any_instance(tmp_path, monkeypatch,
                                                                 capsys, command, dims):
@@ -238,9 +238,7 @@ def test_degenerate_bench_dims_are_refused_before_any_instance(tmp_path, monkeyp
         raise AssertionError("an instance was assembled")
 
     monkeypatch.setattr(bench, "_problem_from_data", refuse)
-    argv = [command, "--dims", dims, "--iters", "10"]
-    if command == "synth-bench":
-        argv += ["--out-dir", str(tmp_path / "x")]
+    argv = [command, "--dims", dims, "--iters", "10", "--out-dir", str(tmp_path / "x")]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     n_primal, n_dual = dims.split(",")
@@ -288,6 +286,61 @@ def test_rates_from_dir_fails_on_flat_series(tmp_path, capsys):
 
 def test_rates_from_dir_missing_file_is_an_io_error(tmp_path):
     assert main(["rates", "--from-dir", str(tmp_path)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates"],
+    ["rates", "--dims", "20,15", "--from-dir", "D"],
+], ids=["no-from-dir", "dims"])
+def test_rates_takes_only_a_synth_bench_directory(argv):
+    # rates no longer runs the instances itself, so it needs a directory
+    # and refuses the flags of the run it used to make
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+
+
+def _printed_slopes(text):
+    """{tag: slope} from synth-bench's table or rates' verdict lines."""
+    slopes = {}
+    for line in text.splitlines():
+        cells = line.split()
+        if cells and cells[0] in cli.RATE_WINDOWS:
+            slopes[cells[0]] = cells[2] if cells[1] == "slope" else cells[-1]
+    return slopes
+
+
+def test_rates_prints_the_slopes_synth_bench_printed(tmp_path, capsys):
+    # at 200 iterations both fit from k = 20; rates used to fit from 50
+    out = tmp_path / "bench"
+    assert main(["synth-bench", "--iters", "200", "--out-dir", str(out)]) == EXIT_OK
+    bench_slopes = _printed_slopes(capsys.readouterr().out)
+    assert main(["rates", "--from-dir", str(out)]) == EXIT_OK
+    rates_slopes = _printed_slopes(capsys.readouterr().out)
+    assert set(bench_slopes) == set(cli.RATE_WINDOWS)
+    assert rates_slopes == bench_slopes
+
+
+@pytest.mark.parametrize("horizon, k_min", [(30, 10), (500, 50), (2000, 200)])
+def test_the_slope_fit_starts_at_a_tenth_of_the_horizon(monkeypatch, horizon, k_min):
+    seen = []
+    monkeypatch.setattr(cli, "fit_loglog_slope",
+                        lambda gaps, k_min: seen.append(k_min) or -1.0)
+    assert cli._slope([(k, 1.0 / k) for k in range(1, horizon + 1)]) == -1.0
+    assert seen == [k_min]
+
+
+def test_rates_refuses_a_header_only_history(tmp_path, capsys):
+    # an empty history has no last iteration to set the fit's window from
+    ks = range(1, 201)
+    for tag in cli.RATE_WINDOWS:
+        write_history_csv(tmp_path / f"{tag}.csv",
+                          [HistoryRecord(t=k, gap=1.0 / k**2) for k in ks])
+    write_history_csv(tmp_path / "edpd-weakly-convex.csv", [])
+    assert main(["rates", "--from-dir", str(tmp_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: need at least 10")
+    assert "Traceback" not in captured.err
 
 
 def test_recovered_images_round_trip_through_both_formats(tmp_path):
@@ -422,8 +475,7 @@ def test_non_finite_image_inputs_are_refused_before_the_run(tmp_path, monkeypatc
     ["deblur-gauss", "--size", "32", "--seed", "-1"],
     ["deblur-sp", "--seed", "-1"],
     ["synth-bench", "--seed", "-1"],
-    ["rates", "--seed", "-5"],
-], ids=["deblur-gauss", "deblur-sp", "synth-bench", "rates"])
+], ids=["deblur-gauss", "deblur-sp", "synth-bench"])
 def test_a_negative_seed_is_refused_before_anything_is_built(tmp_path, monkeypatch,
                                                             capsys, argv):
     # numpy's generators reject a negative seed; this used to end in a
@@ -434,11 +486,51 @@ def test_a_negative_seed_is_refused_before_anything_is_built(tmp_path, monkeypat
     for name in ("make_phantom", "make_quadratic_saddle", "make_ball_capped_saddle"):
         monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "x"
-    if argv[0] != "rates":
-        argv = argv + ["--out-dir", str(out)]
-    assert main(argv) == EXIT_CONFIG
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: --seed") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("iters", ["0", "-3"])
+@pytest.mark.parametrize("command", ["deblur-gauss", "deblur-sp", "synth-bench"])
+def test_an_iters_below_one_is_refused_before_anything_is_built(tmp_path, monkeypatch,
+                                                               capsys, command, iters):
+    # synth-bench --iters 0 used to build its instances, make its out-dir
+    # and print its table header before a regime refused the horizon
+    def refuse(*args, **kwargs):
+        raise AssertionError("something was built")
+
+    for name in ("make_phantom", "make_quadratic_saddle", "make_ball_capped_saddle",
+                 "build_gaussian_problem", "build_saltpepper_problem"):
+        monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "x"
+    assert main([command, f"--iters={iters}", "--out-dir", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --iters") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["deblur-gauss", "deblur-sp"])
+def test_input_and_degraded_input_of_different_sizes_are_refused(tmp_path, monkeypatch,
+                                                                 capsys, command):
+    # the problem used to be built and one iteration run before the
+    # observer raised on the SNR of mismatched shapes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(cli, "build_gaussian_problem", refuse)
+    monkeypatch.setattr(cli, "build_saltpepper_problem", refuse)
+    write_dpdf(tmp_path / "clean.dpdf", make_phantom(32, 32))
+    write_dpdf(tmp_path / "degraded.dpdf", make_phantom(40, 40))
+    out = tmp_path / "x"
+    assert main([command, "--input", str(tmp_path / "clean.dpdf"),
+                 "--degraded-input", str(tmp_path / "degraded.dpdf"),
+                 "--kernel", "3,0" if command == "deblur-gauss" else "3",
+                 "--iters", "2", "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "32x32" in err and "40x40" in err and "Traceback" not in err
     assert not out.exists()
 
 
