@@ -112,7 +112,7 @@ def edpd_step(state: SolverState, problem: SaddleProblem, params: EdpdParams,
         )
     work = state.work if state.work is not None else Workspace(problem)
     eta = params.eta
-    z = work.adjoint(state.yhat, out=work.x)
+    z = work.coupling(state)
     z *= eta
     np.subtract(state.x, z, out=z)
     x_old = state.x

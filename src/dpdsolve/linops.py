@@ -32,6 +32,12 @@ Array = np.ndarray
 BLOCK = 8192
 
 
+# A fused pass, which makes several operations on each block before it
+# moves on (the TV dual half-step, the gradient step), takes blocks of
+# FUSED_BLOCKS * BLOCK entries, so that its numpy calls are fewer.
+FUSED_BLOCKS = 4
+
+
 def blocks(size: int, *dtypes):
     """Cover range(size) in blocks of 64 KiB: yield each block's slice,
     then, for each of `dtypes`, a scratch array of that dtype cut to the
@@ -337,33 +343,50 @@ class DifferenceOperator2D:
 
     def apply(self, x, out=None) -> Array:
         x = _as_vector(x, self.dims[0], "input")
-        m, mn = self.m, self.m * self.n
-        out = output_vector(out, 2 * mn, x)
-        dv, dh = out[:mn], out[mn:]
-        # Vertical: the neighbour below is the next flat entry, except in
-        # each column's last row, which wraps to the column's first.
-        np.subtract(x[1:], x[:-1], out=dv[:-1])
-        np.subtract(x[::m], x[m - 1 :: m], out=dv[m - 1 :: m])
-        # Horizontal: the neighbour to the right is m entries on, except
-        # in the last column, which wraps to the first.
-        np.subtract(x[m:], x[:-m], out=dh[: mn - m])
-        np.subtract(x[:m], x[mn - m :], out=dh[mn - m :])
+        out = output_vector(out, self.dims[1], x)
+        self.apply_columns(x, 0, x.size, out[: x.size], out[x.size :])
         return out
 
+    def apply_columns(self, x, lo: int, hi: int, dv: Array, dh: Array) -> None:
+        """The vertical and horizontal differences of pixels lo .. hi - 1,
+        whole columns of the grid, into dv and dh (of length hi - lo)."""
+        m, mn = self.m, self.m * self.n
+        # Vertical: the neighbour below is the next flat entry, except in
+        # each column's last row, which wraps to the column's first.
+        np.subtract(x[lo + 1 : hi], x[lo : hi - 1], out=dv[:-1])
+        np.subtract(x[lo:hi:m], x[lo + m - 1 : hi : m], out=dv[m - 1 :: m])
+        # Horizontal: the neighbour to the right is m entries on, except
+        # in the last column, which wraps to the first.
+        last = min(hi, mn - m)
+        np.subtract(x[lo + m : last + m], x[lo:last], out=dh[: last - lo])
+        if hi == mn:
+            np.subtract(x[:m], x[mn - m :], out=dh[hi - lo - m :])
+
     def adjoint(self, y, out=None) -> Array:
+        """D* y, in blocks of whole columns (see `adjoint_columns`)."""
         y = _as_vector(y, self.dims[1], "input")
+        out = output_vector(out, self.dims[0], y)
+        width = max(1, BLOCK // self.m) * self.m
+        scratch = np.empty(min(width, out.size))
+        for lo in range(0, out.size, width):
+            self.adjoint_columns(y, lo, min(lo + width, out.size), out, scratch)
+        return out
+
+    def adjoint_columns(self, y, lo: int, hi: int, out: Array, scratch: Array) -> None:
+        """out[lo:hi] of D* y, for pixels lo .. hi - 1, whole columns, from
+        the columns of y up to hi; `scratch` holds hi - lo floats. The
+        horizontal part of column 0 wraps to the last column, so the block
+        that ends the grid adds it: blocks are taken in order."""
         m, mn = self.m, self.m * self.n
         v, h = y[:mn], y[mn:]
-        out = output_vector(out, mn, y)
-        np.subtract(v[:-1], v[1:], out=out[1:])
-        np.subtract(v[m - 1 :: m], v[::m], out=out[::m])
-        # out += the horizontal part h[i - m] - h[i] (indices mod mn): the
-        # first column wraps to the last, and the rest is formed in blocks
-        out[:m] += h[mn - m :] - h[:m]
-        for blk, p in blocks(mn - m, float):
-            lo, hi = blk.start, blk.stop
-            out[lo + m : hi + m] += np.subtract(h[lo:hi], h[lo + m : hi + m], out=p)
-        return out
+        np.subtract(v[lo : hi - 1], v[lo + 1 : hi], out=out[lo + 1 : hi])
+        np.subtract(v[lo + m - 1 : hi : m], v[lo:hi:m], out=out[lo:hi:m])
+        # out += the horizontal part h[i - m] - h[i] (indices mod mn)
+        first = max(lo, m)
+        out[first:hi] += np.subtract(h[first - m : hi - m], h[first:hi],
+                                     out=scratch[: hi - first])
+        if hi == mn:
+            out[:m] += np.subtract(h[mn - m :], h[:m], out=scratch[:m])
 
 
 class ConvolutionOperator2D:

@@ -36,26 +36,54 @@ def project_ball2_pairs(y, out=None) -> Array:
     Pairs already inside the disk pass through unchanged. The result is
     a new array, or `out` when one is given, which may be `y` itself but
     must not otherwise share memory with it. The pairs are projected in
-    blocks (see `linops.blocks`), each block of `out` written after the
-    same block of y is read, so no image-sized temporary is made.
+    blocks (see `linops.blocks` and `project_pair_block`), so no
+    image-sized temporary is made.
     """
     a, b = _pair_split(y)
     out = output_vector(out, 2 * a.size, y, same_ok=True)
     out_a, out_b = out[: a.size], out[a.size :]
-    with np.errstate(over="ignore"):
-        for blk, nb, square in blocks(a.size, float, float):
-            pa, pb = a[blk], b[blk]
-            np.multiply(pa, pa, out=nb)
-            nb += np.multiply(pb, pb, out=square)
-            np.sqrt(nb, out=nb)
-            # fmax skips a nan norm, so that an overflowed one is never missed
-            if np.fmax.reduce(nb) == np.inf:
-                overflowed = np.isinf(nb)
-                nb[overflowed] = np.hypot(pa[overflowed], pb[overflowed])
-            np.maximum(nb, 1.0, out=nb)
-            np.divide(pa, nb, out=out_a[blk])
-            np.divide(pb, nb, out=out_b[blk])
+    if not np.may_share_memory(out, a):
+        out_a[...], out_b[...] = a, b
+    for blk, s, square, outside in blocks(a.size, float, float, bool):
+        project_pair_block(out_a[blk], out_b[blk], s, square, outside)
     return out
+
+
+def project_pair_block(a: Array, b: Array, s: Array, square: Array,
+                       outside: Array) -> bool:
+    """Project the pairs (a[i], b[i]) onto the unit disk in place, and
+    say whether every projected pair is finite.
+
+    `s`, `square` (float) and `outside` (bool), each of len(a), are
+    scratch. Only the pairs whose squared norm s is not <= 1, nan and
+    inf included, are divided by max(sqrt(s), 1), with hypot in place of
+    a sqrt that overflowed; a pair with s <= 1 has sqrt(s) <= 1, and
+    dividing by 1 is exact, so every entry has the bits of dividing all
+    pairs. A pair inside the disk is finite, and a finite pair outside
+    projects into it, so the finiteness of the block is read off the
+    pairs outside alone. Their indices are the one array the call
+    allocates (barring an overflow); the rest is formed in the scratch.
+    """
+    with np.errstate(over="ignore"):
+        np.multiply(a, a, out=s)
+        s += np.multiply(b, b, out=square)
+    idx = np.flatnonzero(np.logical_not(np.less_equal(s, 1.0, out=outside), out=outside))
+    if idx.size == 0:
+        return True
+    norm = square[: idx.size]
+    # mode="clip" takes into `out` unbuffered; every index is in range
+    np.sqrt(np.take(s, idx, out=norm, mode="clip"), out=norm)
+    # fmax skips a nan norm, so that an overflowed one is never missed
+    if np.fmax.reduce(norm) == np.inf:
+        overflowed = np.isinf(norm)
+        norm[overflowed] = np.hypot(a[idx[overflowed]], b[idx[overflowed]])
+    np.maximum(norm, 1.0, out=norm)
+    total = 0.0
+    for v in (a, b):
+        projected = np.take(v, idx, out=s[: idx.size], mode="clip")
+        v[idx] = np.divide(projected, norm, out=projected)
+        total += projected @ projected
+    return math.isfinite(total)
 
 
 def project_box(u, lo: float, hi: float, out=None) -> Array:

@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import linops
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
 from .linops import staggered_empty, sum_of_squares, with_out
 from .model import (Array, IterationSnapshot, Observer, SaddleProblem, SolverConsts,
@@ -115,6 +116,10 @@ class Workspace:
     spare, so the buffers rotate with the iterates. A step forms A* yhat,
     the primal update's coupling term, in the spare primal buffer.
 
+    A problem with a fused dual half-step (see `SaddleProblem`) gets it
+    made here, with its block scratch, and `dual_step` calls it in place
+    of `A.apply` and `g.prox`.
+
     Whether each of `A.apply`, `A.adjoint`, `f.grad`, `f.prox` and
     `g.prox` takes `out=` is decided once, here: the calls below pass
     `out=` either way (see `linops.with_out`), and the steps use the
@@ -130,8 +135,8 @@ class Workspace:
     takes f.grad at it, and `gradient` returns what was requested. This
     is the run's one concurrency rule: only f.grad and the forming of
     its point run on the worker, and they may overlap `A.adjoint`,
-    `A.apply`, `g.prox` and the observer; every other call runs on the
-    thread that called the step.
+    `A.apply`, `g.prox`, the fused dual step and the observer; every
+    other call runs on the thread that called the step.
     """
 
     def __init__(self, problem: SaddleProblem, grad_point=None,
@@ -139,6 +144,8 @@ class Workspace:
         self.apply = with_out(problem.A.apply)
         self.adjoint = with_out(problem.A.adjoint)
         self.g_prox = with_out(problem.g.prox)
+        self.fused_dual = problem.fused_dual_step and problem.fused_dual_step()
+        self.coupling_ready = False
         f = problem.f
         self.f_grad = None if f.grad is None else with_out(f.grad)
         self.f_prox = None if f.prox is None else with_out(f.prox)
@@ -157,6 +164,11 @@ class Workspace:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(max_workers=1)
+
+    def coupling(self, state: SolverState) -> Array:
+        """A* yhat in the spare primal buffer: taken now, or, once a fused
+        dual step has run, the one it formed there."""
+        return self.x if self.coupling_ready else self.adjoint(state.yhat, out=self.x)
 
     def gradient(self, state: SolverState, params) -> Array:
         """The gradient for an iteration with step sizes `params`, in the
@@ -199,16 +211,41 @@ def _all_finite(v: Array) -> bool:
     return math.isfinite(v.min()) and math.isfinite(v.max())
 
 
-def accept_primal(state: SolverState, x_next: Array, weight: float,
-                  scratch: Array) -> None:
+def accept_primal(state: SolverState, x_next: Array, weight: float, scratch: Array,
+                  grad: Optional[Array] = None, eta: float = 0.0) -> None:
     """Make `x_next` the primal iterate t + 1, add it to the primal
     aggregate with weight `weight`, and advance `t`. `scratch` is a
-    primal-size array other than x_next that the call may overwrite once
-    x_next is accepted (it may be the replaced iterate)."""
-    if not _all_finite(x_next):
-        raise DivergenceError(f"primal iterate {state.t + 1} is not finite")
+    primal-size array other than x_next that the call overwrites (it may
+    be the replaced iterate).
+
+    With `grad`, x_next is the current iterate and scratch holds A* yhat:
+    the call steps x_next in place to x_next - eta (grad + scratch) in
+    one pass over blocks of `linops.FUSED_BLOCKS * linops.BLOCK` entries,
+    each block formed, checked to be finite and added to the aggregate
+    before the next is read. Without it, x_next is one block. Each entry
+    gets the operations of the whole-array formula, so blocking changes
+    no bits, and one block makes that formula's calls. scratch keeps the
+    old aggregate of each block but the last, which a block that is not
+    finite puts back before it raises DivergenceError, so that the
+    aggregate is left as it was."""
+    agg, size = state.agg_num_x, x_next.size
+    span = size if grad is None else linops.FUSED_BLOCKS * linops.BLOCK
+    spare = np.empty(span) if size > span else None
+    for lo in range(0, size, span):
+        hi = min(lo + span, size)
+        x_blk, product = x_next[lo:hi], scratch[lo:hi]
+        if grad is not None:
+            product += grad[lo:hi]
+            product *= eta
+            x_blk -= product
+        if not _all_finite(x_blk):
+            agg[:lo] = scratch[:lo]
+            raise DivergenceError(f"primal iterate {state.t + 1} is not finite")
+        if hi < size:
+            np.copyto(product, agg[lo:hi])
+            product = spare
+        agg[lo:hi] += np.multiply(x_blk, weight, out=product)
     state.x = x_next
-    state.agg_num_x += np.multiply(x_next, weight, out=scratch)
     state.agg_den += weight
     state.t += 1
 
@@ -222,19 +259,28 @@ def dual_step(state: SolverState, work: Workspace, tau: float, alpha: float,
     running aggregate with weight `weight`. `A x` goes into the spare
     dual buffer, the prox input is formed there and the prox writes the
     new iterate over it; the old iterate's buffer serves as scratch for
-    the aggregate and then becomes the spare.
+    the aggregate and then becomes the spare. A problem's fused step, if
+    it has one, does all of this in one blocked pass instead; a
+    divergence it finds may leave `yhat` and the dual aggregate partly
+    updated.
     """
-    z = work.apply(state.x, out=work.y)
-    z *= tau
-    z += state.y
-    y_next = work.g_prox(z, tau, mu_g, out=z)
-    if not _all_finite(y_next):
-        raise DivergenceError(f"dual iterate {state.t} is not finite")
     y_old = state.y
-    np.subtract(y_next, y_old, out=state.yhat)
-    state.yhat *= alpha
-    state.yhat += y_next
-    state.agg_num_y += np.multiply(y_next, weight, out=y_old)
+    if work.fused_dual is not None:
+        y_next = work.y
+        if not work.fused_dual(state, y_next, work.x, tau, alpha, mu_g, weight):
+            raise DivergenceError(f"dual iterate {state.t} is not finite")
+        work.coupling_ready = True
+    else:
+        z = work.apply(state.x, out=work.y)
+        z *= tau
+        z += y_old
+        y_next = work.g_prox(z, tau, mu_g, out=z)
+        if not _all_finite(y_next):
+            raise DivergenceError(f"dual iterate {state.t} is not finite")
+        np.subtract(y_next, y_old, out=state.yhat)
+        state.yhat *= alpha
+        state.yhat += y_next
+        state.agg_num_y += np.multiply(y_next, weight, out=y_old)
     state.y = y_next
     work.y = y_old
     return state
@@ -337,18 +383,22 @@ def find_rule(rules: dict, regime) -> RegimeRule:
 # hand-off was no slower threaded, 1.30 against 1.32 s at 256 x 256 and
 # 5.48 against 5.94 s at 512 x 512.
 # deblur-gauss, ldpd, 200 iterations, in process, one BLAS thread, on a
-# 2-vCPU Xeon VM; threaded (gate 0) against in line, alternating, two
-# sets of medians of 5 runs (s):
+# 2-vCPU Xeon VM, with the dual half fused into one blocked pass (see
+# `SaddleProblem.fused_dual_step`); threaded (gate 0) against in line,
+# alternating, two sets of medians of 5 runs (s):
 #
 #   size        threaded       in line        ratio
-#   256 x 256   0.619, 0.527   0.652, 0.515   0.95, 1.02
-#   288 x 288   1.005, 0.898   0.931, 0.737   1.08, 1.22
-#   320 x 320   1.076, 0.888   1.054, 0.908   1.02, 0.98
-#   352 x 352   0.970, 1.234   1.315, 1.282   0.74, 0.96
-#   384 x 384   0.955, 0.976   1.417, 1.408   0.67, 0.69
+#   256 x 256   0.416, 0.439   0.389, 0.422   1.07, 1.04
+#   288 x 288   0.549, 0.543   0.500, 0.531   1.10, 1.02
+#   320 x 320   0.658, 0.659   0.644, 0.657   1.02, 1.00
+#   352 x 352   0.865, 0.859   0.860, 0.847   1.01, 1.01
+#   384 x 384   0.964, 0.973   0.926, 0.989   1.04, 0.98
+#   416 x 416   1.117, 0.888   1.283, 1.198   0.87, 0.74
+#   448 x 448   0.888, 0.886   1.384, 1.346   0.64, 0.66
+#   512 x 512   1.061, 1.095   1.638, 1.651   0.65, 0.66
 #
-# Threading wins in both sets from 352 x 352 up, so the gate sits there.
-GRAD_AHEAD_MIN_PRIMAL_DIM = 352 * 352
+# Threading wins in both sets from 416 x 416 up, so the gate sits there.
+GRAD_AHEAD_MIN_PRIMAL_DIM = 416 * 416
 
 
 @dataclass

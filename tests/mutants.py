@@ -9,8 +9,10 @@ the digests are re-recorded whenever bits move on purpose, so they must
 not be the only guard of a result. pytest stops at the first failure,
 so a killed mutant costs less than a full run; a survivor costs one
 (about 15 s). The unmutated copy runs first and must pass, or every
-mutant would count as killed. The script prints each mutant's fate,
-then the survivors, and exits 1 if there are any.
+mutant would count as killed; when it fails, the end of its pytest
+output is printed, so that the failing test is named. The script
+prints each mutant's fate, then the survivors, and exits 1 if there
+are any.
 
 Run it by hand from the repository root; it is not part of tier-1 or
 CI, and pytest does not collect it:
@@ -99,7 +101,18 @@ MUTANTS = [
            "            raise ConfigurationError(f\"--input is {clean.m}x{clean.n} but --degraded-input \"\n"
            "                                     f\"is {observed.m}x{observed.n}\")\n",
            ""),
+    # The disk projection, the fused dual step and the blocked primal step.
+    Mutant("disk projection skips pairs just outside", "src/dpdsolve/prox.py",
+           "np.less_equal(s, 1.0, out=outside)", "np.less_equal(s, 1.0 + 1e-15, out=outside)"),
+    Mutant("fused dual step ignores a non-finite block", "src/dpdsolve/imaging.py",
+           "if not project_pair_block(z[0], z[1], *scratch[:, :k], outside[:k]):",
+           "if not project_pair_block(z[0], z[1], *scratch[:, :k], outside[:k]) and False:"),
+    Mutant("blocked primal step keeps no old aggregate", "src/dpdsolve/solver.py",
+           "            agg[:lo] = scratch[:lo]\n", ""),
 ]
+
+# Lines of a failing unmutated copy's pytest output to print.
+TAIL_LINES = 40
 
 
 def _copy_tree(dest: Path) -> None:
@@ -110,9 +123,9 @@ def _copy_tree(dest: Path) -> None:
         shutil.copy2(ROOT / name, dest / name)
 
 
-def killed(mutant: Optional[Mutant]) -> bool:
-    """Whether tier-1, less the digests, fails on a copy with `mutant`
-    (None: the copy as it is)."""
+def tier1(mutant: Optional[Mutant]) -> subprocess.CompletedProcess:
+    """Tier-1, less the digests, on a copy with `mutant` (None: the copy
+    as it is), its output and errors in `stdout`."""
     with tempfile.TemporaryDirectory(prefix="dpdsolve-mutant-") as tmp:
         copy = Path(tmp)
         _copy_tree(copy)
@@ -127,8 +140,8 @@ def killed(mutant: Optional[Mutant]) -> bool:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              "--ignore=tests/test_byte_identity.py", "tests"],
-            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        return proc.returncode != 0
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        return proc
 
 
 def main(names) -> int:
@@ -136,12 +149,14 @@ def main(names) -> int:
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
         raise SystemExit(f"unknown mutants: {sorted(unknown)}")
-    if killed(None):
-        raise SystemExit("tier-1 fails on the unmutated copy")
+    unmutated = tier1(None)
+    if unmutated.returncode != 0:
+        tail = "\n".join(unmutated.stdout.splitlines()[-TAIL_LINES:])
+        raise SystemExit(f"tier-1 fails on the unmutated copy; its output ends:\n{tail}")
     survivors = []
     for mutant in chosen:
         start = time.perf_counter()
-        fate = "killed" if killed(mutant) else "SURVIVED"
+        fate = "killed" if tier1(mutant).returncode != 0 else "SURVIVED"
         print(f"{fate:8s} {time.perf_counter() - start:6.1f} s  {mutant.name}", flush=True)
         if fate == "SURVIVED":
             survivors.append(mutant.name)

@@ -403,6 +403,63 @@ def test_tv_dual_prox_and_the_aliased_projection_match_the_parent_formula(
         assert_bitwise(u, expected)
 
 
+def _pairs_around_the_unit_circle():
+    """Pairs whose squared norm a*a + b*b is 1 - 2 ulp, 1 - 1 ulp, exactly
+    1, and 1 + k ulp for k = 1 .. 6, found by stepping b ulp by ulp up
+    from sqrt(1 - a*a), for a few a of either sign."""
+    targets = [np.nextafter(np.nextafter(1.0, 0.0), 0.0), np.nextafter(1.0, 0.0), 1.0]
+    for _ in range(6):
+        targets.append(np.nextafter(targets[-1], 2.0))
+    pairs = []
+    for a in (0.6668959017160944, -0.34011017524984455, 0.10885955911848985):
+        b = np.sqrt(1.0 - a * a) * 0.999999999999995
+        for _ in range(200):
+            if a * a + b * b in targets:
+                pairs.append((a, b))
+            b = np.nextafter(b, 2.0)
+    found = {a * a + b * b for a, b in pairs}
+    assert found == set(targets), sorted(found)
+    return pairs
+
+
+EXTREME_PAIRS = [
+    (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+    (5e-324, -5e-324), (-2.2250738585072014e-308, 1e-310), (1e-300, -1e-300),
+    (1e300, 1e300), (-1e300, 3.0), (1e-300, -1e300), (1e200, -3e200),
+    (np.inf, 0.0), (-np.inf, 1e300), (np.inf, -np.inf), (0.5, -np.inf),
+    (np.nan, 0.5), (0.3, -np.nan), (np.nan, np.inf), (-np.nan, -0.0),
+    (1.0, 2.0**-26), (0.0, -1.0), (-1.0, -0.0), (0.6, 0.8), (3.0, -4.0),
+]
+
+
+@pytest.mark.parametrize("block", [1, 3, linops.BLOCK])
+def test_sparse_disk_projection_keeps_the_bits_of_dividing_every_pair(block):
+    # Only pairs whose squared norm is not <= 1 are divided. Inside the
+    # disk the division by max(norm, 1) = 1 is exact, so the result must
+    # equal the reference's bits everywhere, sign bits of zeros and nans
+    # included, at the edge of the disk, for subnormal, huge, infinite
+    # and nan pairs, in place and out of place.
+    rng = np.random.default_rng(17)
+    pairs = EXTREME_PAIRS + _pairs_around_the_unit_circle()
+    pairs += [tuple(p) for p in rng.standard_normal((40, 2)) * 0.8]
+    order = rng.permutation(len(pairs))
+    a = np.array([pairs[i][0] for i in order])
+    b = np.array([pairs[i][1] for i in order])
+    y = np.concatenate([a, b])
+    with np.errstate(invalid="ignore"), mock.patch.object(linops, "BLOCK", block):
+        expected = ref_project_ball2_pairs(y)
+        assert_bitwise(project_ball2_pairs(y), expected)
+        out = np.full(y.size, -np.nan)
+        assert project_ball2_pairs(y, out=out) is out
+        assert_bitwise(out, expected)
+        u = y.copy()
+        assert project_ball2_pairs(u, out=u) is u
+        assert_bitwise(u, expected)
+    # the pairs just outside the disk did move
+    moved = ~np.isnan(y) & (y != expected)
+    assert moved.sum() >= 8
+
+
 @SETTINGS
 @given(grid_and_vectors(1), st.floats(0.1, 1e4))
 def test_gaussian_gradient_matches_the_parent_formula(case, mu):
