@@ -188,8 +188,11 @@ def ldpd_step(state: SolverState, problem: SaddleProblem, params: LdpdParams,
             "this solver takes gradient steps; the primal oracle has no grad"
         )
     work = state.work if state.work is not None else Workspace(problem, gradient_point)
-    accept_primal(state, state.x, weight, work.coupling(state),
-                  work.gradient(state, params), params.eta)
+    direction = work.coupling(state)
+    np.add(work.gradient(state, params), direction, out=direction)
+    direction *= params.eta
+    state.x -= direction
+    accept_primal(state, state.x, weight, direction)
     work.request_gradient(state, state.t)
     return dual_step(state, work, params.tau, alpha, mu_g, weight)
 

@@ -33,8 +33,8 @@ BLOCK = 8192
 
 
 # A fused pass, which makes several operations on each block before it
-# moves on (the TV dual half-step, the gradient step), takes blocks of
-# FUSED_BLOCKS * BLOCK entries, so that its numpy calls are fewer.
+# moves on (the TV dual half-step), takes blocks of FUSED_BLOCKS * BLOCK
+# entries, so that its numpy calls are fewer.
 FUSED_BLOCKS = 4
 
 

@@ -92,7 +92,8 @@ class DualProxOracle:
 class SaddleProblem:
     """A bilinearly coupled min-max problem.
 
-    `fused_dual_step`, when given, is called once per run and returns
+    `fused_dual_step`, when given, is called with the problem once per
+    run and returns None, for the generic path, or
     step(state, out, coupling, tau, alpha, mu_g, weight), a fused form of
     the dual half-step a run takes otherwise (see `solver.dual_step`): it
     writes y+ = prox_{tau g}(state.y + tau A state.x) into `out`, the
@@ -103,8 +104,8 @@ class SaddleProblem:
     the first part of y+ that is not finite. It runs on the thread that
     calls the step and writes nothing else: not `state.y`, `state.x` or
     the primal aggregate. It stands for `A.apply`, `g.prox` and
-    `A.adjoint` as the problem was built, so replacing one of them
-    afterwards does not change what it does.
+    `A.adjoint`, so it must return None once one of them is not the one
+    it stands for.
     """
 
     f: PrimalOracle
@@ -112,7 +113,7 @@ class SaddleProblem:
     A: LinearOperator
     primal_dim: int
     dual_dim: int
-    fused_dual_step: Optional[Callable[[], Callable]] = None
+    fused_dual_step: Optional[Callable[["SaddleProblem"], Optional[Callable]]] = None
 
     def __post_init__(self):
         if self.primal_dim < 1 or self.dual_dim < 1:

@@ -68,13 +68,12 @@ def project_pair_block(a: Array, b: Array, s: Array, square: Array,
         np.multiply(a, a, out=s)
         s += np.multiply(b, b, out=square)
     idx = np.flatnonzero(np.logical_not(np.less_equal(s, 1.0, out=outside), out=outside))
-    if idx.size == 0:
-        return True
     norm = square[: idx.size]
     # mode="clip" takes into `out` unbuffered; every index is in range
     np.sqrt(np.take(s, idx, out=norm, mode="clip"), out=norm)
-    # fmax skips a nan norm, so that an overflowed one is never missed
-    if np.fmax.reduce(norm) == np.inf:
+    # fmax skips a nan norm, so that an overflowed one is never missed;
+    # `initial` serves a block with no pair outside
+    if np.fmax.reduce(norm, initial=0.0) == np.inf:
         overflowed = np.isinf(norm)
         norm[overflowed] = np.hypot(a[idx[overflowed]], b[idx[overflowed]])
     np.maximum(norm, 1.0, out=norm)

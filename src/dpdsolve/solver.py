@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import linops
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
 from .linops import staggered_empty, sum_of_squares, with_out
 from .model import (Array, IterationSnapshot, Observer, SaddleProblem, SolverConsts,
@@ -144,7 +143,7 @@ class Workspace:
         self.apply = with_out(problem.A.apply)
         self.adjoint = with_out(problem.A.adjoint)
         self.g_prox = with_out(problem.g.prox)
-        self.fused_dual = problem.fused_dual_step and problem.fused_dual_step()
+        self.fused_dual = problem.fused_dual_step and problem.fused_dual_step(problem)
         self.coupling_ready = False
         f = problem.f
         self.f_grad = None if f.grad is None else with_out(f.grad)
@@ -211,41 +210,16 @@ def _all_finite(v: Array) -> bool:
     return math.isfinite(v.min()) and math.isfinite(v.max())
 
 
-def accept_primal(state: SolverState, x_next: Array, weight: float, scratch: Array,
-                  grad: Optional[Array] = None, eta: float = 0.0) -> None:
+def accept_primal(state: SolverState, x_next: Array, weight: float,
+                  scratch: Array) -> None:
     """Make `x_next` the primal iterate t + 1, add it to the primal
     aggregate with weight `weight`, and advance `t`. `scratch` is a
-    primal-size array other than x_next that the call overwrites (it may
-    be the replaced iterate).
-
-    With `grad`, x_next is the current iterate and scratch holds A* yhat:
-    the call steps x_next in place to x_next - eta (grad + scratch) in
-    one pass over blocks of `linops.FUSED_BLOCKS * linops.BLOCK` entries,
-    each block formed, checked to be finite and added to the aggregate
-    before the next is read. Without it, x_next is one block. Each entry
-    gets the operations of the whole-array formula, so blocking changes
-    no bits, and one block makes that formula's calls. scratch keeps the
-    old aggregate of each block but the last, which a block that is not
-    finite puts back before it raises DivergenceError, so that the
-    aggregate is left as it was."""
-    agg, size = state.agg_num_x, x_next.size
-    span = size if grad is None else linops.FUSED_BLOCKS * linops.BLOCK
-    spare = np.empty(span) if size > span else None
-    for lo in range(0, size, span):
-        hi = min(lo + span, size)
-        x_blk, product = x_next[lo:hi], scratch[lo:hi]
-        if grad is not None:
-            product += grad[lo:hi]
-            product *= eta
-            x_blk -= product
-        if not _all_finite(x_blk):
-            agg[:lo] = scratch[:lo]
-            raise DivergenceError(f"primal iterate {state.t + 1} is not finite")
-        if hi < size:
-            np.copyto(product, agg[lo:hi])
-            product = spare
-        agg[lo:hi] += np.multiply(x_blk, weight, out=product)
+    primal-size array other than x_next that the call may overwrite once
+    x_next is accepted (it may be the replaced iterate)."""
+    if not _all_finite(x_next):
+        raise DivergenceError(f"primal iterate {state.t + 1} is not finite")
     state.x = x_next
+    state.agg_num_x += np.multiply(x_next, weight, out=scratch)
     state.agg_den += weight
     state.t += 1
 
@@ -388,17 +362,19 @@ def find_rule(rules: dict, regime) -> RegimeRule:
 # alternating, two sets of medians of 5 runs (s):
 #
 #   size        threaded       in line        ratio
-#   256 x 256   0.416, 0.439   0.389, 0.422   1.07, 1.04
-#   288 x 288   0.549, 0.543   0.500, 0.531   1.10, 1.02
-#   320 x 320   0.658, 0.659   0.644, 0.657   1.02, 1.00
-#   352 x 352   0.865, 0.859   0.860, 0.847   1.01, 1.01
-#   384 x 384   0.964, 0.973   0.926, 0.989   1.04, 0.98
-#   416 x 416   1.117, 0.888   1.283, 1.198   0.87, 0.74
-#   448 x 448   0.888, 0.886   1.384, 1.346   0.64, 0.66
-#   512 x 512   1.061, 1.095   1.638, 1.651   0.65, 0.66
+#   256 x 256   0.541, 0.356   0.429, 0.432   1.26, 0.82
+#   320 x 320   0.697, 0.502   0.676, 0.731   1.03, 0.69
+#   352 x 352   0.924, 0.800   0.942, 1.009   0.98, 0.79
+#   384 x 384   0.682, 0.886   1.019, 1.354   0.67, 0.65
+#   416 x 416   0.986, 1.155   1.377, 1.775   0.72, 0.65
+#   448 x 448   1.085, 1.210   1.521, 1.831   0.71, 0.66
+#   512 x 512   1.264, 1.435   1.846, 2.265   0.68, 0.63
 #
-# Threading wins in both sets from 416 x 416 up, so the gate sits there.
-GRAD_AHEAD_MIN_PRIMAL_DIM = 416 * 416
+# Threading wins in both sets from 352 x 352 up, so the gate stays there.
+# The host was noisy: two more sets read ratios 1.00, 0.86 at 352 x 352,
+# 1.04, 0.70 at 384 x 384 and 0.69, 0.78 at 416 x 416, so threading
+# never lost clearly from the gate up.
+GRAD_AHEAD_MIN_PRIMAL_DIM = 352 * 352
 
 
 @dataclass

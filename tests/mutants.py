@@ -101,14 +101,15 @@ MUTANTS = [
            "            raise ConfigurationError(f\"--input is {clean.m}x{clean.n} but --degraded-input \"\n"
            "                                     f\"is {observed.m}x{observed.n}\")\n",
            ""),
-    # The disk projection, the fused dual step and the blocked primal step.
+    # The disk projection and the fused dual step.
     Mutant("disk projection skips pairs just outside", "src/dpdsolve/prox.py",
            "np.less_equal(s, 1.0, out=outside)", "np.less_equal(s, 1.0 + 1e-15, out=outside)"),
     Mutant("fused dual step ignores a non-finite block", "src/dpdsolve/imaging.py",
            "if not project_pair_block(z[0], z[1], *scratch[:, :k], outside[:k]):",
            "if not project_pair_block(z[0], z[1], *scratch[:, :k], outside[:k]) and False:"),
-    Mutant("blocked primal step keeps no old aggregate", "src/dpdsolve/solver.py",
-           "            agg[:lo] = scratch[:lo]\n", ""),
+    Mutant("fused dual step ignores a replaced operator or prox", "src/dpdsolve/imaging.py",
+           "if problem.A is not D or (D.apply, D.adjoint, problem.g.prox) != as_built:",
+           "if False:"),
 ]
 
 # Lines of a failing unmutated copy's pytest output to print.

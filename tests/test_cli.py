@@ -662,16 +662,16 @@ def test_an_interrupted_run_prints_one_line_and_exits_130(tmp_path, monkeypatch,
 
 
 def test_a_real_sigint_during_a_threaded_run_exits_130_cleanly(tmp_path):
-    # SIGINT from outside, at seeded delays, while a 416 x 416 run parses,
+    # SIGINT from outside, at seeded delays, while a 384 x 384 run parses,
     # builds or iterates; at that size the gradient worker runs. The child
     # says `ready` once the package is imported, and the delay starts
     # then: a SIGINT during `import dpdsolve` still ends in a traceback.
-    # The run is long (about 10 s) so that a parent slowed by a loaded
+    # The run is long (about 13 s) so that a parent slowed by a loaded
     # machine still signals it before it ends; each trial ends at the
     # signal, after at most 0.4 s.
     for trial, delay in enumerate(np.random.default_rng(130).uniform(0.0, 0.4, 3)):
         out = tmp_path / f"run-{trial}"
-        argv = ["deblur-gauss", "--size", "416", "--iters", "2000", "--out-dir", str(out)]
+        argv = ["deblur-gauss", "--size", "384", "--iters", "2000", "--out-dir", str(out)]
         # a child of a shell's background job inherits an ignored SIGINT;
         # the default handler is restored, as an interactive run has it
         script = ("import signal, sys\nfrom dpdsolve.cli import main\n"

@@ -12,7 +12,9 @@ bit, signed zeros included, for ldpd in line and threaded and for edpd,
 on grids whose column count leaves a partial last block, on 1-row and
 1-column grids and on a grid of one block; and a point that makes the
 dual iterate not finite must raise the same DivergenceError at the same
-iteration on both paths.
+iteration on both paths. A problem whose operator or prox has been
+replaced since it was built takes the generic path with the
+replacement.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from dpdsolve.errors import DivergenceError
 from dpdsolve.imaging import GaussianDeblurSpec, build_gaussian_problem
 from dpdsolve.ldpd import STRONGLY_CONVEX_DUAL, LdpdRegime, run_ldpd
 from dpdsolve.linops import ImageGrid, make_average_kernel
+from dpdsolve.prox import prox_smoothed_tv_dual
 
 ITERS = 8
 
@@ -40,7 +43,7 @@ def _problems(m, n, mu_g=0.05, seed=0):
     spec = GaussianDeblurSpec(ImageGrid(m, n, rng.uniform(0.0, 1.0, m * n)), kernel,
                               mu=50.0, mu_g=mu_g)
     fused = build_gaussian_problem(spec)
-    assert fused.fused_dual_step is not None
+    assert solver.Workspace(fused).fused_dual is not None
     return fused, dataclasses.replace(fused, fused_dual_step=None)
 
 
@@ -110,8 +113,7 @@ def test_fused_runs_match_the_generic_runs_bit_for_bit(monkeypatch, name, m, n, 
 
 def test_a_grid_above_one_default_block_has_a_partial_last_block(monkeypatch):
     # 64 rows make blocks of FUSED_BLOCKS * BLOCK // 64 whole columns; 600
-    # columns leave a partial last block at the default block size, and
-    # the primal pass takes two blocks
+    # columns leave a partial last block at the default block size
     m, n = 64, 600
     width = linops.FUSED_BLOCKS * linops.BLOCK // m
     assert n > width and n % width
@@ -177,3 +179,48 @@ def test_one_dual_step_at_extreme_points(kind):
     for field in ("x", "y", "yhat", "agg_num_x", "agg_num_y"):
         _assert_bitwise(getattr(got[1], field), getattr(want[1], field))
     _assert_bitwise(got[2], want[2])
+
+
+def _counted(fn, calls):
+    def call(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def _halved_prox(z, tau, mu_g, out=None):
+    return 0.5 * prox_smoothed_tv_dual(z, tau, mu_g)
+
+
+@pytest.mark.parametrize("what", ["g.prox", "A.apply", "A.adjoint", "g", "A"])
+def test_a_replaced_operator_or_prox_takes_the_generic_path(monkeypatch, what):
+    # The fused step stands for D and the TV dual prox as built. Replacing
+    # one of them, on the problem's objects or through dataclasses.replace,
+    # makes the run call the replacement in every iteration, and the run
+    # equals the generic one with the same replacement.
+    runs = []
+    for problem in _problems(6, 7):
+        calls = []
+        if what == "g.prox":
+            problem.g.prox = _counted(_halved_prox, calls)
+        elif what in ("A.apply", "A.adjoint"):
+            name = what[2:]
+            setattr(problem.A, name, _counted(getattr(problem.A, name), calls))
+        elif what == "g":
+            problem = dataclasses.replace(problem, g=dataclasses.replace(
+                problem.g, prox=_counted(_halved_prox, calls)))
+        else:
+            A = linops.DifferenceOperator2D(6, 7)
+            A.apply = _counted(A.apply, calls)
+            problem = dataclasses.replace(problem, A=A)
+        assert solver.Workspace(problem).fused_dual is None
+        runs.append(_trajectory(monkeypatch, "ldpd in line", problem,
+                                np.zeros(42), np.zeros(84)))
+        assert len(calls) >= ITERS
+    (got, got_end), (want, want_end) = runs
+    assert got_end is None and want_end is None
+    for g, w in zip(got, want):
+        for a, b in zip(g, w, strict=True):
+            if isinstance(a, np.ndarray):
+                _assert_bitwise(a, b)

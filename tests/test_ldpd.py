@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import explicit_anchor_ldpd
 
-from dpdsolve import edpd, ldpd, linops, solver
+from dpdsolve import edpd, ldpd, solver
 from dpdsolve.bench import make_quadratic_saddle
 from dpdsolve.errors import (
     ConfigurationError,
@@ -626,39 +626,6 @@ def test_a_stored_snapshot_after_a_divergence(monkeypatch, gated, half):
             snaps[-1].x
         with pytest.raises(ContractViolationError, match="iteration 3"):
             snaps[-1].y
-
-
-@pytest.mark.parametrize("gated", [True, False])
-def test_a_primal_divergence_in_a_later_block_leaves_the_aggregate(monkeypatch, gated):
-    # With linops.BLOCK patched to 1 the 8 primal unknowns make blocks of
-    # FUSED_BLOCKS entries; a gradient whose last entry is a nan at
-    # iteration 4 passes the first blocks, which are already added to the
-    # aggregate, and fails in the last one. The old aggregate is put back,
-    # so the stored snapshot of iteration 3 still reads the 3-iteration
-    # run's aggregates, and the run then ends as a stepped-out one would.
-    if gated:
-        monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
-    monkeypatch.setattr(linops, "BLOCK", 1)
-    assert 8 > linops.FUSED_BLOCKS
-    inst = make_quadratic_saddle(8, 5, seed=27, mu_g=0.4, lam=1.0)
-    problem, regime = inst.problem, LdpdRegime(STRONGLY_CONVEX_DUAL)
-    expected = run_ldpd(problem, regime, np.zeros(8), np.zeros(5), 3)
-    grad, calls = problem.f.grad, []
-
-    def failing(x):
-        calls.append(1)
-        g = grad(x)
-        if len(calls) == 4:
-            g[-1] = np.nan
-        return g
-
-    problem.f.grad = failing
-    snaps = []
-    with pytest.raises(DivergenceError, match="primal iterate 5 is not finite"):
-        run_ldpd(problem, regime, np.zeros(8), np.zeros(5), 10, observer=snaps.append)
-    assert [s.t for s in snaps] == [1, 2, 3]
-    assert np.array_equal(snaps[-1].x, expected.x)
-    assert np.array_equal(snaps[-1].y, expected.y)
 
 
 def test_problem_below_the_gate_starts_no_thread(monkeypatch):

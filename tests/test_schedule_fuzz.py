@@ -1,12 +1,15 @@
 """Schedule fuzzing of ldpd's gradient worker.
 
 The worker may run f.grad (and the forming of its point) while the
-calling thread runs A.adjoint, A.apply, g.prox and the observer
-(`solver.Workspace`). Here each of f.grad, g.prox, A.apply and A.adjoint
-sleeps a random 0-200 us before or after its call, drawn from a seeded
-stream, so that the two threads interleave differently on every run.
-Whatever the interleaving, a threaded `deblur-gauss --size 64` must write
-the bytes of an in-line run made in the same process. So must a threaded
+calling thread runs A.adjoint, A.apply, g.prox, a fused dual step and
+the observer (`solver.Workspace`). Here f.grad and the calls of the
+calling thread sleep a random 0-200 us before or after each call, drawn
+from a seeded stream, so that the two threads interleave differently on
+every run. Whatever the interleaving, a threaded `deblur-gauss --size 64`
+must write the bytes of an in-line run made in the same process, both
+when g.prox, A.apply and A.adjoint are jittered (which replaces them, so
+the run takes the generic dual step) and when the Gaussian problem's
+fused dual step is jittered instead. So must a threaded
 `synth-bench --dims 20,15` whose `HistoryRecorder.__call__` sleeps as
 well, and whose recorder evaluates its gaps mid-run from the `snap.x`
 and `snap.y` it holds.
@@ -54,6 +57,13 @@ def _jitter(problem, rng, grad_threads):
     problem.A.adjoint = _jittered(problem.A.adjoint, rng, set())
 
 
+def _jitter_fused(problem, rng, grad_threads, fused_threads):
+    """Jitter the problem's f.grad and the fused dual step it makes."""
+    problem.f.grad = _jittered(problem.f.grad, rng, grad_threads)
+    make = problem.fused_dual_step
+    problem.fused_dual_step = lambda p: _jittered(make(p), rng, fused_threads)
+
+
 def _run(tmp_path, name, argv=ARGV) -> dict:
     out = tmp_path / name
     with contextlib.redirect_stdout(io.StringIO()):
@@ -61,23 +71,36 @@ def _run(tmp_path, name, argv=ARGV) -> dict:
     return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
 
-def test_jittered_threaded_runs_write_the_in_line_bytes(tmp_path, monkeypatch):
+def _assert_jittered_runs_write_the_in_line_bytes(tmp_path, monkeypatch, dual):
     in_line = _run(tmp_path, "in-line")
     build = cli.build_gaussian_problem
-    grad_threads = set()
+    grad_threads, fused_threads = set(), set()
 
     def jittered_problem(spec):
         problem = build(spec)
         rng = random.Random(seed)
-        _jitter(problem, rng, grad_threads)
+        if dual == "fused":
+            _jitter_fused(problem, rng, grad_threads, fused_threads)
+        else:
+            _jitter(problem, rng, grad_threads)
         return problem
 
     monkeypatch.setattr(cli, "build_gaussian_problem", jittered_problem)
     monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
     for seed in SEEDS:
-        assert _run(tmp_path, f"seed-{seed}") == in_line, seed
-    # the gradients ran on the worker as well as on the calling thread
+        assert _run(tmp_path, f"{dual}-{seed}") == in_line, seed
+    # the gradients ran on the worker as well as on the calling thread,
+    # and the fused step, when jittered, ran on the calling thread alone
     assert len(grad_threads) >= 2
+    assert fused_threads == ({threading.get_ident()} if dual == "fused" else set())
+
+
+def test_jittered_threaded_runs_write_the_in_line_bytes(tmp_path, monkeypatch):
+    _assert_jittered_runs_write_the_in_line_bytes(tmp_path, monkeypatch, "generic")
+
+
+def test_jittered_threaded_fused_runs_write_the_in_line_bytes(tmp_path, monkeypatch):
+    _assert_jittered_runs_write_the_in_line_bytes(tmp_path, monkeypatch, "fused")
 
 
 def test_jittered_threaded_synth_runs_write_the_in_line_bytes(tmp_path, monkeypatch):
