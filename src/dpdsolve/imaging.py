@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linops
 from .errors import ConfigurationError, ContractViolationError
 from .linops import (
     ImageGrid,
@@ -35,7 +34,6 @@ from .linops import (
 from .model import DualProxOracle, PrimalOracle, SaddleProblem
 from .prox import (
     pair_norms,
-    project_pair_block,
     prox_linear_plus_box,
     prox_quadratic_primal,
     prox_smoothed_tv_dual,
@@ -141,49 +139,7 @@ def build_gaussian_problem(spec: GaussianDeblurSpec) -> SaddleProblem:
         return 0.5 * mu_g * float(y @ y)
 
     g = DualProxOracle(prox=prox_smoothed_tv_dual, value=g_value, mu_g=mu_g)
-    as_built = (D.apply, D.adjoint, g.prox)
-    return SaddleProblem(f=f, g=g, A=D, primal_dim=m * n, dual_dim=2 * m * n,
-                         fused_dual_step=lambda p: _fused_tv_dual_step(p, D, as_built))
-
-
-def _fused_tv_dual_step(problem: SaddleProblem, D, as_built):
-    """The Gaussian model's fused dual half-step (see
-    `SaddleProblem.fused_dual_step`): D x, the TV dual prox, the
-    extrapolation, the dual aggregate and D* yhat, in one pass over
-    blocks of whole image columns, about `linops.FUSED_BLOCKS *
-    linops.BLOCK` pixels each. Each entry is formed with the operations
-    of `D.apply`, `prox_smoothed_tv_dual`, `solver.dual_step` and
-    `D.adjoint`, so every bit is theirs. The step stands for D and the
-    TV dual prox, so this returns None, and the run takes the generic
-    path, once the problem's A, A.apply, A.adjoint or g.prox is not the
-    one built (`as_built`). The block scratch is made here, once per
-    run."""
-    if problem.A is not D or (D.apply, D.adjoint, problem.g.prox) != as_built:
-        return None
-    m, mn = D.m, D.m * D.n
-    width = max(1, linops.FUSED_BLOCKS * linops.BLOCK // m) * m
-    scratch, outside = np.empty((2, width)), np.empty(width, bool)
-
-    def step(state, out, coupling, tau, alpha, mu_g, weight) -> bool:
-        Y, Z, H, G = (v.reshape(2, mn) for v in (state.y, out, state.yhat, state.agg_num_y))
-        for lo in range(0, mn, width):
-            hi = min(lo + width, mn)
-            k = hi - lo
-            z, y = Z[:, lo:hi], Y[:, lo:hi]
-            D.apply_columns(state.x, lo, hi, z[0], z[1])
-            z *= tau
-            z += y
-            np.divide(z, tau * mu_g + 1.0, out=z)
-            if not project_pair_block(z[0], z[1], *scratch[:, :k], outside[:k]):
-                return False
-            yhat = np.subtract(z, y, out=H[:, lo:hi])
-            yhat *= alpha
-            yhat += z
-            G[:, lo:hi] += np.multiply(z, weight, out=scratch[:, :k])
-            D.adjoint_columns(state.yhat, lo, hi, coupling, scratch[0])
-        return True
-
-    return step
+    return SaddleProblem(f=f, g=g, A=D, primal_dim=m * n, dual_dim=2 * m * n)
 
 
 def build_saltpepper_problem(spec: SaltPepperDeblurSpec) -> SaddleProblem:

@@ -32,12 +32,6 @@ Array = np.ndarray
 BLOCK = 8192
 
 
-# A fused pass, which makes several operations on each block before it
-# moves on (the TV dual half-step), takes blocks of FUSED_BLOCKS * BLOCK
-# entries, so that its numpy calls are fewer.
-FUSED_BLOCKS = 4
-
-
 def blocks(size: int, *dtypes):
     """Cover range(size) in blocks of 64 KiB: yield each block's slice,
     then, for each of `dtypes`, a scratch array of that dtype cut to the

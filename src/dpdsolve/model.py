@@ -90,30 +90,13 @@ class DualProxOracle:
 
 @dataclass
 class SaddleProblem:
-    """A bilinearly coupled min-max problem.
-
-    `fused_dual_step`, when given, is called with the problem once per
-    run and returns None, for the generic path, or
-    step(state, out, coupling, tau, alpha, mu_g, weight), a fused form of
-    the dual half-step a run takes otherwise (see `solver.dual_step`): it
-    writes y+ = prox_{tau g}(state.y + tau A state.x) into `out`, the
-    extrapolation yhat+ = y+ + alpha (y+ - state.y) into `state.yhat`,
-    and A* yhat+, the next primal update's coupling term, into
-    `coupling`, and adds weight y+ to `state.agg_num_y`, every entry
-    with the bits of the unfused calls. It returns False, and stops, at
-    the first part of y+ that is not finite. It runs on the thread that
-    calls the step and writes nothing else: not `state.y`, `state.x` or
-    the primal aggregate. It stands for `A.apply`, `g.prox` and
-    `A.adjoint`, so it must return None once one of them is not the one
-    it stands for.
-    """
+    """A bilinearly coupled min-max problem."""
 
     f: PrimalOracle
     g: DualProxOracle
     A: LinearOperator
     primal_dim: int
     dual_dim: int
-    fused_dual_step: Optional[Callable[["SaddleProblem"], Optional[Callable]]] = None
 
     def __post_init__(self):
         if self.primal_dim < 1 or self.dual_dim < 1:

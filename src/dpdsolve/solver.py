@@ -13,8 +13,9 @@ schedules, their aggregation weights, and which schedule entry supplies
 alpha. This module holds everything else: the record type in which each
 family states its published regimes, the state record a run updates in
 place, the buffers and oracle calls a run owns, the primal bookkeeping
-and the dual half of the step, and the run loop, which builds and
-validates the whole schedule before the first iteration.
+and the dual half of the step (generic, and fused for the TV dual), and
+the run loop, which builds and validates the whole schedule before the
+first iteration.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import linops
 from .errors import ConfigurationError, ContractViolationError, DivergenceError
-from .linops import staggered_empty, sum_of_squares, with_out
+from .linops import DifferenceOperator2D, staggered_empty, sum_of_squares, with_out
 from .model import (Array, IterationSnapshot, Observer, SaddleProblem, SolverConsts,
                     _check_point)
+from .prox import project_pair_block, prox_smoothed_tv_dual
 
 
 @dataclass
@@ -115,9 +118,9 @@ class Workspace:
     spare, so the buffers rotate with the iterates. A step forms A* yhat,
     the primal update's coupling term, in the spare primal buffer.
 
-    A problem with a fused dual half-step (see `SaddleProblem`) gets it
-    made here, with its block scratch, and `dual_step` calls it in place
-    of `A.apply` and `g.prox`.
+    A problem whose dual half-step `fused_tv_dual_step` fuses gets the
+    fused step made here, with its block scratch, and `dual_step` calls
+    it in place of `A.apply` and `g.prox`.
 
     Whether each of `A.apply`, `A.adjoint`, `f.grad`, `f.prox` and
     `g.prox` takes `out=` is decided once, here: the calls below pass
@@ -143,7 +146,7 @@ class Workspace:
         self.apply = with_out(problem.A.apply)
         self.adjoint = with_out(problem.A.adjoint)
         self.g_prox = with_out(problem.g.prox)
-        self.fused_dual = problem.fused_dual_step and problem.fused_dual_step(problem)
+        self.fused_dual = fused_tv_dual_step(problem)
         self.coupling_ready = False
         f = problem.f
         self.f_grad = None if f.grad is None else with_out(f.grad)
@@ -233,10 +236,10 @@ def dual_step(state: SolverState, work: Workspace, tau: float, alpha: float,
     running aggregate with weight `weight`. `A x` goes into the spare
     dual buffer, the prox input is formed there and the prox writes the
     new iterate over it; the old iterate's buffer serves as scratch for
-    the aggregate and then becomes the spare. A problem's fused step, if
-    it has one, does all of this in one blocked pass instead; a
-    divergence it finds may leave `yhat` and the dual aggregate partly
-    updated.
+    the aggregate and then becomes the spare. The workspace's fused
+    step, if it has one (see `fused_tv_dual_step`), does all of this in
+    one blocked pass instead; a divergence it finds may leave `yhat` and
+    the dual aggregate partly updated.
     """
     y_old = state.y
     if work.fused_dual is not None:
@@ -258,6 +261,66 @@ def dual_step(state: SolverState, work: Workspace, tau: float, alpha: float,
     state.y = y_next
     work.y = y_old
     return state
+
+
+# The fused TV dual half-step takes blocks of FUSED_BLOCKS * linops.BLOCK
+# entries, so that its numpy calls are fewer. deblur-gauss --size 512, in
+# process on a 2-vCPU Xeon VM, six alternating runs: the median iteration
+# read 9.1-11.1 ms with blocks of 1 and 7.4-8.6 ms with blocks of 4, and
+# 4, 8 and 16 read the same (1.31, 1.33 and 1.38 s a run, medians of 10).
+FUSED_BLOCKS = 4
+
+# The calls the fused step stands for, as linops and prox define them.
+_FUSED_CALLS = (DifferenceOperator2D.apply, DifferenceOperator2D.adjoint, prox_smoothed_tv_dual)
+
+
+def fused_tv_dual_step(problem: SaddleProblem):
+    """`dual_step` fused into one pass over blocks of whole image columns,
+    about FUSED_BLOCKS * linops.BLOCK pixels each, when A is a
+    `DifferenceOperator2D` whose `apply` and `adjoint` are the ones
+    linops defines (set neither on the instance nor on the class) and
+    g.prox is `prox_smoothed_tv_dual`; None, for the generic path, on
+    every other problem.
+
+    step(state, out, coupling, tau, alpha, mu_g, weight) writes the new
+    dual iterate into `out`, the extrapolated point into `state.yhat` and
+    A* yhat, the next primal update's coupling term, into `coupling`,
+    and adds `weight` times the new iterate to `state.agg_num_y`. Each
+    entry is formed with the operations of `A.apply`,
+    `prox_smoothed_tv_dual`, the generic step and `A.adjoint`, so every
+    bit is theirs. It returns False at the first block whose new iterate
+    is not finite. It writes neither `state.x`, `state.y` nor the primal
+    aggregate, which the gradient worker may be reading. The block
+    scratch is made here, once per run.
+    """
+    D = problem.A
+    if (type(D) is not DifferenceOperator2D or "apply" in vars(D) or "adjoint" in vars(D)
+            or (type(D).apply, type(D).adjoint, problem.g.prox) != _FUSED_CALLS):
+        return None
+    m, mn = D.m, D.m * D.n
+    width = max(1, FUSED_BLOCKS * linops.BLOCK // m) * m
+    scratch, outside = np.empty((2, width)), np.empty(width, bool)
+
+    def step(state, out, coupling, tau, alpha, mu_g, weight) -> bool:
+        Y, Z, H, G = (v.reshape(2, mn) for v in (state.y, out, state.yhat, state.agg_num_y))
+        for lo in range(0, mn, width):
+            hi = min(lo + width, mn)
+            k = hi - lo
+            z, y = Z[:, lo:hi], Y[:, lo:hi]
+            D.apply_columns(state.x, lo, hi, z[0], z[1])
+            z *= tau
+            z += y
+            np.divide(z, tau * mu_g + 1.0, out=z)
+            if not project_pair_block(z[0], z[1], *scratch[:, :k], outside[:k]):
+                return False
+            yhat = np.subtract(z, y, out=H[:, lo:hi])
+            yhat *= alpha
+            yhat += z
+            G[:, lo:hi] += np.multiply(z, weight, out=scratch[:, :k])
+            D.adjoint_columns(state.yhat, lo, hi, coupling, scratch[0])
+        return True
+
+    return step
 
 
 def aggregate_closed_form(iterates, weights) -> Array:
@@ -358,7 +421,7 @@ def find_rule(rules: dict, regime) -> RegimeRule:
 # 5.48 against 5.94 s at 512 x 512.
 # deblur-gauss, ldpd, 200 iterations, in process, one BLAS thread, on a
 # 2-vCPU Xeon VM, with the dual half fused into one blocked pass (see
-# `SaddleProblem.fused_dual_step`); threaded (gate 0) against in line,
+# `fused_tv_dual_step`); threaded (gate 0) against in line,
 # alternating, two sets of medians of 5 runs (s):
 #
 #   size        threaded       in line        ratio

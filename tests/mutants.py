@@ -2,13 +2,13 @@
 
 Each mutant replaces one string, which must occur exactly once, in one
 file under src/. For each mutant the script copies src/, tests/,
-pyproject.toml and README.md (which a test reads) into a fresh
-temporary directory, applies the mutant there, and runs tier-1 on the
-copy without tests/test_byte_identity.py:
-the digests are re-recorded whenever bits move on purpose, so they must
-not be the only guard of a result. pytest stops at the first failure,
-so a killed mutant costs less than a full run; a survivor costs one
-(about 15 s). The unmutated copy runs first and must pass, or every
+tools/ (which a test runs), pyproject.toml and README.md (which a test
+reads) into a fresh temporary directory, applies the mutant there, and
+runs tier-1 on the copy without tests/test_byte_identity.py: the
+digests are re-recorded whenever bits move on purpose, so they must not
+be the only guard of a result. pytest stops at the first failure, so a
+killed mutant costs less than a full run; a survivor costs one (about
+15 s). The unmutated copy runs first and must pass, or every
 mutant would count as killed; when it fails, the end of its pytest
 output is printed, so that the failing test is named. The script
 prints each mutant's fate, then the survivors, and exits 1 if there
@@ -104,12 +104,16 @@ MUTANTS = [
     # The disk projection and the fused dual step.
     Mutant("disk projection skips pairs just outside", "src/dpdsolve/prox.py",
            "np.less_equal(s, 1.0, out=outside)", "np.less_equal(s, 1.0 + 1e-15, out=outside)"),
-    Mutant("fused dual step ignores a non-finite block", "src/dpdsolve/imaging.py",
+    Mutant("fused dual step ignores a non-finite block", "src/dpdsolve/solver.py",
            "if not project_pair_block(z[0], z[1], *scratch[:, :k], outside[:k]):",
            "if not project_pair_block(z[0], z[1], *scratch[:, :k], outside[:k]) and False:"),
-    Mutant("fused dual step ignores a replaced operator or prox", "src/dpdsolve/imaging.py",
-           "if problem.A is not D or (D.apply, D.adjoint, problem.g.prox) != as_built:",
-           "if False:"),
+    Mutant("fused dual step ignores a replaced operator or prox", "src/dpdsolve/solver.py",
+           'if (type(D) is not DifferenceOperator2D or "apply" in vars(D) or "adjoint" in vars(D)\n'
+           "            or (type(D).apply, type(D).adjoint, problem.g.prox) != _FUSED_CALLS):",
+           "if type(D) is not DifferenceOperator2D:"),
+    Mutant("fused dual step ignores a class patch of the operator", "src/dpdsolve/solver.py",
+           "(type(D).apply, type(D).adjoint, problem.g.prox) != _FUSED_CALLS",
+           "problem.g.prox is not _FUSED_CALLS[2]"),
 ]
 
 # Lines of a failing unmutated copy's pytest output to print.
@@ -118,7 +122,7 @@ TAIL_LINES = 40
 
 def _copy_tree(dest: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "tools"):
         shutil.copytree(ROOT / part, dest / part, ignore=skip)
     for name in ("pyproject.toml", "README.md"):
         shutil.copy2(ROOT / name, dest / name)

@@ -1,10 +1,10 @@
-"""The Gaussian model's fused dual half-step against the generic one,
-bit for bit.
+"""The fused TV dual half-step against the generic one, bit for bit.
 
-`build_gaussian_problem` gives its problem a fused dual half-step (see
-`SaddleProblem.fused_dual_step`), which forms D x, the TV dual prox, the
+A run whose A is the package's difference operator and whose g.prox is
+`prox_smoothed_tv_dual` takes its dual half-step through
+`solver.fused_tv_dual_step`, which forms D x, the TV dual prox, the
 extrapolation, the dual aggregate and the next D* yhat in one pass over
-blocks of image columns. The same problem with `fused_dual_step=None`
+blocks of image columns. The same problem with a pass-through g.prox
 takes the generic path: `A.apply`, `g.prox`, the extrapolation and the
 aggregate as whole-array calls, and `A.adjoint` at the start of the next
 step. Every iterate, aggregate and extrapolated point must agree bit for
@@ -12,9 +12,9 @@ bit, signed zeros included, for ldpd in line and threaded and for edpd,
 on grids whose column count leaves a partial last block, on 1-row and
 1-column grids and on a grid of one block; and a point that makes the
 dual iterate not finite must raise the same DivergenceError at the same
-iteration on both paths. A problem whose operator or prox has been
-replaced since it was built takes the generic path with the
-replacement.
+iteration on both paths. A problem whose operator methods or prox have
+been replaced, on the instance or on the operator's class, or whose
+operator is a subclass, takes the generic path with the replacement.
 """
 
 import dataclasses
@@ -24,27 +24,45 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dpdsolve import linops, solver
+from dpdsolve import cli, linops, solver
 from dpdsolve.edpd import EdpdRegime, run_edpd
 from dpdsolve.errors import DivergenceError
 from dpdsolve.imaging import GaussianDeblurSpec, build_gaussian_problem
 from dpdsolve.ldpd import STRONGLY_CONVEX_DUAL, LdpdRegime, run_ldpd
-from dpdsolve.linops import ImageGrid, make_average_kernel
+from dpdsolve.linops import ImageGrid, make_average_kernel, make_difference_operator
+from dpdsolve.model import DualProxOracle, PrimalOracle, SaddleProblem
 from dpdsolve.prox import prox_smoothed_tv_dual
 
 ITERS = 8
 
 
-def _problems(m, n, mu_g=0.05, seed=0):
-    """A Gaussian problem on an m x n grid, and the same problem without
-    its fused dual step."""
+def _pass_through_prox(z, tau, mu_g, out=None):
+    return prox_smoothed_tv_dual(z, tau, mu_g, out=out)
+
+
+def _generic(problem):
+    """`problem` with a pass-through g.prox, which takes the generic path
+    with the calls of the fused one."""
+    generic = dataclasses.replace(problem, g=dataclasses.replace(problem.g,
+                                                                 prox=_pass_through_prox))
+    assert solver.Workspace(problem).fused_dual is not None
+    assert solver.Workspace(generic).fused_dual is None
+    return generic
+
+
+def _gaussian_problem(m, n, mu_g=0.05, seed=0):
     rng = np.random.default_rng(seed)
     kernel = make_average_kernel(3 if min(m, n) >= 3 else 1)
     spec = GaussianDeblurSpec(ImageGrid(m, n, rng.uniform(0.0, 1.0, m * n)), kernel,
                               mu=50.0, mu_g=mu_g)
-    fused = build_gaussian_problem(spec)
-    assert solver.Workspace(fused).fused_dual is not None
-    return fused, dataclasses.replace(fused, fused_dual_step=None)
+    return build_gaussian_problem(spec)
+
+
+def _problems(m, n, mu_g=0.05, seed=0):
+    """A Gaussian problem on an m x n grid, which fuses its dual
+    half-step, and the same problem on the generic path."""
+    fused = _gaussian_problem(m, n, mu_g, seed)
+    return fused, _generic(fused)
 
 
 def _assert_bitwise(actual, expected):
@@ -60,15 +78,18 @@ RUNS = {
 }
 
 
-def _trajectory(monkeypatch, name, problem, x1, y1, iters=ITERS):
+def _trajectory(monkeypatch, name, problem, x1, y1, iters=ITERS, check=None):
     """Every iteration's state arrays and aggregates, and the exception
-    the run ends with (None when it completes)."""
+    the run ends with (None when it completes); `check`, when given, is
+    called with each iteration's snapshot."""
     run, regime, threaded = RUNS[name]
     if threaded:
         monkeypatch.setattr(solver, "GRAD_AHEAD_MIN_PRIMAL_DIM", 0)
     seen = []
 
     def observer(snap):
+        if check is not None:
+            check(snap)
         s = snap.state
         seen.append((snap.t, s.x.copy(), s.y.copy(), s.yhat.copy(),
                      s.agg_num_x.copy(), s.agg_num_y.copy(), snap.x, snap.y))
@@ -81,12 +102,9 @@ def _trajectory(monkeypatch, name, problem, x1, y1, iters=ITERS):
     return seen, None
 
 
-def _assert_same_runs(monkeypatch, name, m, n, x1=None, y1=None, **kwargs):
-    fused, generic = _problems(m, n, **kwargs)
-    x1 = np.zeros(m * n) if x1 is None else x1
-    y1 = np.zeros(2 * m * n) if y1 is None else y1
-    got, got_end = _trajectory(monkeypatch, name, fused, x1, y1)
-    want, want_end = _trajectory(monkeypatch, name, generic, x1, y1)
+def _assert_same_trajectories(got, want):
+    """Two `_trajectory` results agree bit for bit; their common end."""
+    (got, got_end), (want, want_end) = got, want
     assert got_end == want_end
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -96,6 +114,14 @@ def _assert_same_runs(monkeypatch, name, m, n, x1=None, y1=None, **kwargs):
             else:
                 assert a == b
     return got_end
+
+
+def _assert_same_runs(monkeypatch, name, m, n, x1=None, y1=None, **kwargs):
+    fused, generic = _problems(m, n, **kwargs)
+    x1 = np.zeros(m * n) if x1 is None else x1
+    y1 = np.zeros(2 * m * n) if y1 is None else y1
+    return _assert_same_trajectories(_trajectory(monkeypatch, name, fused, x1, y1),
+                                     _trajectory(monkeypatch, name, generic, x1, y1))
 
 
 @pytest.mark.parametrize("name", RUNS)
@@ -115,7 +141,7 @@ def test_a_grid_above_one_default_block_has_a_partial_last_block(monkeypatch):
     # 64 rows make blocks of FUSED_BLOCKS * BLOCK // 64 whole columns; 600
     # columns leave a partial last block at the default block size
     m, n = 64, 600
-    width = linops.FUSED_BLOCKS * linops.BLOCK // m
+    width = solver.FUSED_BLOCKS * linops.BLOCK // m
     assert n > width and n % width
     assert _assert_same_runs(monkeypatch, "ldpd threaded", m, n) is None
 
@@ -193,12 +219,28 @@ def _halved_prox(z, tau, mu_g, out=None):
     return 0.5 * prox_smoothed_tv_dual(z, tau, mu_g)
 
 
+def _generic_trajectory(monkeypatch, name, problem, *call_lists):
+    """`_trajectory` of `problem` on a 6 x 7 grid from zero, checking
+    that the run takes the generic path and that each of `call_lists`
+    grows in every iteration."""
+    last = [0] * len(call_lists)
+
+    def check(snap):
+        assert snap.state.work.fused_dual is None
+        now = [len(calls) for calls in call_lists]
+        assert all(b > a for a, b in zip(last, now)), (snap.t, last, now)
+        last[:] = now
+
+    return _trajectory(monkeypatch, name, problem, np.zeros(42), np.zeros(84), check=check)
+
+
 @pytest.mark.parametrize("what", ["g.prox", "A.apply", "A.adjoint", "g", "A"])
 def test_a_replaced_operator_or_prox_takes_the_generic_path(monkeypatch, what):
-    # The fused step stands for D and the TV dual prox as built. Replacing
-    # one of them, on the problem's objects or through dataclasses.replace,
-    # makes the run call the replacement in every iteration, and the run
-    # equals the generic one with the same replacement.
+    # The fused step stands for D and the TV dual prox as the package
+    # defines them. Replacing one of them, on the problem's objects or
+    # through dataclasses.replace, makes the run call the replacement in
+    # every iteration, and the run equals the generic one with the same
+    # replacement.
     runs = []
     for problem in _problems(6, 7):
         calls = []
@@ -214,13 +256,95 @@ def test_a_replaced_operator_or_prox_takes_the_generic_path(monkeypatch, what):
             A = linops.DifferenceOperator2D(6, 7)
             A.apply = _counted(A.apply, calls)
             problem = dataclasses.replace(problem, A=A)
-        assert solver.Workspace(problem).fused_dual is None
-        runs.append(_trajectory(monkeypatch, "ldpd in line", problem,
-                                np.zeros(42), np.zeros(84)))
-        assert len(calls) >= ITERS
-    (got, got_end), (want, want_end) = runs
-    assert got_end is None and want_end is None
-    for g, w in zip(got, want):
-        for a, b in zip(g, w, strict=True):
-            if isinstance(a, np.ndarray):
-                _assert_bitwise(a, b)
+        runs.append(_generic_trajectory(monkeypatch, "ldpd in line", problem, calls))
+    assert _assert_same_trajectories(*runs) is None
+
+
+def _hand_built_problem(m, n, seed=1):
+    """0.5 ||x - b||^2 against the smoothed TV dual, assembled from the
+    public difference operator and TV dual prox, with no builder."""
+    b = np.random.default_rng(seed).uniform(0.0, 1.0, m * n)
+
+    def f_grad(x, out=None):
+        return np.subtract(x, b, out=out)
+
+    def f_prox(z, step, out=None):
+        return np.divide(np.add(z, step * b, out=out), 1.0 + step, out=out)
+
+    f = PrimalOracle(value=lambda x: 0.5 * float((x - b) @ (x - b)), grad=f_grad,
+                     prox=f_prox, lipschitz_L_f=1.0, mu_f=1.0)
+    g = DualProxOracle(prox=prox_smoothed_tv_dual, value=lambda y: 0.025 * float(y @ y),
+                       mu_g=0.05)
+    return SaddleProblem(f=f, g=g, A=make_difference_operator(m, n), primal_dim=m * n,
+                         dual_dim=2 * m * n)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_a_hand_built_tv_problem_fuses_and_matches_the_generic_path(monkeypatch, name):
+    m, n = 5, 9
+    fused = _hand_built_problem(m, n)
+    generic = _generic(fused)
+    x1, y1 = np.zeros(m * n), np.zeros(2 * m * n)
+    with mock.patch.object(linops, "BLOCK", 3):
+        got = _trajectory(monkeypatch, name, fused, x1, y1)
+        want = _trajectory(monkeypatch, name, generic, x1, y1)
+    assert _assert_same_trajectories(got, want) is None
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_a_class_patch_made_before_the_build_takes_the_generic_path(monkeypatch, name):
+    # A patch of DifferenceOperator2D.apply on the class, made before the
+    # problem is built, is called in every iteration, and the run keeps
+    # the fused run's bits, as the patch calls the method it replaces.
+    want = _trajectory(monkeypatch, name, _gaussian_problem(6, 7), np.zeros(42),
+                       np.zeros(84))
+    calls = []
+    monkeypatch.setattr(linops.DifferenceOperator2D, "apply",
+                        _counted(linops.DifferenceOperator2D.apply, calls))
+    got = _generic_trajectory(monkeypatch, name, _gaussian_problem(6, 7), calls)
+    assert _assert_same_trajectories(got, want) is None
+
+
+class _CountingDifferences(linops.DifferenceOperator2D):
+    def __init__(self, m, n, applies, adjoints):
+        super().__init__(m, n)
+        self.applies, self.adjoints = applies, adjoints
+
+    def apply(self, x, out=None):
+        self.applies.append(1)
+        return super().apply(x, out=out)
+
+    def adjoint(self, y, out=None):
+        self.adjoints.append(1)
+        return super().adjoint(y, out=out)
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_a_subclass_of_the_difference_operator_takes_the_generic_path(monkeypatch, name):
+    # The subclass's own apply and adjoint are each called in every
+    # iteration, and the run keeps the fused run's bits.
+    fused = _gaussian_problem(6, 7)
+    want = _trajectory(monkeypatch, name, fused, np.zeros(42), np.zeros(84))
+    applies, adjoints = [], []
+    problem = dataclasses.replace(fused, A=_CountingDifferences(6, 7, applies, adjoints))
+    got = _generic_trajectory(monkeypatch, name, problem, applies, adjoints)
+    assert _assert_same_trajectories(got, want) is None
+
+
+@pytest.mark.parametrize("solver_name", ["ldpd", "edpd"])
+def test_deblur_gauss_runs_take_the_fused_pass(tmp_path, monkeypatch, solver_name):
+    # The workspace of a deblur-gauss run selects the fused pass for
+    # build_gaussian_problem's problem, under either solver.
+    select = solver.fused_tv_dual_step
+    selected = []
+
+    def spy(problem):
+        step = select(problem)
+        selected.append(step is not None)
+        return step
+
+    monkeypatch.setattr(solver, "fused_tv_dual_step", spy)
+    argv = ["deblur-gauss", "--size", "32", "--iters", "3", "--solver", solver_name,
+            "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert selected == [True]

@@ -1,15 +1,15 @@
 """Schedule fuzzing of ldpd's gradient worker.
 
 The worker may run f.grad (and the forming of its point) while the
-calling thread runs A.adjoint, A.apply, g.prox, a fused dual step and
+calling thread runs A.adjoint, A.apply, g.prox, the fused dual step and
 the observer (`solver.Workspace`). Here f.grad and the calls of the
 calling thread sleep a random 0-200 us before or after each call, drawn
 from a seeded stream, so that the two threads interleave differently on
 every run. Whatever the interleaving, a threaded `deblur-gauss --size 64`
 must write the bytes of an in-line run made in the same process, both
 when g.prox, A.apply and A.adjoint are jittered (which replaces them, so
-the run takes the generic dual step) and when the Gaussian problem's
-fused dual step is jittered instead. So must a threaded
+the run takes the generic dual step) and when the fused dual step that
+`solver.fused_tv_dual_step` selects is jittered instead. So must a threaded
 `synth-bench --dims 20,15` whose `HistoryRecorder.__call__` sleeps as
 well, and whose recorder evaluates its gaps mid-run from the `snap.x`
 and `snap.y` it holds.
@@ -57,11 +57,17 @@ def _jitter(problem, rng, grad_threads):
     problem.A.adjoint = _jittered(problem.A.adjoint, rng, set())
 
 
-def _jitter_fused(problem, rng, grad_threads, fused_threads):
-    """Jitter the problem's f.grad and the fused dual step it makes."""
+def _jitter_fused(monkeypatch, select, problem, rng, grad_threads, fused_threads):
+    """Jitter the problem's f.grad and the fused dual step that `select`,
+    the solver's own selector, makes for it."""
     problem.f.grad = _jittered(problem.f.grad, rng, grad_threads)
-    make = problem.fused_dual_step
-    problem.fused_dual_step = lambda p: _jittered(make(p), rng, fused_threads)
+
+    def jittered_select(p):
+        step = select(p)
+        assert step is not None
+        return _jittered(step, rng, fused_threads)
+
+    monkeypatch.setattr(solver, "fused_tv_dual_step", jittered_select)
 
 
 def _run(tmp_path, name, argv=ARGV) -> dict:
@@ -73,14 +79,14 @@ def _run(tmp_path, name, argv=ARGV) -> dict:
 
 def _assert_jittered_runs_write_the_in_line_bytes(tmp_path, monkeypatch, dual):
     in_line = _run(tmp_path, "in-line")
-    build = cli.build_gaussian_problem
+    build, select = cli.build_gaussian_problem, solver.fused_tv_dual_step
     grad_threads, fused_threads = set(), set()
 
     def jittered_problem(spec):
         problem = build(spec)
         rng = random.Random(seed)
         if dual == "fused":
-            _jitter_fused(problem, rng, grad_threads, fused_threads)
+            _jitter_fused(monkeypatch, select, problem, rng, grad_threads, fused_threads)
         else:
             _jitter(problem, rng, grad_threads)
         return problem
