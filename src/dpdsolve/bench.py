@@ -10,11 +10,18 @@ linear system (C'C + lam I + A'A / mu_g) x* = C' d, y* = A x* / mu_g,
 so every guarantee can be checked against an exact reference. Making C
 wide (fewer rows than columns) with lam = 0 gives mu_f exactly zero,
 which exercises the weakly convex schedules honestly.
+
+Instances on the same data share one draw: C, d and A are drawn, H is
+factored and A's norm is taken once per draw. synth-bench's weakly
+convex and ball-capped instances, which differ only in g and in the
+multiplier of their saddle point, are both built from one draw.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,22 +53,30 @@ class QuadraticSaddle:
         return float(self.x_star @ self.x_star), float(self.y_star @ self.y_star)
 
 
+# One draw of dense data and what every instance on it reads: C, d and A,
+# f's Hessian H = C'C + lam I, C'd, the eigenpairs (eigs, V) of H, A'A,
+# and `op`, the coupling operator over A with its norm. The arrays are
+# read-only, since instances on one draw share them.
+_DenseData = namedtuple("_DenseData", "C d A H Ctd eigs V AtA op lam")
+
+
 def _draw_instance_data(n_primal: int, n_dual: int, seed: int,
-                        c_rows: Optional[int], mu_g: float, lam: float):
-    """Check mu_g, lam and the dimensions, then draw C, d and A and form
-    f's Hessian H = C'C + lam I and C'd, which both instance builders use.
+                        c_rows: Optional[int], lam: float, *mu_gs: float) -> _DenseData:
+    """Check each weight mu_g of g that an instance on the data will take,
+    lam and the dimensions, then draw C, d and A and factor them once.
 
     With lam = 0 and rows + n_dual <= n_primal, generic data admit an x
     with C x = d and A x = 0: the dual solution is zero, the primal one
     need not be unique and no ball can bind, so such data are refused
     before anything is drawn."""
-    if not 0.0 < mu_g < math.inf:
-        raise ConfigurationError(
-            f"mu_g must be positive and finite for a certified solution, got {mu_g!r}")
-    # The solution divides by mu_g; a subnormal one overflows 1 / mu_g.
-    if not math.isfinite(1.0 / float(mu_g)):
-        raise ConfigurationError(
-            f"mu_g {mu_g!r} is too small: its reciprocal is not finite")
+    for mu_g in mu_gs:
+        if not 0.0 < mu_g < math.inf:
+            raise ConfigurationError(
+                f"mu_g must be positive and finite for a certified solution, got {mu_g!r}")
+        # The solution divides by mu_g; a subnormal one overflows 1 / mu_g.
+        if not math.isfinite(1.0 / float(mu_g)):
+            raise ConfigurationError(
+                f"mu_g {mu_g!r} is too small: its reciprocal is not finite")
     if not 0.0 <= lam < math.inf:
         raise ConfigurationError(f"lam must be nonnegative and finite, got {lam!r}")
     rows = n_primal if c_rows is None else int(c_rows)
@@ -77,21 +92,25 @@ def _draw_instance_data(n_primal: int, n_dual: int, seed: int,
     C = rng.standard_normal((rows, n_primal))
     d = rng.standard_normal(rows)
     A = rng.standard_normal((n_dual, n_primal))
-    return C, d, A, C.T @ C + lam * np.eye(n_primal), C.T @ d
-
-
-def _problem_from_data(C, d, A, H, Ctd, lam: float, mu_g: float,
-                       ball_radius: Optional[float]) -> SaddleProblem:
-    """Assemble oracles and the coupling operator for one dense instance,
-    with f's Hessian H and C'd; g is capped by the centred ball of radius
-    `ball_radius` when one is given."""
-    n_primal = C.shape[1]
-    # H = V diag(eigs) V^T, factored once so that every prox is a
-    # diagonal scaling in the eigenbasis.
+    H = C.T @ C + lam * np.eye(n_primal)
+    # H = V diag(eigs) V^T, so that every prox is a diagonal scaling in
+    # the eigenbasis.
     eigs, V = np.linalg.eigh(H)
+    arrays = (C, d, A, H, C.T @ d, eigs, V, A.T @ A)
+    for a in arrays:
+        a.flags.writeable = False
+    return _DenseData(*arrays, MatrixOperator(A), float(lam))
+
+
+def _problem_from_data(data: _DenseData, mu_g: float,
+                       ball_radius: Optional[float]) -> SaddleProblem:
+    """Assemble oracles and the coupling operator for one dense instance
+    on `data`; g is capped by the centred ball of radius `ball_radius`
+    when one is given."""
+    C, d, lam, eigs, V, Ctd = data.C, data.d, data.lam, data.eigs, data.V, data.Ctd
     L_f = float(eigs[-1])
     # With a genuine null space the smallest modulus is exactly lam.
-    mu_f = float(lam) if C.shape[0] < n_primal else float(max(eigs[0], 0.0))
+    mu_f = lam if C.shape[0] < C.shape[1] else float(max(eigs[0], 0.0))
 
     def f_value(x):
         r = C @ x - d
@@ -131,28 +150,36 @@ def _problem_from_data(C, d, A, H, Ctd, lam: float, mu_g: float,
         return mu_g * y
 
     g = DualProxOracle(prox=g_prox, value=g_value, mu_g=float(mu_g), grad=g_grad)
-    return SaddleProblem(f=f, g=g, A=MatrixOperator(A),
-                         primal_dim=n_primal, dual_dim=A.shape[0])
+    # Each problem gets its own operator object, sharing the matrix and
+    # its norm, so that patching one problem's A leaves the other's be.
+    return SaddleProblem(f, g, copy.copy(data.op), *data.op.dims)
 
 
-def _saddle_point(H, A, Ctd, u: float):
-    """x = (H + A'A / u)^{-1} C'd and y = A x / u, from one dense solve.
+def _saddle_instance(data: _DenseData, mu_g: float, u: float) -> QuadraticSaddle:
+    """The instance on `data` with g's weight mu_g whose saddle point
+    x* = (H + A'A / u)^{-1} C'd, y* = A x* / u comes from one dense solve.
 
-    For u = mu_g this is the unconstrained saddle point; for u > mu_g it
-    is the saddle point on the ball of radius ||y||. The pair is refused
-    with NumericalFailureError unless it meets primal stationarity,
-    ||H x + A'y - C'd|| <= 1e-9 (||H x|| + ||A'y|| + ||C'd||), which a
-    nan fails too: a tiny u leaves the solve no accurate digit, or
-    overflows A'A / u, so that the pair is wrong or not finite."""
+    For u = mu_g this is the unconstrained saddle point. For u > mu_g, g
+    is capped by the ball of radius ||y*||, on which it is the saddle
+    point; a zero radius is refused with ConfigurationError. The pair is
+    refused with NumericalFailureError unless it meets primal
+    stationarity, ||H x + A'y - C'd|| <= 1e-9 (||H x|| + ||A'y|| +
+    ||C'd||), which a nan fails too: a tiny u leaves the solve no
+    accurate digit, or overflows A'A / u, so that the pair is wrong or
+    not finite."""
     with np.errstate(all="ignore"):
-        x = np.linalg.solve(H + (A.T @ A) / u, Ctd)
-        y = A @ x / u
-        terms = (H @ x, A.T @ y, -Ctd)
+        x = np.linalg.solve(data.H + data.AtA / u, data.Ctd)
+        y = data.A @ x / u
+        terms = (data.H @ x, data.A.T @ y, -data.Ctd)
         miss = float(np.linalg.norm(sum(terms)))
         scale = sum(float(np.linalg.norm(t)) for t in terms)
     if not miss <= 1e-9 * scale:
         raise NumericalFailureError(f"stationarity missed by {miss!r} of {scale!r}")
-    return x, y
+    radius = float(np.linalg.norm(y)) if u != mu_g else None
+    if radius is not None and not radius > 0.0:
+        raise ConfigurationError("the dual solution is zero; no radius can bind")
+    return QuadraticSaddle(_problem_from_data(data, float(mu_g), radius),
+                           x, y, data.C, data.d, data.lam)
 
 
 def make_quadratic_saddle(n_primal: int = 20, n_dual: int = 15, seed: int = 42,
@@ -180,11 +207,8 @@ def make_quadratic_saddle(n_primal: int = 20, n_dual: int = 15, seed: int = 42,
     NumericalFailureError is raised when the solution misses primal
     stationarity by more than 1e-9 relative, as it can for a tiny mu_g.
     """
-    C, d, A, H, Ctd = _draw_instance_data(n_primal, n_dual, seed, c_rows, mu_g, lam)
-    x_star, y_star = _saddle_point(H, A, Ctd, mu_g)
-    problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), None)
-    return QuadraticSaddle(problem=problem, x_star=x_star, y_star=y_star,
-                           C=C, d=d, lam=float(lam))
+    data = _draw_instance_data(n_primal, n_dual, seed, c_rows, lam, mu_g)
+    return _saddle_instance(data, mu_g, mu_g)
 
 
 def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
@@ -212,11 +236,5 @@ def make_ball_capped_saddle(n_primal: int = 20, n_dual: int = 15,
     primal stationarity by more than 1e-9 relative, as a tiny mu_g
     gives, raises NumericalFailureError.
     """
-    C, d, A, H, Ctd = _draw_instance_data(n_primal, n_dual, seed, c_rows, mu_g, lam)
-    x_star, y_star = _saddle_point(H, A, Ctd, 8.0 * mu_g)
-    radius = float(np.linalg.norm(y_star))
-    if not radius > 0.0:
-        raise ConfigurationError("the dual solution is zero; no radius can bind")
-    problem = _problem_from_data(C, d, A, H, Ctd, float(lam), float(mu_g), radius)
-    return QuadraticSaddle(problem=problem, x_star=x_star, y_star=y_star,
-                           C=C, d=d, lam=float(lam))
+    data = _draw_instance_data(n_primal, n_dual, seed, c_rows, lam, mu_g)
+    return _saddle_instance(data, mu_g, 8.0 * mu_g)

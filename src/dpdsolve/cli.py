@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import edpd, ldpd
-from .bench import make_ball_capped_saddle, make_quadratic_saddle
+from .bench import _draw_instance_data, _saddle_instance, make_quadratic_saddle
 from .diagnostics import (
     BOUND_SLACK,
     REGIMES,
@@ -246,17 +246,19 @@ def _bench_instances(args):
     except ValueError as exc:
         raise ConfigurationError(f"bad --dims {args.dims!r}, expected N,M") from exc
     wide_rows = max(2, (3 * n_primal) // 5)
-    # The weak instance comes first: its builder refuses degenerate dims
-    # before any instance is assembled.
-    weak = make_quadratic_saddle(n_primal, n_dual, seed=args.seed,
-                                 mu_g=0.5, lam=0.0, c_rows=wide_rows)
+    # The weak and the capped instance share one draw and one
+    # factorisation of the wide lam = 0 data, made first: it refuses
+    # degenerate dims and both weights of g before any instance is
+    # assembled. Each is bit for bit what its public builder returns.
+    wide = _draw_instance_data(n_primal, n_dual, args.seed, wide_rows, 0.0, 0.5, 0.05)
+    weak = _saddle_instance(wide, mu_g=0.5, u=0.5)
     strong = make_quadratic_saddle(n_primal, n_dual, seed=args.seed,
                                    mu_g=0.5, lam=1.0)
     # Constant-step runs are measured on an instance whose dual solution
     # sits on a binding ball, where the averaged gap genuinely decays
-    # like 1/k instead of collapsing quadratically.
-    capped = make_ball_capped_saddle(n_primal, n_dual, seed=args.seed,
-                                     mu_g=0.05, lam=0.0, c_rows=wide_rows)
+    # like 1/k instead of collapsing quadratically. Its multiplier
+    # u = 8 mu_g is make_ball_capped_saddle's.
+    capped = _saddle_instance(wide, mu_g=0.05, u=8.0 * 0.05)
     return strong, weak, capped
 
 

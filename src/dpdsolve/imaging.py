@@ -15,7 +15,6 @@ sidecar ("DPDF") that preserves exact values.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 

@@ -81,13 +81,19 @@ MUTANTS = [
            "+ dy2 / (k * (k + 1.0) * tau)),", "+ dy2 / (k * tau)),"),
     # The ball-capped construction and the certificate of both builders.
     Mutant("capped factor 8 -> 1", "src/dpdsolve/bench.py",
-           "_saddle_point(H, A, Ctd, 8.0 * mu_g)", "_saddle_point(H, A, Ctd, 1.0 * mu_g)"),
+           "_saddle_instance(data, mu_g, 8.0 * mu_g)", "_saddle_instance(data, mu_g, 1.0 * mu_g)"),
     Mutant("certificate tolerance 1e-9 -> 1e-1", "src/dpdsolve/bench.py",
            "if not miss <= 1e-9 * scale:", "if not miss <= 1e-1 * scale:"),
     Mutant("radius guard removed", "src/dpdsolve/bench.py",
-           "    if not radius > 0.0:\n"
+           "    if radius is not None and not radius > 0.0:\n"
            "        raise ConfigurationError(\"the dual solution is zero; no radius can bind\")\n",
            ""),
+    # synth-bench's weak and capped instances share one draw: each must
+    # still keep its own operator object and its own multiplier u.
+    Mutant("weak and capped share one operator", "src/dpdsolve/bench.py",
+           "copy.copy(data.op)", "data.op"),
+    Mutant("capped instance takes the weak instance's u", "src/dpdsolve/cli.py",
+           "u=8.0 * 0.05)", "u=0.5)"),
     # The dual distance check made 2x more lenient.
     Mutant("dual distance check 2x lenient", "src/dpdsolve/diagnostics.py",
            "0.5 * consts.mu_g * float(dist) ** 2", "0.25 * consts.mu_g * float(dist) ** 2"),

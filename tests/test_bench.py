@@ -1,11 +1,13 @@
+import argparse
 import warnings
 
 import numpy as np
 import pytest
 
-from dpdsolve import bench
+from dpdsolve import bench, cli
 from dpdsolve.bench import make_ball_capped_saddle, make_quadratic_saddle
 from dpdsolve.errors import ConfigurationError, NumericalFailureError
+from dpdsolve.linops import MatrixOperator
 from dpdsolve.model import SolverConsts, kkt_residual
 
 
@@ -243,8 +245,9 @@ def test_a_zero_dual_solution_is_refused(monkeypatch):
     draw = bench._draw_instance_data
 
     def uncoupled(*args):
-        C, d, A, H, Ctd = draw(*args)
-        return C, d, np.zeros_like(A), H, Ctd
+        data = draw(*args)
+        zero = np.zeros_like(data.A)
+        return data._replace(A=zero, AtA=zero.T @ zero, op=MatrixOperator(zero))
 
     monkeypatch.setattr(bench, "_draw_instance_data", uncoupled)
     with pytest.raises(ConfigurationError, match="no radius can bind"):
@@ -310,3 +313,91 @@ def test_degenerate_data_is_refused_by_both_builders(build, n_primal, n_dual, ro
 def test_a_dimension_below_one_is_refused(build, n_primal, n_dual, c_rows):
     with pytest.raises(ConfigurationError, match=f"n_primal {n_primal}, n_dual {n_dual}"):
         build(n_primal, n_dual, lam=0.5, c_rows=c_rows)
+
+
+def _counting_linalg(monkeypatch, names):
+    """Count calls of each numpy.linalg function in `names`, whether made
+    through numpy.linalg or inside it (norm(M, 2) calls svd there)."""
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(np.linalg._linalg, name, counted)
+    return calls
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_instance(got, ref, seed):
+    for field in ("x_star", "y_star", "C", "d"):
+        assert _same_bits(getattr(got, field), getattr(ref, field)), field
+    assert got.lam == ref.lam
+    p, q = got.problem, ref.problem
+    assert _same_bits(p.A.matrix, q.A.matrix)
+    assert p.A.norm_bound == q.A.norm_bound
+    assert p.f.lipschitz_L_f == q.f.lipschitz_L_f and p.f.mu_f == q.f.mu_f
+    assert p.g.mu_g == q.g.mu_g
+    rng = np.random.default_rng(seed)
+    for scale in (0.1, 1.0, 100.0):
+        x = scale * rng.standard_normal(p.primal_dim)
+        y = scale * rng.standard_normal(p.dual_dim)
+        assert p.f.value(x) == q.f.value(x)
+        assert _same_bits(p.f.grad(x), q.f.grad(x))
+        assert _same_bits(p.f.prox(x, scale), q.f.prox(x, scale))
+        # the capped g is infinite outside its ball, which the larger
+        # points leave
+        assert p.g.value(y) == q.g.value(y)
+        assert _same_bits(p.g.prox(y, scale, p.g.mu_g), q.g.prox(y, scale, q.g.mu_g))
+
+
+@pytest.mark.parametrize("n_primal, n_dual, seed", [
+    (20, 15, 0), (20, 15, 7), (20, 15, 42), (13, 8, 0), (400, 300, 0),
+])
+def test_bench_instances_share_one_draw_and_keep_their_bits(monkeypatch, n_primal,
+                                                             n_dual, seed):
+    # the weak and the capped instance share one draw: one eigh of H and
+    # one svd for the norm of A serve both, and the strong instance makes
+    # the other pair
+    calls = _counting_linalg(monkeypatch, ("eigh", "svd"))
+    args = argparse.Namespace(dims=f"{n_primal},{n_dual}", seed=seed)
+    strong, weak, capped = cli._bench_instances(args)
+    assert calls == {"eigh": 2, "svd": 2}
+    monkeypatch.undo()
+    # each problem keeps its own operator object, which a caller may patch
+    assert weak.problem.A is not capped.problem.A
+    rows = max(2, (3 * n_primal) // 5)
+    _assert_same_instance(strong, make_quadratic_saddle(
+        n_primal, n_dual, seed=seed, mu_g=0.5, lam=1.0), seed)
+    _assert_same_instance(weak, make_quadratic_saddle(
+        n_primal, n_dual, seed=seed, mu_g=0.5, lam=0.0, c_rows=rows), seed)
+    _assert_same_instance(capped, make_ball_capped_saddle(
+        n_primal, n_dual, seed=seed, mu_g=0.05, lam=0.0, c_rows=rows), seed)
+
+
+def test_a_synth_bench_run_writes_into_no_shared_array(tmp_path, monkeypatch):
+    # the weak and the capped instance read one draw's arrays; after a full
+    # run every one of them is still bit for bit a fresh draw
+    draws = []
+    draw = bench._draw_instance_data
+
+    def kept(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(cli, "_draw_instance_data", kept)
+    assert cli.main(["synth-bench", "--dims", "20,15", "--out-dir", str(tmp_path)]) == 0
+    (shared,) = draws
+    fresh = draw(20, 15, 42, 12, 0.0)
+    for field in ("C", "d", "A", "H", "Ctd", "eigs", "V", "AtA"):
+        assert _same_bits(getattr(shared, field), getattr(fresh, field)), field
+        # and a write into any of them raises
+        assert not getattr(shared, field).flags.writeable, field
+    assert _same_bits(shared.op.matrix, fresh.A)

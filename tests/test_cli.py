@@ -251,13 +251,24 @@ def test_degenerate_bench_dims_are_refused_before_any_instance(tmp_path, monkeyp
 
 @pytest.mark.parametrize("dims", ["400,300", "20,15"])
 def test_default_and_benchmark_dims_pass_the_degeneracy_check(monkeypatch, dims):
-    # the check is the builders' shared prologue, which runs before any
-    # instance is assembled
-    assembled = []
+    # the check is the draw's prologue, which runs before any instance is
+    # assembled; the weak and the capped instance share the first draw
+    events = []
+    draw = bench._draw_instance_data
+
+    def recording_draw(*args):
+        data = draw(*args)
+        events.append(("draw", data.lam))
+        return data
+
+    monkeypatch.setattr(bench, "_draw_instance_data", recording_draw)
+    monkeypatch.setattr(cli, "_draw_instance_data", recording_draw)
     monkeypatch.setattr(bench, "_problem_from_data",
-                        lambda *a, **k: assembled.append(a[5]))
+                        lambda data, *a: events.append(("assemble", data.lam)))
     cli._bench_instances(argparse.Namespace(dims=dims, seed=42))
-    assert assembled == [0.0, 1.0, 0.0]
+    # lam runs 0, 1, 0 over the assemblies
+    assert events == [("draw", 0.0), ("assemble", 0.0), ("draw", 1.0),
+                      ("assemble", 1.0), ("assemble", 0.0)]
 
 
 def test_rates_from_dir_passes_on_conforming_series(tmp_path):
@@ -483,7 +494,7 @@ def test_a_negative_seed_is_refused_before_anything_is_built(tmp_path, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("something was built")
 
-    for name in ("make_phantom", "make_quadratic_saddle", "make_ball_capped_saddle"):
+    for name in ("make_phantom", "make_quadratic_saddle", "_draw_instance_data"):
         monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "x"
     assert main(argv + ["--out-dir", str(out)]) == EXIT_CONFIG
@@ -501,7 +512,7 @@ def test_an_iters_below_one_is_refused_before_anything_is_built(tmp_path, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("something was built")
 
-    for name in ("make_phantom", "make_quadratic_saddle", "make_ball_capped_saddle",
+    for name in ("make_phantom", "make_quadratic_saddle", "_draw_instance_data",
                  "build_gaussian_problem", "build_saltpepper_problem"):
         monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "x"

@@ -122,7 +122,9 @@ def test_jittered_threaded_synth_runs_write_the_in_line_bytes(tmp_path, monkeypa
 
         return built
 
-    for name in ("make_quadratic_saddle", "make_ball_capped_saddle"):
+    # the strong instance comes from its public builder, the weak and the
+    # capped one from their shared draw
+    for name in ("make_quadratic_saddle", "_saddle_instance"):
         monkeypatch.setattr(cli, name, jittered(getattr(cli, name)))
     monkeypatch.setattr(diagnostics.HistoryRecorder, "__call__", _jittered(
         diagnostics.HistoryRecorder.__call__, rng, set()))
